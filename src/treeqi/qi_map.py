@@ -10,7 +10,9 @@ the nearest 1/10^6, so reports are deterministic rationals.
 Pair sets may be scanned exhaustively or sampled without replacement from a
 seeded generator.  Either way pairs are processed in canonical (row-major
 over the address-sorted domain) order, so a sample that happens to cover all
-pairs reproduces the exhaustive result field for field.
+pairs reproduces the exhaustive result field for field.  Pairs stream
+through one common-prefix kernel in fixed-size blocks, so memory does not
+grow with the number of pairs, and both sources answer to a pair budget.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ SQRT_SCALE = 10**6
 DEFAULT_MAX_PAIRS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 1000
 
-_INF = 1 << 60
+_FAR = 1 << 20  # beyond any distance in the tree's depth cap
 
 
 @lru_cache(maxsize=64)
@@ -70,47 +72,126 @@ def _label_matrix(vertices) -> tuple[np.ndarray, np.ndarray]:
     return arr, depths
 
 
+class _PrefixIndex:
+    """Common-prefix lengths between the rows of an address matrix.
+
+    Rows are ranked in address order.  The common prefix of two rows is the
+    minimum of the LCP array of rank-adjacent rows between their ranks
+    (Kasai et al., CPM 2001), read in O(1) from a sparse table of minima
+    (Bender & Farach-Colton, LATIN 2000).  Memory is n log n bytes.
+    """
+
+    def __init__(self, labels: np.ndarray, depths: np.ndarray, presorted: bool = False):
+        n = len(depths)
+        order = np.arange(n) if presorted else np.lexsort(labels.T[::-1])
+        self.n = n
+        self.depths = depths.astype(np.int32)
+        self.rank = np.empty(n, np.int32)
+        self.rank[order] = np.arange(n, dtype=np.int32)
+        rows = labels[order]
+        levels = max(1, (n - 1).bit_length())
+        table = np.zeros((levels, n), np.int8)  # table[j, k] = min(lcp[k : k + 2**j])
+        alive = np.ones(n - 1, dtype=bool)
+        for k in range(labels.shape[1]):
+            np.logical_and(alive, rows[:-1, k] == rows[1:, k], out=alive)
+            np.logical_and(alive, rows[:-1, k] >= 0, out=alive)
+            table[0, : n - 1] += alive
+        self.log2 = np.zeros(n, np.int32)
+        for j in range(1, levels):
+            h, width = 1 << (j - 1), n - (1 << j)
+            np.minimum(table[j - 1, :width], table[j - 1, h : h + width], out=table[j, :width])
+            self.log2[1 << j :] += 1
+        self.table = table
+        self._flat = table.ravel()
+
+    def prefix_len(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Common-prefix length of rows i[k] and j[k] (the full depth if equal)."""
+        ri, rj = self.rank[i], self.rank[j]
+        lo = np.minimum(ri, rj)
+        hi = np.maximum(ri, rj)
+        span = hi - lo
+        lvl = self.log2[span]
+        base = lvl * self.n
+        out = np.minimum(self._flat[base + lo], self._flat[base + hi - (1 << lvl)])
+        return np.where(span == 0, self.depths[i], out)
+
+    def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return self.depths[i] + self.depths[j] - 2 * self.prefix_len(i, j)
+
+    def extension_ranks(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rank interval [lo, hi] of the rows that have row i[k] as a prefix."""
+        d = self.depths[i]
+        lo = self.rank[i].astype(np.int64)
+        hi = lo.copy()
+        last = self.n - 1
+        for j in range(self.table.shape[0] - 1, -1, -1):
+            w = 1 << j
+            row = self.table[j]
+            up = (hi + w <= last) & (row[np.minimum(hi, last)] >= d)
+            hi += w * up
+            down = (lo >= w) & (row[np.maximum(lo - w, 0)] >= d)
+            lo -= w * down
+        return lo, hi
+
+
 @lru_cache(maxsize=16)
-def _domain_matrix(degree: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    return _label_matrix(_cached_ball(degree, radius))
+def _domain_index(degree: int, radius: int) -> _PrefixIndex:
+    return _PrefixIndex(*_label_matrix(_cached_ball(degree, radius)), presorted=True)
 
 
-def _pair_prefix_len(labels: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """Common-prefix length for each row pair (iu[k], ju[k])."""
-    a = labels[iu]
-    b = labels[ju]
-    plen = np.zeros(len(iu), dtype=np.int16)
-    alive = np.ones(len(iu), dtype=bool)
-    for k in range(labels.shape[1]):
-        np.logical_and(alive, a[:, k] == b[:, k], out=alive)
-        np.logical_and(alive, a[:, k] >= 0, out=alive)
-        plen += alive
-    return plen
+@lru_cache(maxsize=16)
+def _domain_ancestors(degree: int, radius: int) -> np.ndarray:
+    """ancestors[i, k]: index of vertex i's ancestor at depth k <= depth(i).
+
+    In preorder that ancestor is the last vertex of depth k at or before i.
+    """
+    depths = _domain_index(degree, radius).depths
+    idx = np.arange(len(depths), dtype=np.int32)
+    out = np.empty((len(depths), radius + 1), np.int32)
+    for k in range(radius + 1):
+        out[:, k] = np.maximum.accumulate(np.where(depths == k, idx, 0))
+    return out
 
 
-def _matrix_prefix_len(labels: np.ndarray) -> np.ndarray:
-    """All-pairs common-prefix length among the rows of `labels`."""
-    n = labels.shape[0]
-    plen = np.zeros((n, n), dtype=np.int16)
-    alive = np.ones((n, n), dtype=bool)
-    for k in range(labels.shape[1]):
-        col = labels[:, k]
-        np.logical_and(alive, col[:, None] == col[None, :], out=alive)
-        np.logical_and(alive, (col >= 0)[:, None], out=alive)
-        plen += alive
-    return plen
+# Pairs are evaluated in blocks of at most this many items (pairs, or pair
+# and geodesic position), so peak memory does not grow with the pair count.
+_BLOCK = 1 << 16
 
 
-def _unrank_pair(n: int, j: int) -> tuple[int, int]:
-    """j-th pair in row-major upper-triangular order over n items."""
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * (2 * n - mid - 1) // 2 <= j:
-            lo = mid
+def _pair_blocks(
+    n: int, ps: PairSource, max_pairs: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The source's index pairs (i < j) in canonical order, `size` at a time.
+
+    Pairs are ranked row-major over the upper triangle; a block of sorted
+    ranks is unranked with one searchsorted over the row starts.
+    """
+    total = n * (n - 1) // 2
+    sample = None
+    if ps.mode == "exhaustive":
+        if total > max_pairs:
+            raise BudgetExceededError(
+                f"{total} vertex pairs exceed the exhaustive budget {max_pairs};"
+                " use a sampled pair source"
+            )
+        count = total
+    else:
+        count = min(ps.count or 0, total)
+        if count > max_pairs:
+            raise BudgetExceededError(
+                f"{count} sampled vertex pairs exceed the pair budget {max_pairs}"
+            )
+        picked = random.Random(ps.seed).sample(range(total), count)
+        sample = np.sort(np.fromiter(picked, np.int64, count))
+    i = np.arange(max(n - 1, 0), dtype=np.int64)
+    starts = i * (2 * n - i - 1) // 2
+    for start in range(0, count, size):
+        if sample is None:
+            ranks = np.arange(start, min(start + size, count), dtype=np.int64)
         else:
-            hi = mid - 1
-    return lo, j - lo * (2 * n - lo - 1) // 2 + lo + 1
+            ranks = sample[start : start + size]
+        iu = np.searchsorted(starts, ranks, side="right") - 1
+        yield iu.astype(np.int32), (ranks - starts[iu] + iu + 1).astype(np.int32)
 
 
 def sqrt_ceil_scaled(radicand: int) -> int:
@@ -323,8 +404,8 @@ class FiniteTreeMap:
         return tuple(sorted(self.domain, key=lambda v: (len(v), v)))
 
     @cached_property
-    def _image_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        return _label_matrix([self.table[v] for v in self.domain])
+    def _image_index(self) -> _PrefixIndex:
+        return _PrefixIndex(*_label_matrix([self.table[v] for v in self.domain]))
 
     def evaluate(self, v: Vertex) -> Vertex:
         if len(v) > self.domain_radius:
@@ -532,30 +613,23 @@ def coarse_surjectivity_radius(
 # constant measurement
 
 
-def _select_pairs(
-    n: int, ps: PairSource, max_pairs: int
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    total = n * (n - 1) // 2
-    if ps.mode == "exhaustive":
-        if total > max_pairs:
-            raise BudgetExceededError(
-                f"{total} vertex pairs exceed the exhaustive budget {max_pairs};"
-                " use a sampled pair source"
-            )
-        if total == 0:
-            return np.empty(0, np.int32), np.empty(0, np.int32), None
-        iu64, ju64 = np.triu_indices(n, k=1)
-        return iu64.astype(np.int32), ju64.astype(np.int32), None
-    k = min(ps.count or 0, total)
-    rng = random.Random(ps.seed)
-    picked = sorted(rng.sample(range(total), k)) if k else []
-    iu = np.empty(k, np.int32)
-    ju = np.empty(k, np.int32)
-    for t, j in enumerate(picked):
-        a, b = _unrank_pair(n, j)
-        iu[t] = a
-        ju[t] = b
-    return iu, ju, ps.seed
+# A pair's (delta, iota) is packed as delta * _KEY_BASE + iota; both are at
+# most 2 * MAX_DEPTH.
+_KEY_BASE = 256
+_KEYS = (2 * MAX_DEPTH + 1) * _KEY_BASE
+
+
+def _candidate_kinds(cand: Fraction, max_delta: int, max_iota: int) -> np.ndarray:
+    """Per key: 0 if the pair honors the candidate, 1 upper, 2 lower failure."""
+    p, q = cand.numerator, cand.denominator
+    kinds = np.zeros(_KEYS, np.int8)
+    for delta in range(max_delta + 1):
+        for iota in range(max_iota + 1):
+            if iota * q > p * (delta + 1):
+                kinds[delta * _KEY_BASE + iota] = 1
+            elif delta * q * q - p * p > iota * p * q:
+                kinds[delta * _KEY_BASE + iota] = 2
+    return kinds
 
 
 def measure_qi(
@@ -574,88 +648,72 @@ def measure_qi(
     pairs (collapsed pairs, for the lower bound) still need.
     With candidate_C given, every checked pair is also tested against that
     constant and failures are listed in canonical order (capped).
+    Pairs are folded block by block: the union of their (delta, iota) keys,
+    the first pair attaining the best constant, violations concatenated.
     """
     cand = None if candidate_C is None else Fraction(candidate_C)
     if cand is not None and cand < 1:
         raise ValueError("candidate C must be >= 1")
     verts = m.domain
-    n = len(verts)
-    iu, ju, seed = _select_pairs(n, pair_source, max_pairs)
-
-    dom_labels, dom_depths = _domain_matrix(m.shape.degree, m.domain_radius)
-    dplen = _pair_prefix_len(dom_labels, iu, ju)
-    if max_lca_depth is not None:
-        keep = dplen <= max_lca_depth
-        iu, ju, dplen = iu[keep], ju[keep], dplen[keep]
-    ddist = dom_depths[iu].astype(np.int32) + dom_depths[ju] - 2 * dplen.astype(np.int32)
-    img_labels, img_depths = m._image_matrix
-    iplen = _pair_prefix_len(img_labels, iu, ju)
-    idist = img_depths[iu].astype(np.int32) + img_depths[ju] - 2 * iplen.astype(np.int32)
-    pairs_checked = int(len(iu))
+    dom = _domain_index(m.shape.degree, m.domain_radius)
+    img = m._image_index
+    kinds = None
+    if cand is not None:
+        kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(img.depths.max()))
 
     best = Fraction(1)
     witness = None
+    key_C: dict[int, Fraction] = {}  # every (delta, iota) key seen so far
+    violations: list[Violation] = []
+    violations_total = 0
+    pairs_checked = 0
+    for iu, ju in _pair_blocks(len(verts), pair_source, max_pairs, _BLOCK):
+        dplen = dom.prefix_len(iu, ju)
+        if max_lca_depth is not None:
+            keep = dplen <= max_lca_depth
+            iu, ju, dplen = iu[keep], ju[keep], dplen[keep]
+            if not len(iu):
+                continue
+        pairs_checked += len(iu)
+        idist = img.distance(iu, ju)
+        key = (dom.depths[iu] + dom.depths[ju] - 2 * dplen) * _KEY_BASE + idist
+        present = np.flatnonzero(np.bincount(key, minlength=_KEYS)).tolist()
+        for k in present:
+            if k not in key_C:
+                key_C[k] = pair_min_C(k // _KEY_BASE, k % _KEY_BASE)
+        block_best = max(key_C[k] for k in present)
+        if witness is None or block_best > best:
+            best = block_best
+            hit = np.zeros(_KEYS, dtype=bool)
+            hit[[k for k in present if key_C[k] == best]] = True
+            first = int(np.argmax(hit[key]))
+            witness = (verts[iu[first]], verts[ju[first]])
+        if kinds is not None:
+            bad = np.flatnonzero(kinds[key])
+            violations_total += len(bad)
+            for t in bad[: max(max_violations - len(violations), 0)].tolist():
+                kind = "upper" if kinds[key[t]] == 1 else "lower"
+                violations.append(Violation(verts[iu[t]], verts[ju[t]], kind, int(idist[t])))
+
     up_mult = Fraction(1)
     low_mult = Fraction(1)
     up_add = Fraction(0)
     low_add = Fraction(0)
-    violations: list[Violation] = []
-    violations_total = 0
-
-    if pairs_checked:
-        shift = np.int64(1) << np.int64(20)
-        key = ddist.astype(np.int64) * shift + idist.astype(np.int64)
-        uniq = [int(k) for k in np.unique(key)]
-        mask_low = (1 << 20) - 1
-        pairs_di = [(k >> 20, k & mask_low) for k in uniq]
-
-        best_keys = []
-        for k, (delta, iota) in zip(uniq, pairs_di):
-            c = pair_min_C(delta, iota)
-            if c > best:
-                best = c
-                best_keys = [k]
-            elif c == best:
-                best_keys.append(k)
-            if delta > 0 and iota > 0:
-                up_mult = max(up_mult, Fraction(iota, delta))
-                low_mult = max(low_mult, Fraction(delta, iota))
-        for delta, iota in pairs_di:
-            up_add = max(up_add, iota - up_mult * delta)
-            low_add = max(low_add, Fraction(delta, 1) / low_mult - iota)
-        up_add = max(up_add, Fraction(0))
-        low_add = max(low_add, Fraction(0))
-
-        first = int(np.flatnonzero(np.isin(key, np.array(best_keys, np.int64)))[0])
-        witness = (verts[int(iu[first])], verts[int(ju[first])])
-
-        if cand is not None:
-            p, q = cand.numerator, cand.denominator
-            bad_up = [k for k, (d, i) in zip(uniq, pairs_di) if i * q > p * (d + 1)]
-            bad_low = [k for k, (d, i) in zip(uniq, pairs_di) if d * q * q - p * p > i * p * q]
-            up_mask = np.isin(key, np.array(bad_up, np.int64)) if bad_up else None
-            low_mask = np.isin(key, np.array(bad_low, np.int64)) if bad_low else None
-            if up_mask is not None or low_mask is not None:
-                if up_mask is None:
-                    merged = low_mask
-                elif low_mask is None:
-                    merged = up_mask
-                else:
-                    merged = up_mask | low_mask
-                idxs = np.flatnonzero(merged)
-                violations_total = int(len(idxs))
-                for t in idxs[:max_violations]:
-                    kind = "upper" if up_mask is not None and up_mask[t] else "lower"
-                    violations.append(
-                        Violation(verts[int(iu[t])], verts[int(ju[t])], kind, int(idist[t]))
-                    )
+    pairs_di = [divmod(k, _KEY_BASE) for k in key_C]
+    for delta, iota in pairs_di:
+        if delta > 0 and iota > 0:
+            up_mult = max(up_mult, Fraction(iota, delta))
+            low_mult = max(low_mult, Fraction(delta, iota))
+    for delta, iota in pairs_di:
+        up_add = max(up_add, iota - up_mult * delta)
+        low_add = max(low_add, Fraction(delta, 1) / low_mult - iota)
 
     return VerificationReport(
         degree=m.shape.degree,
         radius=m.domain_radius,
         pair_mode=pair_source.describe(),
         pairs_checked=pairs_checked,
-        sampling_seed=seed,
+        sampling_seed=pair_source.seed if pair_source.mode == "sampled" else None,
         best_single_C=best,
         witness=witness,
         upper_pair=(up_mult, up_add),
@@ -700,25 +758,13 @@ def verify_map(
 # property checks provable for honest quasi-isometries
 
 
-def _iter_pairs(n: int, ps: PairSource) -> Iterator[tuple[int, int]]:
-    total = n * (n - 1) // 2
-    if ps.mode == "exhaustive":
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                yield i, j
-        return
-    k = min(ps.count or 0, total)
-    rng = random.Random(ps.seed)
-    for j in sorted(rng.sample(range(total), k)) if k else []:
-        yield _unrank_pair(n, j)
-
-
 def check_geodesic_image(
     m: FiniteTreeMap,
     C,
     pair_source: PairSource = EXHAUSTIVE,
     *,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> list[Violation]:
     """For each checked pair (u, v), every vertex on the geodesic between the
     images must be within C of the image of some vertex on the geodesic
@@ -726,45 +772,53 @@ def check_geodesic_image(
 
     Uses the closest-point projection onto the image geodesic: for a point x
     with projection position p and height h, the distance from x to position
-    t along the geodesic is h + |p - t|, so coverage reduces to a one-pass
-    distance transform per pair.
+    t along the geodesic is h + |p - t|, so coverage reduces to a two-sided
+    distance transform per pair, run for a whole block of pairs at once.
     """
     Cf = Fraction(C)
-    p, q = Cf.numerator, Cf.denominator
+    thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
     verts = m.domain
-    t = m.table
+    R = m.domain_radius
+    dom = _domain_index(m.shape.degree, R)
+    anc = _domain_ancestors(m.shape.degree, R)
+    img = m._image_index
+    steps = np.arange(2 * R + 1, dtype=np.int32)
+    width = 2 * max(R, int(img.depths.max())) + 1
     violations: list[Violation] = []
-    for i, j in _iter_pairs(len(verts), pair_source):
-        u, v = verts[i], verts[j]
-        fu, fv = t[u], t[v]
-        mlen = distance(fu, fv)
-        vals = [_INF] * (mlen + 1)
-        for b in geodesic(u, v):
-            x = t[b]
-            d0 = distance(x, fu)
-            d1 = distance(x, fv)
-            pos = (d0 + mlen - d1) // 2
-            h = (d0 + d1 - mlen) // 2
-            if h < vals[pos]:
-                vals[pos] = h
-        best = [0] * (mlen + 1)
-        run = _INF
-        for tpos in range(mlen + 1):
-            run = min(run + 1, vals[tpos])
-            best[tpos] = run
-        run = _INF
-        for tpos in range(mlen, -1, -1):
-            run = min(run + 1, vals[tpos])
-            if run < best[tpos]:
-                best[tpos] = run
-        img_path = None
-        for tpos in range(mlen + 1):
-            if best[tpos] * q > p:
-                if len(violations) >= max_violations:
-                    return violations
-                if img_path is None:
-                    img_path = geodesic(fu, fv)
-                violations.append(Violation(u, v, "geodesic", best[tpos], at=img_path[tpos]))
+    for iu, ju in _pair_blocks(len(verts), pair_source, max_pairs, max(1, _BLOCK // width)):
+        # position s of the domain geodesic is u's ancestor at depth du - s
+        # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
+        lca = dom.prefix_len(iu, ju)
+        du = dom.depths[iu]
+        rise = du - lca
+        row, s = np.nonzero(steps <= (rise + dom.depths[ju] - lca)[:, None])
+        on_u = s <= rise[row]
+        fu, fv = iu[row], ju[row]
+        b = anc[np.where(on_u, fu, fv), np.where(on_u, du[row] - s, s - rise[row] + lca[row])]
+        # projection of f(b) onto the image geodesic f(u) .. f(v)
+        mlen = img.distance(iu, ju)
+        d0 = img.distance(b, fu)
+        d1 = img.distance(b, fv)
+        span = int(mlen.max()) + 1
+        cover = np.full((len(iu), span), _FAR, dtype=np.int32)
+        np.minimum.at(
+            cover.reshape(-1), row * span + (d0 + mlen[row] - d1) // 2, (d0 + d1 - mlen[row]) // 2
+        )
+        for t in range(1, span):
+            np.minimum(cover[:, t], cover[:, t - 1] + 1, out=cover[:, t])
+        for t in range(span - 2, -1, -1):
+            np.minimum(cover[:, t], cover[:, t + 1] + 1, out=cover[:, t])
+        bad = (cover > thr) & (np.arange(span) <= mlen[:, None])
+        if not bad.any():
+            continue
+        paths: dict[int, list] = {}
+        for r, t in np.argwhere(bad).tolist():
+            if len(violations) >= max_violations:
+                return violations
+            u, v = verts[iu[r]], verts[ju[r]]
+            if r not in paths:
+                paths[r] = geodesic(m.table[u], m.table[v])
+            violations.append(Violation(u, v, "geodesic", int(cover[r, t]), at=paths[r][t]))
     return violations
 
 
@@ -774,6 +828,10 @@ def check_same_depth(
     """Order-preserving maps only: whenever two same-depth vertices have
     nested images, both the vertices and the images must be within
     K = 4*C^3 + C of each other.  Returns the failures.
+
+    The same-depth vertices u whose image extends f(v) occupy one contiguous
+    range of that level sorted by image rank, so only nested pairs are
+    enumerated, a block at a time.
     """
     ok, wit = is_order_preserving(m)
     if not ok:
@@ -784,41 +842,42 @@ def check_same_depth(
     K = 4 * Cf**3 + Cf
     if K >= 4 * MAX_DEPTH:  # no stored distance can reach the bound
         return []
-    thr = float(K)
+    thr = K.numerator // K.denominator  # an integer distance exceeds K iff > thr
     verts = m.domain
-    t = m.table
-    dom_labels, _ = _domain_matrix(m.shape.degree, m.domain_radius)
-    img_labels, img_depths = m._image_matrix
-    index_by_depth: dict[int, list[int]] = {}
-    for i, v in enumerate(verts):
-        index_by_depth.setdefault(len(v), []).append(i)
+    n = len(verts)
+    dom = _domain_index(m.shape.degree, m.domain_radius)
+    img = m._image_index
+    ext_lo, ext_hi = img.extension_ranks(np.arange(n))
     violations: list[Violation] = []
-    for level in sorted(index_by_depth):
-        if level == 0:
-            continue
-        idxs = np.array(index_by_depth[level], dtype=np.int64)
-        if len(idxs) < 2:
-            continue
-        sub_img = img_labels[idxs]
-        sub_depths = img_depths[idxs].astype(np.int32)
-        plen_img = _matrix_prefix_len(sub_img)
-        desc = plen_img == sub_depths[None, :]
-        np.fill_diagonal(desc, False)
-        if not desc.any():
-            continue
-        plen_dom = _matrix_prefix_len(dom_labels[idxs])
-        ddom = 2 * (level - plen_dom.astype(np.int32))
-        dimg = sub_depths[:, None] + sub_depths[None, :] - 2 * plen_img.astype(np.int32)
-        # conservative float prefilter, then exact rational confirmation
-        cand = desc & ((ddom > thr - 1.0) | (dimg > thr - 1.0))
-        for a, b in np.argwhere(cand):
-            dd, di = int(ddom[a, b]), int(dimg[a, b])
-            if dd <= K and di <= K:
-                continue
-            if len(violations) >= max_violations:
-                return violations
-            value = di if di > K else dd
-            violations.append(
-                Violation(verts[int(idxs[a])], verts[int(idxs[b])], "samedepth", value)
-            )
+    for level in range(1, m.domain_radius + 1):
+        room = max_violations - len(violations)
+        if room <= 0:
+            break
+        idxs = np.flatnonzero(dom.depths == level)
+        by_img = idxs[np.argsort(img.rank[idxs])]
+        img_ranks = img.rank[by_img]
+        first = np.searchsorted(img_ranks, ext_lo[by_img], side="left")
+        counts = np.searchsorted(img_ranks, ext_hi[by_img], side="right") - first
+        ends = np.cumsum(counts)
+        found = np.empty(0, np.int64)  # keys u * n + v of failing pairs
+        start = 0
+        while start < len(by_img):
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+            c = counts[start:stop]
+            v = np.repeat(by_img[start:stop], c)
+            q = np.repeat(first[start:stop] - (ends[start:stop] - c - done), c)
+            u = by_img[q + np.arange(len(q))]
+            ddom = 2 * (level - dom.prefix_len(u, v))
+            dimg = img.depths[u] - img.depths[v]
+            fail = (u != v) & ((ddom > thr) | (dimg > thr))
+            found = np.concatenate([found, u[fail].astype(np.int64) * n + v[fail]])
+            if len(found) > room:
+                found = np.sort(found)[:room]
+            start = stop
+        for key in np.sort(found).tolist():
+            a, b = divmod(key, n)
+            dd = 2 * (level - int(dom.prefix_len(a, b)))
+            di = int(img.depths[a] - img.depths[b])
+            violations.append(Violation(verts[a], verts[b], "samedepth", di if di > thr else dd))
     return violations

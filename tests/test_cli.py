@@ -214,6 +214,17 @@ def test_budget_exit(tmp_path, capsys):
     assert code == 3 and "budget" in err
 
 
+def test_sampled_pair_budget_exit(tmp_path, capsys):
+    # 75M pairs at radius 12; a sample above the 10^7 pair budget is refused
+    # before any pair is drawn
+    path = tmp_path / "id12.qi"
+    write_map_file(tq.identity_map(tq.TreeShape(3), 12), path)
+    code, _, err = run_cli(
+        ["verify", "--in", str(path), "--pairs", "sampled:20000000", "--seed", "1"], capsys
+    )
+    assert code == 3 and "budget" in err
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.qi"
     bad.write_text("tree-qi v1 degree=3 radius=1\n. .\n0 0\n1 1\n")

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeqi as tq
 from treeqi import (
@@ -14,10 +17,12 @@ from treeqi import (
     ball,
 )
 from treeqi.errors import (
+    BudgetExceededError,
     MapDomainError,
     PreconditionError,
     ShapeMismatchError,
 )
+from treeqi.oracle import oracle_measure
 
 D3 = TreeShape(3)
 
@@ -203,21 +208,174 @@ def _brute_geodesic_violations(m, C, pairs):
     return out
 
 
+def _canonical_pairs(m, source):
+    """The source's vertex pairs in canonical order, enumerated directly."""
+    verts = m.domain
+    pairs = [
+        (verts[i], verts[j]) for i in range(len(verts) - 1) for j in range(i + 1, len(verts))
+    ]
+    if source.mode == "exhaustive":
+        return pairs
+    picked = random.Random(source.seed).sample(range(len(pairs)), min(source.count, len(pairs)))
+    return [pairs[r] for r in sorted(picked)]
+
+
 def test_check_geodesic_image_matches_brute_force():
     rng = random.Random(21)
+    cut_checked = 0
     for seed in range(6):
         m = tq.random_map(D3, 3, 400 + seed)
         C = Fraction(rng.randrange(1, 3))
-        verts = m.domain
-        pairs = [
-            (verts[i], verts[j])
-            for i in range(len(verts) - 1)
-            for j in range(i + 1, len(verts))
-        ]
+        for source in (EXHAUSTIVE, PairSource.sampled(60, seed)):
+            brute = _brute_geodesic_violations(m, C, _canonical_pairs(m, source))
+            got = tq.check_geodesic_image(m, C, source, max_violations=10**9)
+            assert [(v.x, v.y, v.at, v.value) for v in got] == brute
+            cut_checked += len(brute) > 1
+            for cap in (0, 1, len(brute) // 2):
+                got = tq.check_geodesic_image(m, C, source, max_violations=cap)
+                assert [(v.x, v.y, v.at, v.value) for v in got] == brute[:cap]
+    assert cut_checked >= 4
+
+
+def _maps(draw_image, radii=(0, 1, 2, 3), degrees=(3, 4)):
+    for degree in degrees:
+        shape = TreeShape(degree)
+        for radius in radii:
+            yield tq.map_from_function(shape, radius, lambda v: draw_image(shape, v))
+
+
+@st.composite
+def small_maps(draw):
+    """Small maps whose images repeat, sit at the root, or reach MAX_DEPTH."""
+    shape = TreeShape(draw(st.sampled_from([3, 4])))
+    radius = draw(st.integers(0, 6 - shape.degree))
+
+    def address(depth):
+        labels = [draw(st.integers(0, shape.degree - 1))]
+        labels += [draw(st.integers(0, shape.degree - 2)) for _ in range(depth - 1)]
+        return tuple(labels[:depth])
+
+    depths = st.one_of(st.integers(0, 4), st.just(tq.MAX_DEPTH))
+    pool = [address(draw(depths)) for _ in range(draw(st.integers(1, 6)))]
+    table = {v: pool[draw(st.integers(0, len(pool) - 1))] for v in ball(shape, radius)}
+    return FiniteTreeMap(shape, radius, table)
+
+
+@settings(max_examples=30, deadline=2000)
+@given(small_maps(), st.sampled_from([1, Fraction(3, 2), 2, 5]), st.integers(0, 8))
+def test_geodesic_image_property(m, C, block_exp):
+    saved = tq.qi_map._BLOCK
+    tq.qi_map._BLOCK = 1 << block_exp
+    try:
         got = tq.check_geodesic_image(m, C, max_violations=10**9)
-        assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(
-            m, C, pairs
-        )
+    finally:
+        tq.qi_map._BLOCK = saved
+    assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(
+        m, C, _canonical_pairs(m, EXHAUSTIVE)
+    )
+
+
+@settings(max_examples=80, deadline=2000)
+@given(
+    small_maps(),
+    st.sampled_from([None, 1, Fraction(3, 2), 2, 4]),
+    st.sampled_from([None, 0, 1, 2]),
+    st.integers(0, 8),
+)
+def test_measure_qi_equals_oracle_property(m, C, max_lca_depth, block_exp):
+    saved = tq.qi_map._BLOCK
+    tq.qi_map._BLOCK = 1 << block_exp
+    try:
+        got = tq.measure_qi(m, candidate_C=C, max_lca_depth=max_lca_depth, max_violations=7)
+    finally:
+        tq.qi_map._BLOCK = saved
+    want = oracle_measure(m, candidate_C=C, max_lca_depth=max_lca_depth, max_violations=7)
+    assert got.measurement_fields() == want.measurement_fields()
+
+
+def _column_prefix_len(labels, iu, ju):
+    """Common-prefix length by a scan over every depth column: the
+    reference for the LCP/sparse-table kernel."""
+    a = labels[iu]
+    b = labels[ju]
+    plen = np.zeros(len(iu), dtype=np.int16)
+    alive = np.ones(len(iu), dtype=bool)
+    for k in range(labels.shape[1]):
+        np.logical_and(alive, a[:, k] == b[:, k], out=alive)
+        np.logical_and(alive, a[:, k] >= 0, out=alive)
+        plen += alive
+    return plen
+
+
+def _kernel_maps():
+    rng = random.Random(8)
+    deep = lambda shape, v: (0,) + (1,) * (tq.MAX_DEPTH - 1) if len(v) % 2 else (0,) * tq.MAX_DEPTH
+    yield from _maps(lambda shape, v: ROOT)
+    yield from _maps(deep)
+    yield from _maps(lambda shape, v: v)
+    for seed in range(4):
+        yield tq.random_map(D3, 3, seed)
+        yield tq.random_map(TreeShape(4), 2, seed, fix_root=True)
+        pool = [ROOT, (0,), (0, 1), (1, 0, 0), (0,) * tq.MAX_DEPTH, (0,) * 63 + (1,)]
+        yield from _maps(lambda shape, v: pool[rng.randrange(len(pool))], radii=(0, 1, 3))
+    yield tq.constant_map(D3, 3)
+    yield tq.constant_map(D3, 2, (2,) + (1,) * (tq.MAX_DEPTH - 1))
+
+
+def test_prefix_kernel_matches_column_loop():
+    for m in _kernel_maps():
+        n = len(m.domain)
+        iu, ju = (a.ravel() for a in np.indices((n, n)))
+        sides = [
+            (m.domain, tq.qi_map._domain_index(m.shape.degree, m.domain_radius)),
+            ([m.table[v] for v in m.domain], m._image_index),
+        ]
+        for rows, index in sides:
+            ref = _column_prefix_len(tq.qi_map._label_matrix(rows)[0], iu, ju)
+            assert (index.prefix_len(iu, ju) == ref).all()
+            # the rows extending row i are exactly one rank interval
+            lo, hi = index.extension_ranks(np.arange(n))
+            extends = ref.reshape(n, n) == index.depths[:, None]
+            for i in range(n):
+                assert sorted(index.rank[extends[i]]) == list(range(lo[i], hi[i] + 1))
+
+
+def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
+    maps = [tq.random_map(D3, 3, 900 + s) for s in range(3)] + [tq.constant_map(D3, 3)]
+    sources = [EXHAUSTIVE, PairSource.sampled(120, 4)]
+
+    def run():
+        out = []
+        for m in maps:
+            for source in sources:
+                for lca in (None, 1):
+                    rep = tq.measure_qi(
+                        m, source, candidate_C=2, max_lca_depth=lca, max_violations=9
+                    )
+                    out.append(rep.measurement_fields())
+                out.append(tq.check_geodesic_image(m, 1, source, max_violations=40))
+        return out
+
+    whole = run()
+    verts = maps[0].domain
+    pairs = [(verts[i], verts[j]) for i in range(len(verts) - 1) for j in range(i + 1, len(verts))]
+    witness_rank = pairs.index(tq.measure_qi(maps[0]).witness)
+    monkeypatch.setattr(tq.qi_map, "_BLOCK", 7)
+    assert witness_rank >= 7  # the witness lies beyond the first block
+    assert run() == whole
+
+
+def test_sampled_sources_answer_to_the_pair_budget():
+    m = tq.random_map(D3, 3, 1)  # 231 pairs
+    source = PairSource.sampled(100, 1)
+    with pytest.raises(BudgetExceededError):
+        tq.measure_qi(m, source, max_pairs=50)
+    with pytest.raises(BudgetExceededError):
+        tq.check_geodesic_image(m, 2, source, max_pairs=50)
+    with pytest.raises(BudgetExceededError):
+        tq.check_geodesic_image(m, 2, max_pairs=230)
+    assert tq.measure_qi(m, source, max_pairs=100).pairs_checked == 100
+    tq.check_geodesic_image(m, 2, source, max_pairs=100)
 
 
 def _brute_same_depth_violations(m, C):
@@ -243,13 +401,19 @@ def _brute_same_depth_violations(m, C):
     return out
 
 
-def test_check_same_depth_matches_brute_force():
+def test_check_same_depth_matches_brute_force(monkeypatch):
+    blocks = (tq.qi_map._BLOCK, 5)  # nested pairs in one block, or in many
     for seed in range(6):
         raw = tq.random_map(D3, 4, 500 + seed, fix_root=True)
         m = tq.normalize_order_preserving(raw, 1, check_promise=False)
         for C in (1, Fraction(3, 2), 2):
-            got = tq.check_same_depth(m, C, max_violations=10**9)
-            assert [(v.x, v.y) for v in got] == _brute_same_depth_violations(m, C)
+            want = _brute_same_depth_violations(m, C)
+            for block in blocks:
+                monkeypatch.setattr(tq.qi_map, "_BLOCK", block)
+                got = tq.check_same_depth(m, C, max_violations=10**9)
+                assert [(v.x, v.y) for v in got] == want
+                got = tq.check_same_depth(m, C, max_violations=3)
+                assert [(v.x, v.y) for v in got] == want[:3]
 
 
 def test_check_same_depth_identity():
