@@ -22,6 +22,7 @@ from .mixed_builder import MixedPolicy, build_mixed, verify_mixed_structure
 from .oracle import oracle_measure
 from .qi_map import (
     DEFAULT_MAX_PAIRS,
+    DEFAULT_MAX_VIOLATIONS,
     PairSource,
     check_geodesic_image,
     check_same_depth,
@@ -94,8 +95,8 @@ def _emit(lines: list[str], json_dict: dict | None, as_json: bool) -> None:
             print(ln)
 
 
-def _collect_warnings(record) -> list[str]:
-    return [f"warning={w.message}" for w in record if issubclass(w.category, PromiseWarning)]
+def _promise_warnings(record) -> list[str]:
+    return [str(w.message) for w in record if issubclass(w.category, PromiseWarning)]
 
 
 def cmd_gen_mixed(args) -> int:
@@ -143,12 +144,15 @@ def cmd_verify(args) -> int:
     )
     if candidate is not None:
         # the candidate constant also gates the geodesic-image coverage and,
-        # for order-preserving maps, the same-depth nesting property
-        extra = check_geodesic_image(m, candidate, source)
+        # for order-preserving maps, the same-depth nesting property; every
+        # violation is counted, the first DEFAULT_MAX_VIOLATIONS are listed
+        checks = [check_geodesic_image(m, candidate, source)]
         if report.order_preserving:
-            extra.extend(check_same_depth(m, candidate))
-        report.violations.extend(extra)
-        report.violations_total += len(extra)
+            checks.append(check_same_depth(m, candidate))
+        for found in checks:
+            room = max(DEFAULT_MAX_VIOLATIONS - len(report.violations), 0)
+            report.violations.extend(found[:room])
+            report.violations_total += found.total
     _emit(report.to_lines("verify"), report.to_json_dict("verify"), args.json)
     return EXIT_OK
 
@@ -177,8 +181,8 @@ def cmd_normalize(args) -> int:
         f"sup_distance={sup}",
         f"order_preserving={'true' if ok else 'false'}",
     ]
-    warn_lines = _collect_warnings(record)
-    lines.extend(warn_lines)
+    warns = _promise_warnings(record)
+    lines.extend(f"warning={w}" for w in warns)
     _emit(
         lines,
         {
@@ -187,7 +191,7 @@ def cmd_normalize(args) -> int:
             "bound": str(bound),
             "sup_distance": sup,
             "order_preserving": ok,
-            "warnings": [str(w.message) for w in record],
+            "warnings": warns,
         },
         args.json,
     )
@@ -216,7 +220,8 @@ def cmd_approximate(args) -> int:
         f"sup_distance={sup}",
         "validation=pass",
     ]
-    lines.extend(_collect_warnings(record))
+    warns = _promise_warnings(record)
+    lines.extend(f"warning={w}" for w in warns)
     _emit(
         lines,
         {
@@ -225,7 +230,7 @@ def cmd_approximate(args) -> int:
             "covered_radius": f.domain_radius,
             "sup_distance": sup,
             "validation": "pass",
-            "warnings": [str(w.message) for w in record],
+            "warnings": warns,
         },
         args.json,
     )

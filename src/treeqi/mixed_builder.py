@@ -28,6 +28,7 @@ from .tree_core import (
     FiniteSubtree,
     TreeShape,
     Vertex,
+    _frontiers,
     ball,
     boundary,
     d_children,
@@ -46,7 +47,6 @@ class LevelClass:
     image: Vertex
     members: tuple
     block: tuple
-    targets: frozenset | None = None
 
 
 @dataclass
@@ -377,13 +377,37 @@ def assign_images(
     return assignment
 
 
-def _strict_descendants_within(x: Vertex, k: int, shape: TreeShape) -> list[Vertex]:
-    out: list[Vertex] = []
-    frontier = [x]
-    for _ in range(k):
-        frontier = [c for u in frontier for c in shape.children(u)]
-        out.extend(frontier)
-    return out
+def _build_levels(shape: TreeShape, trace: BuildTrace, choose) -> FiniteTreeMap:
+    """The level-by-level construction with the per-class choice left open.
+
+    Level i groups the vertices at depth i*step by their image and takes the
+    classes in order of least member.  `choose(i, cls, fill)` returns the
+    class's ClassTrace, where `fill` lists the vertices strictly between the
+    members and the block, member by member and depth by depth.  The block
+    takes the trace's assignment, the fill collapses onto the class image,
+    and the sorted blocks form the next level.  Appends to trace.classes.
+    """
+    step = trace.step
+    table = {ROOT: ROOT}
+    current = [ROOT]
+    for i in range(trace.levels):
+        groups: dict[Vertex, list[Vertex]] = {}
+        for x in current:  # sorted, so each member list is sorted too
+            groups.setdefault(table[x], []).append(x)
+        next_level: list[Vertex] = []
+        for image_v, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
+            walks = [_frontiers(x, step, shape) for x in members]
+            block = tuple(b for walk in walks for b in walk[-1])
+            fill = [w for walk in walks for frontier in walk[:-1] for w in frontier]
+            entry = choose(i, LevelClass(image_v, tuple(members), block), fill)
+            for b in block:
+                table[b] = entry.assignment[b]
+            for w in fill:
+                table[w] = image_v
+            trace.classes.append(entry)
+            next_level.extend(block)
+        current = sorted(next_level)
+    return FiniteTreeMap(shape, trace.levels * step, table)
 
 
 def build_mixed(
@@ -404,77 +428,58 @@ def build_mixed(
         raise ValueError("step depth must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    radius = levels * step
-    ball(shape, radius, budget)  # enforce the budget before any work
-    replay = policy.replay.by_class() if policy.variant == "explicit" else None
-    if replay is not None:
+    ball(shape, levels * step, budget)  # enforce the budget before any work
+    if policy.variant == "explicit":
         head = policy.replay
         if (head.degree, head.step, head.levels) != (shape.degree, step, levels):
             raise PolicyError(
                 "trace header does not match the requested construction parameters"
             )
-    table = {ROOT: ROOT}
-    trace = BuildTrace(shape.degree, step, levels, policy.describe())
-    current = [ROOT]
-    for i in range(levels):
-        groups: dict[Vertex, list[Vertex]] = {}
-        for x in current:
-            groups.setdefault(table[x], []).append(x)
-        ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
-        next_level: list[Vertex] = []
-        for image_v, members in ordered:
-            members = sorted(members)
-            block = [c for x in members for c in d_children(x, step, shape, budget)]
-            cls = LevelClass(image_v, tuple(members), tuple(block))
-            rng = class_rng(policy, i, image_v)
-            if replay is not None:
-                entry = replay.get((i, image_v))
-                if entry is None:
-                    raise PolicyError("trace has no entry for this class", level=i, image=image_v)
-                subtree = FiniteSubtree(entry.subtree)
-                if subtree.local_root != image_v:
-                    raise PolicyError("recorded subtree hangs elsewhere", level=i, image=image_v)
-                bd = boundary(subtree, shape)
-                if tuple(bd) != tuple(entry.boundary):
-                    raise PolicyError("recorded boundary is wrong", level=i, image=image_v)
-                assignment = dict(entry.assignment)
-                check_assignment(cls, assignment, bd, step)
-                draws = entry.rng_draws
-            else:
-                feas = feasible_boundary_sizes(
-                    len(members), len(block), image_v == ROOT, shape
-                )
-                if not feas:
-                    raise PolicyError("no feasible boundary size", level=i, image=image_v)
-                if policy.variant == "minimal":
-                    target = feas[0]
-                elif policy.variant == "deepest":
-                    target = feas[-1]
-                else:
-                    target = feas[rng.randrange(len(feas))]
-                subtree = grow_subtree(image_v, target, policy, shape, rng)
-                bd = boundary(subtree, shape)
-                assignment = assign_images(cls, bd, step, policy, rng)
-                draws = rng.calls if rng else 0
-            for b in block:
-                table[b] = assignment[b]
-            for x in members:
-                for w in _strict_descendants_within(x, step - 1, shape):
-                    table[w] = image_v
-            trace.classes.append(
-                ClassTrace(
-                    level=i,
-                    image=image_v,
-                    members=tuple(members),
-                    subtree=subtree.vertices,
-                    boundary=tuple(bd),
-                    assignment={b: assignment[b] for b in block},
-                    rng_draws=draws,
-                )
+        recorded = head.by_class()
+
+    def choose(i: int, cls: LevelClass, fill) -> ClassTrace:
+        rng = class_rng(policy, i, cls.image)
+        if policy.variant == "explicit":
+            entry = recorded.get((i, cls.image))
+            if entry is None:
+                raise PolicyError("trace has no entry for this class", level=i, image=cls.image)
+            subtree = FiniteSubtree(entry.subtree)
+            if subtree.local_root != cls.image:
+                raise PolicyError("recorded subtree hangs elsewhere", level=i, image=cls.image)
+            bd = boundary(subtree, shape)
+            if tuple(bd) != tuple(entry.boundary):
+                raise PolicyError("recorded boundary is wrong", level=i, image=cls.image)
+            assignment = entry.assignment
+            check_assignment(cls, assignment, bd, step)
+            draws = entry.rng_draws
+        else:
+            feas = feasible_boundary_sizes(
+                len(cls.members), len(cls.block), cls.image == ROOT, shape
             )
-            next_level.extend(block)
-        current = sorted(next_level)
-    return FiniteTreeMap(shape, radius, table), trace
+            if not feas:
+                raise PolicyError("no feasible boundary size", level=i, image=cls.image)
+            if policy.variant == "minimal":
+                target = feas[0]
+            elif policy.variant == "deepest":
+                target = feas[-1]
+            else:
+                target = feas[rng.randrange(len(feas))]
+            subtree = grow_subtree(cls.image, target, policy, shape, rng)
+            bd = boundary(subtree, shape)
+            assignment = assign_images(cls, bd, step, policy, rng)
+            draws = rng.calls if rng else 0
+        return ClassTrace(
+            level=i,
+            image=cls.image,
+            members=cls.members,
+            subtree=subtree.vertices,
+            boundary=tuple(bd),
+            assignment={b: assignment[b] for b in cls.block},
+            rng_draws=draws,
+        )
+
+    trace = BuildTrace(shape.degree, step, levels, policy.describe())
+    return _build_levels(shape, trace, choose), trace
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,13 @@ class Violation:
         return line
 
 
+class ViolationList(list):
+    """Violations in canonical order, listed up to a cap; `total` counts every
+    violation found, listed or not."""
+
+    total = 0
+
+
 def _fmt_opt(value) -> str:
     return "-" if value is None else str(value)
 
@@ -768,7 +775,8 @@ def check_geodesic_image(
 ) -> list[Violation]:
     """For each checked pair (u, v), every vertex on the geodesic between the
     images must be within C of the image of some vertex on the geodesic
-    between u and v.  Returns the failures (u, v, offending image vertex).
+    between u and v.  Returns the failures (u, v, offending image vertex),
+    at most max_violations of them, as a ViolationList counting them all.
 
     Uses the closest-point projection onto the image geodesic: for a point x
     with projection position p and height h, the distance from x to position
@@ -784,7 +792,7 @@ def check_geodesic_image(
     img = m._image_index
     steps = np.arange(2 * R + 1, dtype=np.int32)
     width = 2 * max(R, int(img.depths.max())) + 1
-    violations: list[Violation] = []
+    violations = ViolationList()
     for iu, ju in _pair_blocks(len(verts), pair_source, max_pairs, max(1, _BLOCK // width)):
         # position s of the domain geodesic is u's ancestor at depth du - s
         # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
@@ -808,13 +816,10 @@ def check_geodesic_image(
             np.minimum(cover[:, t], cover[:, t - 1] + 1, out=cover[:, t])
         for t in range(span - 2, -1, -1):
             np.minimum(cover[:, t], cover[:, t + 1] + 1, out=cover[:, t])
-        bad = (cover > thr) & (np.arange(span) <= mlen[:, None])
-        if not bad.any():
-            continue
+        bad = np.argwhere((cover > thr) & (np.arange(span) <= mlen[:, None]))
+        violations.total += len(bad)
         paths: dict[int, list] = {}
-        for r, t in np.argwhere(bad).tolist():
-            if len(violations) >= max_violations:
-                return violations
+        for r, t in bad[: max(max_violations - len(violations), 0)].tolist():
             u, v = verts[iu[r]], verts[ju[r]]
             if r not in paths:
                 paths[r] = geodesic(m.table[u], m.table[v])
@@ -827,7 +832,8 @@ def check_same_depth(
 ) -> list[Violation]:
     """Order-preserving maps only: whenever two same-depth vertices have
     nested images, both the vertices and the images must be within
-    K = 4*C^3 + C of each other.  Returns the failures.
+    K = 4*C^3 + C of each other.  Returns the failures, at most
+    max_violations of them, as a ViolationList counting them all.
 
     The same-depth vertices u whose image extends f(v) occupy one contiguous
     range of that level sorted by image rank, so only nested pairs are
@@ -841,18 +847,16 @@ def check_same_depth(
     Cf = Fraction(C)
     K = 4 * Cf**3 + Cf
     if K >= 4 * MAX_DEPTH:  # no stored distance can reach the bound
-        return []
+        return ViolationList()
     thr = K.numerator // K.denominator  # an integer distance exceeds K iff > thr
     verts = m.domain
     n = len(verts)
     dom = _domain_index(m.shape.degree, m.domain_radius)
     img = m._image_index
     ext_lo, ext_hi = img.extension_ranks(np.arange(n))
-    violations: list[Violation] = []
+    violations = ViolationList()
     for level in range(1, m.domain_radius + 1):
-        room = max_violations - len(violations)
-        if room <= 0:
-            break
+        room = max(max_violations - len(violations), 0)
         idxs = np.flatnonzero(dom.depths == level)
         by_img = idxs[np.argsort(img.rank[idxs])]
         img_ranks = img.rank[by_img]
@@ -871,6 +875,7 @@ def check_same_depth(
             ddom = 2 * (level - dom.prefix_len(u, v))
             dimg = img.depths[u] - img.depths[v]
             fail = (u != v) & ((ddom > thr) | (dimg > thr))
+            violations.total += int(fail.sum())
             found = np.concatenate([found, u[fail].astype(np.int64) * n + v[fail]])
             if len(found) > room:
                 found = np.sort(found)[:room]

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, ValidationFailure
-from .mixed_builder import BuildTrace, ClassTrace, recover_class_subtree
+from .mixed_builder import (
+    BuildTrace,
+    ClassTrace,
+    LevelClass,
+    _build_levels,
+    recover_class_subtree,
+)
 from .qi_map import (
     EXHAUSTIVE,
     FiniteTreeMap,
@@ -34,7 +40,7 @@ from .qi_map import (
     measure_qi,
     sup_distance,
 )
-from .tree_core import ROOT, Vertex, d_children, distance, format_address, lca_pair
+from .tree_core import ROOT, Vertex, distance, format_address, lca_pair
 
 # Promise checks fall back to a fixed-seed sample above this many pairs so
 # they stay affordable on large balls; the warning is best-effort anyway.
@@ -211,100 +217,70 @@ def approximate_by_mixed(
             _warn_promise("approximate_by_mixed", measured, Cf, mode)
     K = bundle.K_samedepth
     fill_bound = bundle.final_bound
-    shape = g.shape
     gt = g.table
-    table = {ROOT: ROOT}
-    trace = BuildTrace(shape.degree, step, levels, f"approximate:C={Cf}")
-    current = [ROOT]
-    for i in range(levels):
-        groups: dict[Vertex, list[Vertex]] = {}
-        for x in current:
-            groups.setdefault(table[x], []).append(x)
-        ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
-        next_level: list[Vertex] = []
-        for image_v, members in ordered:
-            members = sorted(members)
-            block = [c for x in members for c in d_children(x, step, shape)]
-            targets = {gt[b] for b in block}
-            assignment: dict = {}
-            for b in block:
-                # candidates are prefixes of g(b), hence a chain under
-                # ancestry; the first hit is the unique shallowest one
-                gb = gt[b]
-                for k in range(len(gb) + 1):
-                    prefix = gb[:k]
-                    if prefix in targets:
-                        assignment[b] = prefix
-                        break
-            by_image: dict[Vertex, list[Vertex]] = {}
-            for b in block:
-                by_image.setdefault(assignment[b], []).append(b)
-            for a, srcs in sorted(by_image.items()):
-                parents = {b[: len(b) - step] for b in srcs}
-                if len(parents) > 1:
-                    raise ValidationFailure(
-                        "shared-parent",
-                        f"image {format_address(a)} drawn from children of two class members",
-                        level=i,
-                        image=image_v,
-                    )
-            subtree, reason = recover_class_subtree(image_v, targets, shape)
-            if reason is not None:
-                raise ValidationFailure("subtree-boundary", reason, level=i, image=image_v)
-            image_set = set(assignment.values())
-            if image_set != targets:
-                missing = sorted(targets - image_set)[0]
-                raise ValidationFailure(
-                    "subtree-boundary",
-                    f"assigned images miss boundary vertex {format_address(missing)}",
-                    level=i,
-                    image=image_v,
+
+    def choose(i: int, cls: LevelClass, fill) -> ClassTrace:
+        image_v = cls.image
+
+        def failure(kind: str, message: str) -> ValidationFailure:
+            return ValidationFailure(kind, message, level=i, image=image_v)
+
+        targets = {gt[b] for b in cls.block}
+        assignment: dict = {}
+        for b in cls.block:
+            # candidates are prefixes of g(b), hence a chain under
+            # ancestry; the first hit is the unique shallowest one
+            gb = gt[b]
+            for k in range(len(gb) + 1):
+                if gb[:k] in targets:
+                    assignment[b] = gb[:k]
+                    break
+        by_image: dict[Vertex, list[Vertex]] = {}
+        for b in cls.block:
+            by_image.setdefault(assignment[b], []).append(b)
+        for a, srcs in sorted(by_image.items()):
+            if len({b[: len(b) - step] for b in srcs}) > 1:
+                raise failure(
+                    "shared-parent",
+                    f"image {format_address(a)} drawn from children of two class members",
                 )
-            for b in block:
-                fb = assignment[b]
-                gb = gt[b]
-                if gb[: len(fb)] != fb:
-                    raise ValidationFailure(
-                        "target-containment",
-                        f"g({format_address(b)}) left the subtree of {format_address(fb)}",
-                        level=i,
-                        image=image_v,
-                    )
-                if distance(fb, gb) > K:
-                    raise ValidationFailure(
-                        "target-distance",
-                        f"{format_address(b)} assigned {distance(fb, gb)} > {K} from its g-image",
-                        level=i,
-                        image=image_v,
-                    )
-                table[b] = fb
-            for x in members:
-                frontier = [x]
-                for _ in range(step - 1):
-                    frontier = [c for u in frontier for c in shape.children(u)]
-                    for w in frontier:
-                        table[w] = image_v
-                        if distance(image_v, gt[w]) > fill_bound:
-                            raise ValidationFailure(
-                                "fill-distance",
-                                f"{format_address(w)} collapsed {distance(image_v, gt[w])}"
-                                f" > {fill_bound} from its g-image",
-                                level=i,
-                                image=image_v,
-                            )
-            trace.classes.append(
-                ClassTrace(
-                    level=i,
-                    image=image_v,
-                    members=tuple(members),
-                    subtree=tuple(sorted(subtree)),
-                    boundary=tuple(sorted(targets)),
-                    assignment={b: assignment[b] for b in block},
+        subtree, reason = recover_class_subtree(image_v, targets, g.shape)
+        if reason is not None:
+            raise failure("subtree-boundary", reason)
+        image_set = set(assignment.values())
+        if image_set != targets:
+            missing = format_address(sorted(targets - image_set)[0])
+            raise failure("subtree-boundary", f"assigned images miss boundary vertex {missing}")
+        for b, fb in assignment.items():
+            gb = gt[b]
+            if gb[: len(fb)] != fb:
+                raise failure(
+                    "target-containment",
+                    f"g({format_address(b)}) left the subtree of {format_address(fb)}",
                 )
-            )
-            next_level.extend(block)
-        current = sorted(next_level)
-    approx = FiniteTreeMap(shape, levels * step, table)
+            if distance(fb, gb) > K:
+                raise failure(
+                    "target-distance",
+                    f"{format_address(b)} assigned {distance(fb, gb)} > {K} from its g-image",
+                )
+        for w in fill:
+            if distance(image_v, gt[w]) > fill_bound:
+                raise failure(
+                    "fill-distance",
+                    f"{format_address(w)} collapsed {distance(image_v, gt[w])}"
+                    f" > {fill_bound} from its g-image",
+                )
+        return ClassTrace(
+            level=i,
+            image=image_v,
+            members=cls.members,
+            subtree=tuple(sorted(subtree)),
+            boundary=tuple(sorted(targets)),
+            assignment=assignment,
+        )
+
+    trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
+    approx = _build_levels(g.shape, trace, choose)
     sup = sup_distance(approx, g)
     if sup > fill_bound:
         raise ValidationFailure(

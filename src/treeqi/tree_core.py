@@ -109,6 +109,17 @@ def d_children_count(v: Vertex, dist_down: int, shape: TreeShape) -> int:
     return (d - 1) ** dist_down
 
 
+def _frontiers(v: Vertex, dist_down: int, shape: TreeShape) -> list[list[Vertex]]:
+    """The descendants of v at distance 1, 2, .., dist_down: one list per
+    distance, each in address order.  This is the package's one tree walk."""
+    out: list[list[Vertex]] = []
+    frontier = [v]
+    for _ in range(dist_down):
+        frontier = [c for u in frontier for c in shape.children(u)]
+        out.append(frontier)
+    return out
+
+
 def d_children(
     v: Vertex, dist_down: int, shape: TreeShape, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> list[Vertex]:
@@ -119,10 +130,7 @@ def d_children(
         raise BudgetExceededError(
             f"{d_children_count(v, dist_down, shape)} descendants exceed budget {budget}"
         )
-    frontier = [v]
-    for _ in range(dist_down):
-        frontier = [c for u in frontier for c in shape.children(u)]
-    return frontier
+    return _frontiers(v, dist_down, shape)[-1]
 
 
 def validate_address(v: Vertex, shape: TreeShape) -> None:
@@ -172,15 +180,10 @@ def ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> 
     n = ball_size(shape, radius)
     if n > budget:
         raise BudgetExceededError(f"ball of radius {radius} has {n} vertices, budget is {budget}")
-    out: list[Vertex] = []
-
-    def walk(v: Vertex) -> None:
-        out.append(v)
-        if len(v) < radius:
-            for c in shape.children(v):
-                walk(c)
-
-    walk(ROOT)
+    out = [ROOT]
+    for frontier in _frontiers(ROOT, radius, shape):
+        out.extend(frontier)
+    out.sort()
     return out
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is pinned
 here; the shared map families are built once per session.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -237,7 +238,35 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["distance", "--a", "m.qi", "--b", "mm.qi"],
         ["oracle", "--in", "mm.qi"],
     ]
-    tracked = ["m.qi", "m.trace", "mm.qi", "md.qi", "g.qi", "a.qi", "a.trace", "c.qi"]
+    # sha256 of each invocation's stdout and of each tracked file, pinned so
+    # that an output change between versions fails here, not only a change
+    # between two runs of one version
+    stdout_sha256 = [
+        "bc078b31ee68b76065af09c50732d14614026179badc49b45add379d153f9bf3",
+        "aa8b7e2a848832243eb60a7138e82c141a9408b398f7112ce7f9805e6fffa4d6",
+        "a899e24fd609b4a296d1e3be9657e54bd5338073320b17bde75fcd178541a700",
+        "5032295d1492e42633191c8da0f5cdc9b07df732811cf629b81533295b4c3765",
+        "988b0dee9a9657cff206a04b4c6c496428c3506deed2c4c0269b10aa57d245bd",
+        "e4fbf22d131e3bc63c5ed83f516296e87972d0bd2ff1d3b591c23ace4c9e6ef0",
+        "78090a9b355cabe54ba0b88924a5fb66d870e6d5f8d23d5359450a6316698483",
+        "62c5c58abc2b0c004e1d6d122a6edab63817b9b649f280be342d147540f5e3a5",
+        "d7bc00d6978369f551a284a7e3b864077739856ea190510ef217edad6bac1d29",
+        "40713602d505d8932a68afc007460ee95dcc6a955f12799bf3ac1fd0a86d51b7",
+        "8f503bf5dd58b5c16dc9a67025b6ed0340ea3f5fe9c165b833c7a410335ac841",
+        "5db7ede4d4639643b0d49be29363df2d9ae9402b9d677611cdc5f4ffae17084b",
+        "6456287909198260c4308e1cdfb20a942bafa7b223e25a640010930215c85953",
+        "d2ef4d8a3cd7ff0a92eb7495c02ca0b67b36ef7600c0be2b7f179fe76c4e76ff",
+    ]
+    file_sha256 = {
+        "m.qi": "d523a647998b0421393b9070d948c7c01c836f2083fa35727f8876d53f21dc22",
+        "m.trace": "d708072699b94347df6b1f415ed0c1692261fe576dc64453ce25b8427e398eb5",
+        "mm.qi": "f3fd3b96eeeba104aad6ab1686214ad686f66c2eb3dcc7c1925af5fe77f260ea",
+        "md.qi": "34e5dacf4419fcd351bae5e14e8258491f40851b3e4e6c2f362b307fc1693943",
+        "g.qi": "9ac4f0de19fc45a13c2cf7006b0bb944e7ae34172a7d128c72bb5a638983026f",
+        "a.qi": "25471ec8e88a73db4352a563159673fd6b0b10849689a672b5d82786651a874a",
+        "a.trace": "e8bf62aa9c46d82d5884c348cdcb4977980c842bf3ccd374d4c15fc9fb2dbd8f",
+        "c.qi": "aba7776c440da792448018ca4a8ec950e7a456518cd03d4b2eda3f0892ae1342",
+    }
 
     snapshots = []
     for attempt, hashseed in enumerate((1, 4242)):
@@ -250,9 +279,14 @@ def test_criterion_9_cli_determinism(tmp_path):
             proc = _run(args, hashseed, workdir)
             assert proc.returncode == 0, (args, proc.stderr)
             transcript.append((tuple(args), proc.stdout))
-        files = {name: (workdir / name).read_bytes() for name in tracked}
+        files = {name: (workdir / name).read_bytes() for name in file_sha256}
         snapshots.append((transcript, files))
     assert snapshots[0] == snapshots[1]
+    transcript, files = snapshots[0]
+    for (args, stdout), digest in zip(transcript, stdout_sha256, strict=True):
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest, (args, stdout)
+    for name, digest in file_sha256.items():
+        assert hashlib.sha256(files[name]).hexdigest() == digest, name
     elapsed = time.time() - t0
     _report(9, f"{len(invocations)} CLI invocations rerun under different hash seeds: "
-               f"byte-identical stdout and files, {elapsed:.1f}s")
+               f"byte-identical stdout and files matching the pinned digests, {elapsed:.1f}s")

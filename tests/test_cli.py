@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,34 @@ def test_verify_candidate_runs_all_check_kinds(tmp_path, capsys):
     measured = tq.measure_qi(collapse).best_single_C
     code, out, _ = run_cli(["verify", "--in", str(path), "--C", str(measured)], capsys)
     assert code == 0 and "violations=0" in out.splitlines()
+
+
+def test_verify_counts_every_violation(tmp_path, capsys):
+    shape = tq.TreeShape(3)
+    collapse = tq.map_from_function(
+        shape, 5, lambda v: (0,) + v[1:] if v and v[0] == 1 else v
+    )
+    kinds = {}
+    for name, m in (("random", tq.random_map(shape, 5, 1)), ("collapse", collapse)):
+        path = tmp_path / f"{name}.qi"
+        write_map_file(m, path)
+        full = tq.measure_qi(m, candidate_C=1, max_violations=10**6).violations
+        full += tq.check_geodesic_image(m, 1, max_violations=10**6)
+        if tq.is_order_preserving(m)[0]:
+            full += tq.check_same_depth(m, 1, max_violations=10**6)
+        code, out, _ = run_cli(["verify", "--in", str(path), "--C", "1"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"violations={len(full)}" in lines
+        assert "violations_shown=1000" in lines
+        listed = [ln for ln in lines if ln.startswith("violation ")]
+        assert listed == [v.to_line() for v in full[:1000]]
+        code, out, _ = run_cli(["verify", "--in", str(path), "--C", "1", "--json"], capsys)
+        data = json.loads(out)
+        assert data["violations_total"] == len(full) and len(data["violations"]) == 1000
+        kinds[name] = Counter(v.kind for v in full)
+    assert kinds["random"] == {"upper": 1233, "lower": 1473, "geodesic": 8300}
+    assert kinds["collapse"]["samedepth"] > 0
 
 
 def test_verify_mixed_failure_exit(tmp_path, capsys):

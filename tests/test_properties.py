@@ -1,0 +1,114 @@
+"""Bounded property tests for the construction, the trace format, the map
+file format and the map operations: each invariant is checked on small
+generated inputs rather than on fixed seeds only."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import treeqi as tq
+from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape, ball
+from treeqi.mapfile import dump_map_text, parse_map_text
+
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def builds(draw):
+    """(shape, step, levels, policy) with at most a few hundred vertices."""
+    shape = TreeShape(draw(st.sampled_from([3, 4])))
+    step = draw(st.integers(1, 3))
+    levels = draw(st.integers(0, (6 if shape.degree == 3 else 4) // step))
+    policy = draw(
+        st.sampled_from([MixedPolicy.minimal(), MixedPolicy.deepest_feasible()])
+        | st.integers(0, 10**6).map(MixedPolicy.random)
+    )
+    return shape, step, levels, policy
+
+
+@st.composite
+def maps(draw, max_image_depth=tq.MAX_DEPTH, fix_root=False):
+    """Arbitrary maps on small balls; images from the root down to
+    max_image_depth, repeated freely."""
+    shape = TreeShape(draw(st.sampled_from([3, 4])))
+    radius = draw(st.integers(0, 6 - shape.degree))
+    rnd = draw(st.randoms(use_true_random=False))
+    depths = sorted({0, 1, 2, 3, min(4, max_image_depth), max_image_depth})
+
+    def address():
+        labels = range(rnd.choice(depths))
+        return tuple(rnd.randrange(shape.degree - (i > 0)) for i in labels)
+
+    table = {v: address() for v in ball(shape, radius)}
+    if fix_root:
+        table[ROOT] = ROOT
+    return FiniteTreeMap(shape, radius, table)
+
+
+def _replay(shape, trace):
+    policy = MixedPolicy.explicit(BuildTrace.from_text(trace.to_text()))
+    return tq.build_mixed(shape, trace.step, trace.levels, policy)
+
+
+@PROPERTY
+@given(builds())
+def test_builds_pass_the_structure_check(build):
+    shape, step, levels, policy = build
+    m, _ = tq.build_mixed(shape, step, levels, policy)
+    report = tq.verify_mixed_structure(m, step)
+    assert report.passed, report.to_lines()
+
+
+@PROPERTY
+@given(builds())
+def test_build_traces_replay_to_identical_bytes(build):
+    shape, step, levels, policy = build
+    m, trace = tq.build_mixed(shape, step, levels, policy)
+    again, replayed = _replay(shape, trace)
+    assert dump_map_text(again) == dump_map_text(m)
+    # only the header's policy name differs
+    assert replayed.to_text().split("\n")[1:] == trace.to_text().split("\n")[1:]
+
+
+@PROPERTY
+@given(
+    st.sampled_from([3, 4]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_approximation_traces_replay_through_the_builder(degree, step, levels, built, seed):
+    shape = TreeShape(degree)
+    levels = min(levels, (6 if degree == 3 else 4) // step)
+    if built:
+        g, _ = tq.build_mixed(shape, step, levels, MixedPolicy.random(seed))
+    else:
+        g = tq.random_automorphism_map(shape, step * levels, seed)
+    approx, _, trace = tq.approximate_by_mixed(g, 1, step, check_promise=False)
+    again, _ = _replay(shape, trace)
+    assert dump_map_text(again) == dump_map_text(approx)
+
+
+@PROPERTY
+@given(maps())
+def test_dump_parse_round_trip(m):
+    text = dump_map_text(m)
+    parsed = parse_map_text(text)
+    assert parsed == m
+    assert dump_map_text(parsed) == text
+
+
+@PROPERTY
+@given(maps(fix_root=True))
+def test_normalization_is_order_preserving_and_idempotent(f):
+    g = tq.normalize_order_preserving(f, 1, check_promise=False)
+    assert tq.is_order_preserving(g) == (True, None)
+    assert tq.normalize_order_preserving(g, 1, check_promise=False) == g
+
+
+@PROPERTY
+@given(maps(max_image_depth=5))
+def test_composing_with_the_identity_is_a_no_op(m):
+    depth = max(len(a) for a in m.table.values())
+    assert tq.compose(tq.identity_map(m.shape, depth), m) == m
+    assert tq.compose(m, tq.identity_map(m.shape, m.domain_radius)) == m

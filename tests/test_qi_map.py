@@ -234,6 +234,7 @@ def test_check_geodesic_image_matches_brute_force():
             for cap in (0, 1, len(brute) // 2):
                 got = tq.check_geodesic_image(m, C, source, max_violations=cap)
                 assert [(v.x, v.y, v.at, v.value) for v in got] == brute[:cap]
+                assert got.total == len(brute)  # the cap limits the list, not the count
     assert cut_checked >= 4
 
 
@@ -273,6 +274,7 @@ def test_geodesic_image_property(m, C, block_exp):
     assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(
         m, C, _canonical_pairs(m, EXHAUSTIVE)
     )
+    assert got.total == len(got)
 
 
 @settings(max_examples=80, deadline=2000)
@@ -412,8 +414,11 @@ def test_check_same_depth_matches_brute_force(monkeypatch):
                 monkeypatch.setattr(tq.qi_map, "_BLOCK", block)
                 got = tq.check_same_depth(m, C, max_violations=10**9)
                 assert [(v.x, v.y) for v in got] == want
-                got = tq.check_same_depth(m, C, max_violations=3)
-                assert [(v.x, v.y) for v in got] == want[:3]
+                assert got.total == len(want)
+                for cap in (0, 3):
+                    got = tq.check_same_depth(m, C, max_violations=cap)
+                    assert [(v.x, v.y) for v in got] == want[:cap]
+                    assert got.total == len(want)
 
 
 def test_check_same_depth_identity():

@@ -148,6 +148,41 @@ def test_approximate_validation_failure_payload():
     assert err.value.image == ()
 
 
+def test_approximate_shared_parent_failure():
+    # below branch 1 the depth-4 vertices keep only their last label, so
+    # children of the two class members 1.0 and 1.1 land on the same image
+    def fold(v):
+        if not v or v[0] == 0:
+            return v
+        return (v[0],) if len(v) < 4 else (v[0], v[3])
+
+    g = tq.map_from_function(D3, 4, fold)
+    assert tq.is_order_preserving(g)[0]
+    with pytest.raises(ValidationFailure) as err:
+        tq.approximate_by_mixed(g, 1, 2, check_promise=False)
+    assert (err.value.kind, err.value.level, err.value.image) == ("shared-parent", 1, (1,))
+    assert str(err.value) == "shared-parent: image 1.0 drawn from children of two class members"
+
+
+def test_approximate_fill_distance_failure():
+    # the 24 depth-4 vertices map onto the boundary of the 22-vertex chain
+    # 0, 0.0, ..., deepest first, so the intermediate vertex 0 spans images
+    # 15 levels deep while its class image is the root
+    chain = tq.FiniteSubtree([(0,) * k for k in range(22)])
+    targets = sorted(tq.boundary(chain, D3), key=lambda a: (-len(a), a))
+    leaves = [v for v in tq.ball(D3, 4) if len(v) == 4]
+    image = dict(zip(leaves, targets, strict=True))
+
+    def spread(v):
+        return () if not v else tq.lca(a for b, a in image.items() if b[: len(v)] == v)
+
+    g = tq.map_from_function(D3, 4, spread)
+    with pytest.raises(ValidationFailure) as err:
+        tq.approximate_by_mixed(g, 1, 4, check_promise=False)
+    assert (err.value.kind, err.value.level, err.value.image) == ("fill-distance", 0, ())
+    assert str(err.value) == "fill-distance: 0 collapsed 15 > 10 from its g-image"
+
+
 def test_approximate_passing_output_passes_structure():
     g = tq.random_automorphism_map(D3, 6, 31)
     f, bundle, _ = tq.approximate_by_mixed(g, 1, 3)
