@@ -3,13 +3,21 @@
 Format, version 1:
 
     tree-qi v1 degree=<d> radius=<R>
-    <source-address> <image-address>        one line per domain vertex,
-    ...                                     in address order
+    <source-address> <image-address>        one line per domain vertex
 
-Addresses use the dotted text form; the bare "." is the root.  Writing then
-parsing yields an equal map; the parser rejects duplicate sources, sources
-outside the ball, labels out of range for the header degree, and reports
-the first missing domain vertex by name.
+Addresses use the dotted text form; the bare "." is the root.  The writer
+emits the lines in address order with canonical text (no leading zeros);
+the parser accepts the lines in any order and spellings such as '01'.
+Writing then parsing yields an equal map; the parser refuses a header whose
+ball is past the depth cap or the vertex budget before it reads any line,
+rejects duplicate sources, sources outside the ball, labels out of range
+for the header degree, and reports the first missing domain vertex by name.
+
+Both directions go through the ball's cached address index
+(`qi_map._address_index`): canonical text of a vertex of the ball maps
+straight to the ball's own tuple and back, so only other text (images
+deeper than the radius, non-canonical spellings, bad labels) is parsed and
+checked label by label, and parsed maps share the ball's tuples.
 """
 
 from __future__ import annotations
@@ -17,13 +25,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap
+from .qi_map import FiniteTreeMap, _address_index, _cached_ball
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     TreeShape,
-    ball,
+    checked_ball_size,
     format_address,
-    parse_address,
 )
 
 _MAGIC = "tree-qi"
@@ -31,9 +38,11 @@ _VERSION = "v1"
 
 
 def dump_map_text(m: FiniteTreeMap) -> str:
+    index = _address_index(m.shape.degree, m.domain_radius)
+    text, table = index.text, m.table
     lines = [f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}"]
     for v in m.domain:
-        lines.append(f"{format_address(v)} {format_address(m.table[v])}")
+        lines.append(f"{text[v]} {index.format(table[v])}")
     return "\n".join(lines) + "\n"
 
 
@@ -66,13 +75,15 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
     if radius < 0:
         raise MapFormatError(f"radius must be >= 0, got {radius}", 1)
     shape = TreeShape(degree)
+    size = checked_ball_size(shape, radius, budget)
+    index = _address_index(degree, radius)
     table: dict = {}
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise MapFormatError(f"expected 'source image', got {ln!r}", no)
         try:
-            src = parse_address(parts[0], shape)
+            src = index.parse(parts[0])
         except TreeQIError as e:
             raise MapFormatError(f"bad source address: {e}", no) from None
         if len(src) > radius:
@@ -82,13 +93,13 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
         if src in table:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
         try:
-            img = parse_address(parts[1], shape)
+            img = index.parse(parts[1])
         except TreeQIError as e:
             raise MapFormatError(f"bad image address: {e}", no) from None
         table[src] = img
-    for v in ball(shape, radius, budget):
-        if v not in table:
-            raise MapFormatError(f"missing domain vertex {format_address(v)}")
+    if len(table) != size:  # every source is a distinct vertex of the ball
+        missing = next(v for v in _cached_ball(degree, radius) if v not in table)
+        raise MapFormatError(f"missing domain vertex {format_address(missing)}")
     return FiniteTreeMap(shape, radius, table)
 
 

@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import MapFormatError, PolicyError
-from .qi_map import FiniteTreeMap
+from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
+from .qi_map import FiniteTreeMap, _address_index, _AddressIndex
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     ROOT,
@@ -29,13 +29,12 @@ from .tree_core import (
     TreeShape,
     Vertex,
     _frontiers,
-    ball,
     boundary,
+    checked_ball_size,
     d_children,
     distance,
     format_address,
     insort_address,
-    parse_address,
 )
 
 
@@ -70,21 +69,34 @@ class BuildTrace:
     policy: str
     classes: list[ClassTrace] = field(default_factory=list)
 
+    def _index(self) -> _AddressIndex:
+        """The address index of the ball the trace builds, or an empty one
+        when the header's ball is past the depth cap or the default budget."""
+        shape = TreeShape(self.degree)
+        try:
+            checked_ball_size(shape, self.step * self.levels)
+        except (BudgetExceededError, ValueError):  # ValueError: negative radius
+            return _AddressIndex(shape, ())
+        return _address_index(self.degree, self.step * self.levels)
+
     def to_text(self) -> str:
+        fmt = self._index().format
+
+        def join(vs) -> str:
+            return "|".join(fmt(v) for v in vs)
+
         lines = [
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
             f" levels={self.levels} policy={self.policy}"
         ]
         for c in self.classes:
-            assign = ",".join(
-                f"{format_address(b)}:{format_address(a)}" for b, a in c.assignment.items()
-            )
+            assign = ",".join(f"{fmt(b)}:{fmt(a)}" for b, a in c.assignment.items())
             lines.append(
                 f"class level={c.level}"
-                f" image={format_address(c.image)}"
-                f" members={'|'.join(format_address(v) for v in c.members)}"
-                f" subtree={'|'.join(format_address(v) for v in c.subtree)}"
-                f" boundary={'|'.join(format_address(v) for v in c.boundary)}"
+                f" image={fmt(c.image)}"
+                f" members={join(c.members)}"
+                f" subtree={join(c.subtree)}"
+                f" boundary={join(c.boundary)}"
                 f" rng_draws={c.rng_draws}"
                 f" assign={assign}"
             )
@@ -104,10 +116,18 @@ class BuildTrace:
             fields[k] = v
         try:
             trace = BuildTrace(
-                int(fields["degree"]), int(fields["D"]), int(fields["levels"]), fields["policy"]
+                TreeShape(int(fields["degree"])).degree,
+                int(fields["D"]),
+                int(fields["levels"]),
+                fields["policy"],
             )
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
+        addr = trace._index().parse
+
+        def addrs(text: str) -> tuple:
+            return tuple(addr(p) for p in text.split("|"))
+
         for no, ln in enumerate(lines[1:], start=2):
             toks = ln.split()
             if not toks or toks[0] != "class":
@@ -120,19 +140,19 @@ class BuildTrace:
                 assignment = {}
                 for pair in kv["assign"].split(","):
                     b, _, a = pair.partition(":")
-                    assignment[parse_address(b)] = parse_address(a)
+                    assignment[addr(b)] = addr(a)
                 trace.classes.append(
                     ClassTrace(
                         level=int(kv["level"]),
-                        image=parse_address(kv["image"]),
-                        members=tuple(parse_address(p) for p in kv["members"].split("|")),
-                        subtree=tuple(parse_address(p) for p in kv["subtree"].split("|")),
-                        boundary=tuple(parse_address(p) for p in kv["boundary"].split("|")),
+                        image=addr(kv["image"]),
+                        members=addrs(kv["members"]),
+                        subtree=addrs(kv["subtree"]),
+                        boundary=addrs(kv["boundary"]),
                         assignment=assignment,
                         rng_draws=int(kv.get("rng_draws", "0")),
                     )
                 )
-            except (KeyError, ValueError) as e:
+            except (KeyError, ValueError, TreeQIError) as e:
                 raise MapFormatError(f"bad class line: {e}", no) from None
         return trace
 
@@ -428,7 +448,7 @@ def build_mixed(
         raise ValueError("step depth must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    ball(shape, levels * step, budget)  # enforce the budget before any work
+    checked_ball_size(shape, levels * step, budget)  # enforce the budget before any work
     if policy.variant == "explicit":
         head = policy.replay
         if (head.degree, head.step, head.levels) != (shape.degree, step, levels):

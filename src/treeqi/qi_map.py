@@ -42,6 +42,7 @@ from .tree_core import (
     distance,
     format_address,
     geodesic,
+    parse_address,
     validate_address,
 )
 
@@ -58,6 +59,53 @@ _FAR = 1 << 20  # beyond any distance in the tree's depth cap
 @lru_cache(maxsize=64)
 def _cached_ball(degree: int, radius: int) -> tuple:
     return tuple(ball(TreeShape(degree), radius))
+
+
+class _AddressIndex:
+    """The canonical dotted text of every vertex of one cached ball, both ways.
+
+    The vertices are `_cached_ball`'s own tuples, so an address read through
+    the index shares them.  Text the index lacks (an address deeper than the
+    radius, a spelling such as '01.1', a bad label) goes through
+    `parse_address` and its checks; a vertex it lacks is formatted afresh.
+    """
+
+    __slots__ = ("shape", "vertex", "text")
+
+    def __init__(self, shape: TreeShape, verts: tuple):
+        self.shape = shape
+        # verts is in address order, which is preorder: the latest vertex
+        # seen one level up is the parent, so each text extends its parent's
+        texts = []
+        latest: dict[int, str] = {}
+        for v in verts:
+            d = len(v)
+            t = "." if d == 0 else str(v[0]) if d == 1 else f"{latest[d - 1]}.{v[-1]}"
+            latest[d] = t
+            texts.append(t)
+        self.vertex = dict(zip(texts, verts))
+        self.text = dict(zip(verts, texts))
+
+    def parse(self, text: str) -> Vertex:
+        v = self.vertex.get(text)
+        return parse_address(text, self.shape) if v is None else v
+
+    def format(self, v: Vertex) -> str:
+        return self.text.get(v) or format_address(v)
+
+    def owns(self, v) -> bool:
+        """Whether v is one of the ball's own tuples, whose labels the ball
+        built and so are valid; an equal tuple built elsewhere is not."""
+        try:
+            t = self.text.get(v)
+        except TypeError:  # unhashable, so no vertex of the ball
+            return False
+        return t is not None and self.vertex[t] is v
+
+
+@lru_cache(maxsize=64)
+def _address_index(degree: int, radius: int) -> _AddressIndex:
+    return _AddressIndex(TreeShape(degree), _cached_ball(degree, radius))
 
 
 def _label_matrix(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -398,8 +446,11 @@ class FiniteTreeMap:
                 )
             extra = sorted(set(self.table) - set(dom))[0]
             raise MapDomainError(f"table has entry {format_address(extra)} outside the ball")
+        index = _address_index(self.shape.degree, self.domain_radius)
         for v in dom:
-            validate_address(self.table[v], self.shape)
+            w = self.table[v]
+            if not index.owns(w):
+                validate_address(w, self.shape)
 
     @property
     def domain(self) -> tuple:
@@ -578,7 +629,7 @@ def compose(outer: FiniteTreeMap, inner: FiniteTreeMap) -> FiniteTreeMap:
         raise MapDomainError(
             "empty effective domain: the root's inner image leaves the outer ball"
         )
-    table = {v: outer.table[inner.table[v]] for v in ball(inner.shape, eff)}
+    table = {v: outer.table[inner.table[v]] for v in _cached_ball(inner.shape.degree, eff)}
     return FiniteTreeMap(inner.shape, eff, table)
 
 

@@ -155,7 +155,7 @@ def parse_address(text: str, shape: TreeShape | None = None) -> Vertex:
     parts = text.split(".")
     labels = []
     for p in parts:
-        if not p.isdigit():
+        if not (p.isascii() and p.isdigit()):
             raise InvalidAddressError(f"bad address {text!r}: label {p!r} is not a number")
         labels.append(int(p))
     v = tuple(labels)
@@ -173,13 +173,20 @@ def ball_size(shape: TreeShape, radius: int) -> int:
     return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
 
 
-def ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> list[Vertex]:
-    """Every vertex of depth <= radius, in address (= preorder) order."""
+def checked_ball_size(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> int:
+    """ball_size, refusing a radius past the depth cap or a ball past the
+    vertex budget before anything is built."""
     if radius > MAX_DEPTH:
         raise DepthLimitError(f"radius {radius} exceeds the depth cap {MAX_DEPTH}")
     n = ball_size(shape, radius)
     if n > budget:
         raise BudgetExceededError(f"ball of radius {radius} has {n} vertices, budget is {budget}")
+    return n
+
+
+def ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> list[Vertex]:
+    """Every vertex of depth <= radius, in address (= preorder) order."""
+    checked_ball_size(shape, radius, budget)
     out = [ROOT]
     for frontier in _frontiers(ROOT, radius, shape):
         out.extend(frontier)

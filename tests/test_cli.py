@@ -241,6 +241,11 @@ def test_budget_exit(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and "budget" in err
+    # a map header past the budget is refused before its first (bad) line
+    over = tmp_path / "over.qi"
+    over.write_text("tree-qi v1 degree=3 radius=30\nnot a line\n")
+    code, _, err = run_cli(["verify", "--in", str(over)], capsys)
+    assert code == 3 and "budget" in err
 
 
 def test_sampled_pair_budget_exit(tmp_path, capsys):

@@ -47,6 +47,11 @@ def test_table_validation():
     bad_image[(0,)] = (0, 2)  # label 2 needs degree >= 4
     with pytest.raises(tq.InvalidAddressError):
         FiniteTreeMap(D3, 1, bad_image)
+    # only the ball's own tuples skip the label check: an equal tuple of
+    # non-int labels, or an unhashable one, is still refused
+    for image in ((1.0,), (0, [1])):
+        with pytest.raises(tq.InvalidAddressError):
+            FiniteTreeMap(D3, 1, {**good, (0,): image})
 
 
 def test_evaluate():

@@ -194,3 +194,8 @@ def test_address_text_round_trip():
         parse_address("0.2", D3)  # later labels must be < degree-1
     with pytest.raises(InvalidAddressError):
         parse_address("0..1")
+    # only ASCII digits are labels: '\u00b2' fails int() and '\u0661' (an
+    # Arabic-Indic one) would parse as 1
+    for text in ("\u00b2", "0.\u0661"):
+        with pytest.raises(InvalidAddressError):
+            parse_address(text)
