@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:  # ValueError: an argument out of range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationFailure as e:

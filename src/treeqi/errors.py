@@ -52,8 +52,6 @@ class ValidationFailure(TreeQIError):
     Kinds used by the approximation transform:
       subtree-boundary   image set is not the boundary of a finite subtree
       shared-parent      two children of different class members share an image
-      target-distance    a new image is too far from where the input map sends it
-      target-containment the input map's value left the new image's subtree
       fill-distance      an intermediate vertex's image is too far from the input
       final-bound        overall distance between input and output exceeded bound
       normalize-bound    normalization moved a point farther than its bound

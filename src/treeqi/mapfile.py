@@ -124,4 +124,6 @@ def parse_trace_file(path):
         text = Path(path).read_text(encoding="ascii")
     except FileNotFoundError:
         raise MapFormatError(f"no such file: {path}") from None
+    except UnicodeDecodeError:
+        raise MapFormatError(f"{path} is not a text trace file") from None
     return BuildTrace.from_text(text)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable
 
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
@@ -31,7 +32,6 @@ from .tree_core import (
     _frontiers,
     boundary,
     checked_ball_size,
-    d_children,
     distance,
     format_address,
     insort_address,
@@ -397,37 +397,43 @@ def assign_images(
     return assignment
 
 
-def _build_levels(shape: TreeShape, trace: BuildTrace, choose) -> FiniteTreeMap:
-    """The level-by-level construction with the per-class choice left open.
+def _level_classes(shape: TreeShape, step: int, levels: int, image):
+    """The construction's class walk: yields (i, LevelClass, fill) per class.
 
-    Level i groups the vertices at depth i*step by their image and takes the
-    classes in order of least member.  `choose(i, cls, fill)` returns the
-    class's ClassTrace, where `fill` lists the vertices strictly between the
-    members and the block, member by member and depth by depth.  The block
-    takes the trace's assignment, the fill collapses onto the class image,
-    and the sorted blocks form the next level.  Appends to trace.classes.
+    Level i groups the vertices at depth i*step by `image` and takes the
+    classes in order of least member; `fill` lists the vertices strictly
+    between the members and the block, member by member and depth by depth.
+    The sorted blocks form the next level, whose images are read only after
+    the consumer has taken every class of this one.
     """
-    step = trace.step
-    table = {ROOT: ROOT}
     current = [ROOT]
-    for i in range(trace.levels):
+    for i in range(levels):
         groups: dict[Vertex, list[Vertex]] = {}
         for x in current:  # sorted, so each member list is sorted too
-            groups.setdefault(table[x], []).append(x)
+            groups.setdefault(image(x), []).append(x)
         next_level: list[Vertex] = []
         for image_v, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
             walks = [_frontiers(x, step, shape) for x in members]
             block = tuple(b for walk in walks for b in walk[-1])
             fill = [w for walk in walks for frontier in walk[:-1] for w in frontier]
-            entry = choose(i, LevelClass(image_v, tuple(members), block), fill)
-            for b in block:
-                table[b] = entry.assignment[b]
-            for w in fill:
-                table[w] = image_v
-            trace.classes.append(entry)
+            yield i, LevelClass(image_v, tuple(members), block), fill
             next_level.extend(block)
         current = sorted(next_level)
-    return FiniteTreeMap(shape, trace.levels * step, table)
+
+
+def _build_levels(shape: TreeShape, trace: BuildTrace, choose) -> FiniteTreeMap:
+    """The construction along the class walk: `choose(i, cls, fill)` returns
+    each class's ClassTrace, whose assignment the block takes while the fill
+    collapses onto the class image.  Appends to trace.classes."""
+    table = {ROOT: ROOT}
+    for i, cls, fill in _level_classes(shape, trace.step, trace.levels, table.__getitem__):
+        entry = choose(i, cls, fill)
+        for b in cls.block:
+            table[b] = entry.assignment[b]
+        for w in fill:
+            table[w] = cls.image
+        trace.classes.append(entry)
+    return FiniteTreeMap(shape, trace.levels * trace.step, table)
 
 
 def build_mixed(
@@ -499,7 +505,11 @@ def build_mixed(
         )
 
     trace = BuildTrace(shape.degree, step, levels, policy.describe())
-    return _build_levels(shape, trace, choose), trace
+    m = _build_levels(shape, trace, choose)
+    if policy.variant == "explicit" and len(trace.classes) < len(head.classes):
+        unused = len(head.classes) - len(trace.classes)
+        raise PolicyError(f"{unused} of {len(head.classes)} trace class lines match no class")
+    return m, trace
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +652,16 @@ def verify_mixed_structure(
     if t[ROOT] != ROOT:
         add("root-anchor", 0, f"root maps to {format_address(t[ROOT])}")
 
-    by_depth: dict[int, list[Vertex]] = {}
-    for v in m.domain:
-        by_depth.setdefault(len(v), []).append(v)
-
     multiplicity = {0: 1}
     step_min: int | None = None
     step_max: int | None = None
-    prev_classes: dict[Vertex, list[Vertex]] = {t[ROOT]: [ROOT]}
-
-    for i in range(1, levels + 1):
-        lv = i * step
+    walk = _level_classes(m.shape, step, levels, t.__getitem__)
+    for j, entries in groupby(walk, key=lambda e: e[0]):  # one level's classes
+        i, lv = j + 1, (j + 1) * step
+        entries = [(cls, fill) for _, cls, fill in entries]
+        depth = sorted(b for cls, _ in entries for b in cls.block)
         classes: dict[Vertex, list[Vertex]] = {}
-        for v in by_depth[lv]:
+        for v in depth:
             classes.setdefault(t[v], []).append(v)
         multiplicity[i] = max(len(g) for g in classes.values())
         if multiplicity[i] > K:
@@ -677,7 +684,7 @@ def verify_mixed_structure(
                     i,
                     f"{format_address(a)} is an ancestor of {format_address(b)}",
                 )
-        for v in by_depth[lv]:
+        for v in depth:
             dist_step = distance(t[v], t[v[: lv - step]])
             step_min = dist_step if step_min is None else min(step_min, dist_step)
             step_max = dist_step if step_max is None else max(step_max, dist_step)
@@ -687,22 +694,17 @@ def verify_mixed_structure(
                     i,
                     f"{format_address(v)} moved its image {dist_step}, outside [1, {K2}]",
                 )
-        for image, members in sorted(prev_classes.items()):
-            block = [c for x in sorted(members) for c in d_children(x, step, m.shape)]
-            targets = {t[b] for b in block}
-            _, reason = recover_class_subtree(image, targets, m.shape)
+        for cls, _ in sorted(entries, key=lambda e: e[0].image):
+            _, reason = recover_class_subtree(cls.image, {t[b] for b in cls.block}, m.shape)
             if reason is not None:
-                add("class-subtree", i - 1, reason)
-        for r in range(lv - step + 1, lv):
-            for w in by_depth[r]:
-                anchor = w[: lv - step]
-                if t[w] != t[anchor]:
-                    add(
-                        "intermediate-fill",
-                        i,
-                        f"{format_address(w)} does not collapse onto its class image",
-                    )
-        prev_classes = classes
+                add("class-subtree", j, reason)
+        stray = [w for cls, fill in entries for w in fill if t[w] != cls.image]
+        for w in sorted(stray, key=lambda w: (len(w), w)):
+            add(
+                "intermediate-fill",
+                i,
+                f"{format_address(w)} does not collapse onto its class image",
+            )
 
     return MixedStructureReport(
         degree=d,

@@ -225,13 +225,32 @@ def test_gen_mixed_zero_levels(tmp_path, capsys):
     assert "pairs_checked=0" in out.splitlines()
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 1
     code, _, err = run_cli(["verify", "--in", "x.qi", "--pairs", "bogus"], capsys)
     assert code == 1
     code, _, err = run_cli(["nonsense"], capsys)
     assert code == 1
+    # arguments argparse accepts but the library refuses: one error line
+    m4 = tmp_path / "m4.qi"
+    write_map_file(tq.build_mixed(tq.TreeShape(3), 2, 2, tq.MixedPolicy.minimal())[0], m4)
+    out = str(tmp_path / "x.qi")
+    for args in (
+        ["verify-mixed", "--in", str(m4), "--D", "0"],
+        ["verify-mixed", "--in", str(m4), "--D", "3"],
+        ["gen-mixed", "--degree", "3", "--D", "0", "--levels", "1", "--out", out],
+        ["gen-mixed", "--degree", "2", "--D", "1", "--levels", "1", "--out", out],
+        ["gen-mixed", "--degree", "3", "--D", "1", "--levels", "-1", "--out", out],
+        ["constants", "--C", "1", "--D-override", "0"],
+        ["approximate", "--in", str(m4), "--C", "1", "--D-override", "0", "--out", out],
+        ["verify", "--in", str(m4), "--target-radius", "-1"],
+        ["oracle", "--in", str(m4), "--target-radius", "-1"],
+    ):
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (1, ""), args
+        assert err.startswith("error: ") and err.count("\n") == 1, args
+    assert not (tmp_path / "x.qi").exists()
 
 
 def test_budget_exit(tmp_path, capsys):

@@ -275,3 +275,15 @@ def test_trace_reader_errors_carry_the_line():
         with pytest.raises(MapFormatError) as err:
             BuildTrace.from_text("\n".join([head, *rest, line]) + "\n")
         assert err.value.line == len(rest) + 2 and "bad class line" in str(err.value)
+
+
+def test_trace_file_round_trip_and_errors(tmp_path):
+    trace = tq.build_mixed(D3, 2, 2, MixedPolicy.random(3))[1]
+    path = tmp_path / "m.trace"
+    tq.write_trace_file(trace, path)
+    assert tq.parse_trace_file(path).to_text() == trace.to_text()
+    with pytest.raises(MapFormatError, match="no such file"):
+        tq.parse_trace_file(tmp_path / "absent.trace")
+    path.write_bytes(b"tree-qi-trace v1 degree=3 D=2 levels=2 policy=\xe9\n")
+    with pytest.raises(MapFormatError, match="not a text trace file"):
+        tq.parse_trace_file(path)

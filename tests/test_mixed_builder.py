@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -195,6 +196,21 @@ def test_explicit_policy_failures():
     with pytest.raises(PolicyError) as err:
         tq.build_mixed(D3, 2, 2, MixedPolicy.explicit(broken))
     assert err.value.level is not None and err.value.image is not None
+
+
+def test_explicit_policy_rejects_unused_trace_lines():
+    _, trace = tq.build_mixed(D3, 2, 2, MixedPolicy.minimal())
+    head, *lines = trace.to_text().splitlines()
+    # a duplicated class line would silently win over the first one
+    duplicated = BuildTrace.from_text("\n".join([head, *lines, lines[1]]) + "\n")
+    message = f"^1 of {len(lines) + 1} trace class lines match no class$"
+    with pytest.raises(PolicyError, match=message):
+        tq.build_mixed(D3, 2, 2, MixedPolicy.explicit(duplicated))
+    # no level-1 class has the root as its image
+    extra = BuildTrace.from_text(trace.to_text())
+    extra.classes.append(dataclasses.replace(extra.classes[0], level=1))
+    with pytest.raises(PolicyError, match=message):
+        tq.build_mixed(D3, 2, 2, MixedPolicy.explicit(extra))
 
 
 def test_explicit_policy_rejects_corrupted_assignment():

@@ -2,6 +2,7 @@
 file format and the map operations: each invariant is checked on small
 generated inputs rather than on fixed seeds only."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,47 @@ def test_approximation_traces_replay_through_the_builder(degree, step, levels, b
     approx, _, trace = tq.approximate_by_mixed(g, 1, step, check_promise=False)
     again, _ = _replay(shape, trace)
     assert dump_map_text(again) == dump_map_text(approx)
+
+
+def _approximates_to_itself(m, step) -> bool:
+    """Whether approximating m at step depth `step` succeeds and returns m."""
+    try:
+        approx, _, _ = tq.approximate_by_mixed(m, 1, step, check_promise=False)
+    except (tq.ValidationFailure, tq.PreconditionError):
+        return False
+    return approx == m
+
+
+@PROPERTY
+@given(builds())
+def test_approximating_a_build_at_its_step_returns_it(build):
+    shape, step, levels, policy = build
+    m, _ = tq.build_mixed(shape, step, levels, policy)
+    if levels == 0:  # a ball without a full level is refused, not approximated
+        with pytest.raises(tq.PreconditionError):
+            tq.approximate_by_mixed(m, 1, step, check_promise=False)
+        return
+    approx, _, trace = tq.approximate_by_mixed(m, 1, step, check_promise=False)
+    assert dump_map_text(approx) == dump_map_text(m)
+    again, _ = _replay(shape, trace)
+    assert dump_map_text(again) == dump_map_text(m)
+
+
+@PROPERTY
+@given(builds(), st.randoms(use_true_random=False), st.booleans())
+def test_structure_check_passes_exactly_when_approximation_is_a_no_op(build, rnd, swapped):
+    shape, step, levels, policy = build
+    m, _ = tq.build_mixed(shape, step, levels, policy)
+    if swapped:
+        table = dict(m.table)
+        u, v = rnd.choice(m.domain), rnd.choice(m.domain)
+        table[u], table[v] = table[v], table[u]
+        m = FiniteTreeMap(shape, m.domain_radius, table)
+    passed = tq.verify_mixed_structure(m, step).passed
+    if levels == 0:  # vacuously mixed, but holds no level to approximate
+        assert passed and not _approximates_to_itself(m, step)
+        return
+    assert passed == _approximates_to_itself(m, step)
 
 
 @PROPERTY

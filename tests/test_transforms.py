@@ -164,6 +164,22 @@ def test_approximate_shared_parent_failure():
     assert str(err.value) == "shared-parent: image 1.0 drawn from children of two class members"
 
 
+def test_approximate_checks_the_boundary_before_shared_parents():
+    # swapping these two images sends a level-1 block vertex onto its class
+    # image 0: the boundary check fires first, so g's own images never reach
+    # the shared-parent check
+    m, _ = tq.build_mixed(D3, 3, 2, MixedPolicy.minimal())
+    table = dict(m.table)
+    u, v = tq.parse_address("1.1.0.0.0"), tq.parse_address("1.1.0.1.0.1")
+    table[u], table[v] = table[v], table[u]
+    g = tq.FiniteTreeMap(D3, 6, table)
+    assert tq.is_order_preserving(g)[0]
+    with pytest.raises(ValidationFailure) as err:
+        tq.approximate_by_mixed(g, 1, 3, check_promise=False)
+    assert (err.value.kind, err.value.level, err.value.image) == ("subtree-boundary", 1, (0,))
+    assert str(err.value) == "subtree-boundary: class image 0 occurs among the images"
+
+
 def test_approximate_fill_distance_failure():
     # the 24 depth-4 vertices map onto the boundary of the 22-vertex chain
     # 0, 0.0, ..., deepest first, so the intermediate vertex 0 spans images
