@@ -367,7 +367,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationFailure as e:
-        print(f"validation=fail kind={e.kind} level={_opt(e.level)} class={_opt_addr(e.image)}")
+        line = f"validation=fail kind={e.kind} level={_opt(e.level)} class={_opt_addr(e.image)}"
+        if e.value is not None:  # the distance checks state their margin
+            line += f" value={e.value} bound={e.bound}"
+        print(line)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceededError as e:

@@ -55,10 +55,15 @@ class ValidationFailure(TreeQIError):
       fill-distance      an intermediate vertex's image is too far from the input
       final-bound        overall distance between input and output exceeded bound
       normalize-bound    normalization moved a point farther than its bound
+
+    The distance checks (fill-distance, final-bound, normalize-bound) carry
+    their margin: the measured `value` and the `bound` it exceeded.
     """
 
-    def __init__(self, kind, message, level=None, image=None):
+    def __init__(self, kind, message, level=None, image=None, value=None, bound=None):
         self.kind = kind
         self.level = level
         self.image = image
+        self.value = value
+        self.bound = bound
         super().__init__(f"{kind}: {message}")

@@ -15,17 +15,21 @@ for the header degree, and reports the first missing domain vertex by name.
 
 Both directions go through the ball's cached address index
 (`qi_map._address_index`): canonical text of a vertex of the ball maps
-straight to the ball's own tuple and back, so only other text (images
-deeper than the radius, non-canonical spellings, bad labels) is parsed and
-checked label by label, and parsed maps share the ball's tuples.
+straight to its ball position and back, so only other text (images deeper
+than the radius, non-canonical spellings, bad labels) is parsed and checked
+label by label.  The parser gathers each image's label row from the ball's
+own label matrix by position; the writer emits text by position.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap, _address_index, _cached_ball
+from .qi_map import FiniteTreeMap, _address_index, _domain_arrays, _pack
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     TreeShape,
@@ -37,17 +41,21 @@ _MAGIC = "tree-qi"
 _VERSION = "v1"
 
 
+def _map_lines(m: FiniteTreeMap) -> Iterator[str]:
+    texts = _address_index(m.shape.degree, m.domain_radius).texts
+    images = m._images(texts, lambda labels: ".".join(map(str, labels)))
+    yield f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}\n"
+    for source, image in zip(texts, images):
+        yield f"{source} {image}\n"
+
+
 def dump_map_text(m: FiniteTreeMap) -> str:
-    index = _address_index(m.shape.degree, m.domain_radius)
-    text, table = index.text, m.table
-    lines = [f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}"]
-    for v in m.domain:
-        lines.append(f"{text[v]} {index.format(table[v])}")
-    return "\n".join(lines) + "\n"
+    return "".join(_map_lines(m))
 
 
 def write_map_file(m: FiniteTreeMap, path) -> None:
-    Path(path).write_text(dump_map_text(m), encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(_map_lines(m))
 
 
 def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
@@ -77,30 +85,44 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
     shape = TreeShape(degree)
     size = checked_ball_size(shape, radius, budget)
     index = _address_index(degree, radius)
-    table: dict = {}
+    images: list = [None] * size  # per source position: image position, or a deeper image
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise MapFormatError(f"expected 'source image', got {ln!r}", no)
         try:
-            src = index.parse(parts[0])
+            src = index.locate(parts[0])
         except TreeQIError as e:
             raise MapFormatError(f"bad source address: {e}", no) from None
-        if len(src) > radius:
+        if not isinstance(src, int):
             raise MapFormatError(
                 f"source {parts[0]} is deeper than the stated radius {radius}", no
             )
-        if src in table:
+        if images[src] is not None:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
         try:
-            img = index.parse(parts[1])
+            images[src] = index.locate(parts[1])
         except TreeQIError as e:
             raise MapFormatError(f"bad image address: {e}", no) from None
-        table[src] = img
-    if len(table) != size:  # every source is a distinct vertex of the ball
-        missing = next(v for v in _cached_ball(degree, radius) if v not in table)
+    if len(lines) - 1 != size:  # every source is a distinct vertex of the ball
+        missing = index.verts[images.index(None)]
         raise MapFormatError(f"missing domain vertex {format_address(missing)}")
-    return FiniteTreeMap(shape, radius, table)
+    return FiniteTreeMap._from_arrays(shape, radius, *_gather(degree, radius, images))
+
+
+def _gather(degree: int, radius: int, images: list) -> tuple[np.ndarray, np.ndarray]:
+    """Label rows of images given as ball positions or as deeper addresses."""
+    dom_labels, dom_depths = _domain_arrays(degree, radius)
+    deep = [i for i, a in enumerate(images) if not isinstance(a, int)]
+    at = np.fromiter((a if isinstance(a, int) else 0 for a in images), np.int64, len(images))
+    labels, depths = dom_labels[at], dom_depths[at]
+    if deep:
+        deep_labels, deep_depths = _pack([images[i] for i in deep], dom_labels.dtype)
+        width = max(labels.shape[1], deep_labels.shape[1])
+        labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
+        labels[deep, : deep_labels.shape[1]] = deep_labels
+        depths[deep] = deep_depths
+    return labels, depths
 
 
 def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:

@@ -1,7 +1,11 @@
 """Finite-truncation self-maps of the tree and their verification suite.
 
-A map is stored as an explicit table over the ball of a given radius about
-the root; images may be any valid addresses, arbitrarily deep.  Verification
+A map is defined on the ball of a given radius about the root and holds its
+images as label arrays in ball (address) order; images may be any valid
+addresses, arbitrarily deep.  Whole-map operations (comparison,
+composition, sup distance, the ancestry check) run on those arrays; the
+dict view `FiniteTreeMap.table` serves the code that walks tuples.
+Verification
 measures the best single quasi-isometry constant exactly: every distance is
 an integer, the per-pair binding constant is solved in closed form, and the
 one irrational case (the square root from the lower bound) is rounded up to
@@ -22,6 +26,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Iterator
 
 import numpy as np
@@ -39,7 +45,7 @@ from .tree_core import (
     TreeShape,
     Vertex,
     ball,
-    distance,
+    checked_ball_size,
     format_address,
     geodesic,
     parse_address,
@@ -64,16 +70,20 @@ def _cached_ball(degree: int, radius: int) -> tuple:
 class _AddressIndex:
     """The canonical dotted text of every vertex of one cached ball, both ways.
 
-    The vertices are `_cached_ball`'s own tuples, so an address read through
-    the index shares them.  Text the index lacks (an address deeper than the
-    radius, a spelling such as '01.1', a bad label) goes through
-    `parse_address` and its checks; a vertex it lacks is formatted afresh.
+    `texts[p]` is the text of the vertex at ball position p and `position`
+    maps it back; the vertices are `_cached_ball`'s own tuples, so an address
+    read through the index shares them.  Canonical text of an address deeper
+    than the radius is read as a ball vertex's text plus further labels.
+    Other text (a spelling such as '01.1', a bad label) goes through
+    `parse_address` and its checks; a vertex the index lacks is formatted
+    afresh.
     """
 
-    __slots__ = ("shape", "vertex", "text")
+    __slots__ = ("shape", "radius", "verts", "texts", "position", "text")
 
     def __init__(self, shape: TreeShape, verts: tuple):
         self.shape = shape
+        self.radius = len(verts[-1]) if verts else -1
         # verts is in address order, which is preorder: the latest vertex
         # seen one level up is the parent, so each text extends its parent's
         texts = []
@@ -83,24 +93,35 @@ class _AddressIndex:
             t = "." if d == 0 else str(v[0]) if d == 1 else f"{latest[d - 1]}.{v[-1]}"
             latest[d] = t
             texts.append(t)
-        self.vertex = dict(zip(texts, verts))
+        self.verts = verts
+        self.texts = texts
+        self.position = {t: p for p, t in enumerate(texts)}
         self.text = dict(zip(verts, texts))
 
+    def locate(self, text: str) -> int | Vertex:
+        """The ball position of the address in any spelling, or the parsed
+        address itself when it lies outside the ball."""
+        p = self.position.get(text)
+        if p is not None:
+            return p
+        # canonical text deeper than the ball starts with a ball vertex's text
+        extra = text.count(".") + 1 - self.radius
+        if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
+            head, *tail = text.rsplit(".", extra)
+            p = self.position.get(head)
+            if p is not None and text.isascii() and all(map(str.isdigit, tail)):
+                labels = tuple(map(int, tail))
+                if max(labels) < self.shape.degree - 1:
+                    return self.verts[p] + labels
+        v = parse_address(text, self.shape)
+        return self.position[format_address(v)] if len(v) <= self.radius else v
+
     def parse(self, text: str) -> Vertex:
-        v = self.vertex.get(text)
-        return parse_address(text, self.shape) if v is None else v
+        p = self.locate(text)
+        return self.verts[p] if isinstance(p, int) else p
 
     def format(self, v: Vertex) -> str:
         return self.text.get(v) or format_address(v)
-
-    def owns(self, v) -> bool:
-        """Whether v is one of the ball's own tuples, whose labels the ball
-        built and so are valid; an equal tuple built elsewhere is not."""
-        try:
-            t = self.text.get(v)
-        except TypeError:  # unhashable, so no vertex of the ball
-            return False
-        return t is not None and self.vertex[t] is v
 
 
 @lru_cache(maxsize=64)
@@ -108,16 +129,83 @@ def _address_index(degree: int, radius: int) -> _AddressIndex:
     return _AddressIndex(TreeShape(degree), _cached_ball(degree, radius))
 
 
-def _label_matrix(vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Pack addresses into a padded int16 matrix (pad value -1) plus depths."""
-    pad = max((len(v) for v in vertices), default=0) or 1
-    arr = np.full((len(vertices), pad), -1, dtype=np.int16)
-    depths = np.empty(len(vertices), dtype=np.int16)
-    for i, v in enumerate(vertices):
-        depths[i] = len(v)
-        if v:
-            arr[i, : len(v)] = v
-    return arr, depths
+def _label_dtype(degree: int) -> np.dtype:
+    """The one place label width is chosen: int16 while every label fits."""
+    return np.promote_types(np.int16, np.min_scalar_type(-degree))
+
+
+def _pack(images, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Addresses as a matrix padded with -1 (at least one column) plus depths.
+
+    The labels must be ints that fit dtype."""
+    depths = np.fromiter(map(len, images), np.int64, len(images))
+    labels = np.full((len(images), max(1, int(depths.max(initial=0)))), -1, dtype)
+    flat = np.fromiter(chain.from_iterable(images), dtype, int(depths.sum()))
+    labels[np.arange(labels.shape[1]) < depths[:, None]] = flat
+    return labels, depths
+
+
+def _check_rows(shape: TreeShape, labels: np.ndarray, depths: np.ndarray, image) -> None:
+    """One bound check per depth column, plus the depth cap; on a failure,
+    `validate_address` raises for the first bad row, `image(row)`."""
+    bound = np.full(labels.shape[1], shape.degree - 1)
+    bound[0] = shape.degree
+    live = np.arange(labels.shape[1]) < depths[:, None]
+    bad = (depths > MAX_DEPTH) | (live & ((labels < 0) | (labels >= bound))).any(axis=1)
+    if bad.any():
+        validate_address(image(int(bad.argmax())), shape)
+
+
+@lru_cache(maxsize=16)
+def _domain_arrays(degree: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ball's own addresses as (labels, depths), in ball order, built
+    level by level at the children's closed-form positions."""
+    n = checked_ball_size(TreeShape(degree), radius)
+    sizes = _subtree_sizes(degree, radius)
+    labels = np.full((n, max(1, radius)), -1, _label_dtype(degree))
+    depths = np.zeros(n, np.int16)
+    at = np.zeros(1, np.int64)
+    for t in range(radius):
+        k = degree if t == 0 else degree - 1
+        kids = (at[:, None] + 1 + np.arange(k) * sizes[t]).ravel()
+        labels[kids, :t] = np.repeat(labels[at, :t], k, axis=0)
+        labels[kids, t] = np.tile(np.arange(k), len(at))
+        depths[kids] = t + 1
+        at = kids
+    labels.flags.writeable = depths.flags.writeable = False
+    return labels, depths
+
+
+@lru_cache(maxsize=16)
+def _subtree_sizes(degree: int, radius: int) -> np.ndarray:
+    """sizes[k]: vertices of the ball below (and at) one vertex of depth k + 1.
+
+    In preorder the children of a depth-k vertex at position p sit at
+    p + 1 + a * sizes[k] for label a, so an address (a_0 .. a_{m-1}) of the
+    ball sits at m + sum a_k * sizes[k]."""
+    q = degree - 1
+    return np.array([(q ** (radius - k) - 1) // (q - 1) for k in range(radius)], np.int64)
+
+
+def _ball_positions(labels: np.ndarray, depths: np.ndarray, degree: int, radius: int) -> np.ndarray:
+    """Position in the ball of radius `radius` of each row; -1 for rows deeper."""
+    w = min(labels.shape[1], radius)
+    offsets = np.maximum(labels[:, :w], 0).astype(np.int64) @ _subtree_sizes(degree, radius)[:w]
+    return np.where(depths <= radius, depths + offsets, -1)
+
+
+def _ball_rows(degree: int, r: int, radius: int) -> np.ndarray | slice:
+    """Positions in the ball of radius `radius` of the ball of radius r <= radius."""
+    if r == radius:
+        return slice(None)
+    return _ball_positions(*_domain_arrays(degree, r), degree, radius)
+
+
+def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common-prefix length of the address rows a[..., :] and b[..., :]."""
+    w = min(a.shape[-1], b.shape[-1])
+    a, b = a[..., :w], b[..., :w]
+    return np.logical_and.accumulate((a == b) & (a >= 0), axis=-1).sum(axis=-1)
 
 
 class _PrefixIndex:
@@ -184,7 +272,7 @@ class _PrefixIndex:
 
 @lru_cache(maxsize=16)
 def _domain_index(degree: int, radius: int) -> _PrefixIndex:
-    return _PrefixIndex(*_label_matrix(_cached_ball(degree, radius)), presorted=True)
+    return _PrefixIndex(*_domain_arrays(degree, radius), presorted=True)
 
 
 @lru_cache(maxsize=16)
@@ -193,7 +281,7 @@ def _domain_ancestors(degree: int, radius: int) -> np.ndarray:
 
     In preorder that ancestor is the last vertex of depth k at or before i.
     """
-    depths = _domain_index(degree, radius).depths
+    depths = _domain_arrays(degree, radius)[1]
     idx = np.arange(len(depths), dtype=np.int32)
     out = np.empty((len(depths), radius + 1), np.int32)
     for k in range(radius + 1):
@@ -424,46 +512,84 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True, eq=True)
 class FiniteTreeMap:
     """A self-map of the tree stored on the ball of the given radius.
 
-    The table is total on the ball and has no other entries; images are any
-    valid addresses.  Instances are immutable after construction.
+    The images are label arrays in ball (address) order: row i of `labels`
+    is the image of the i-th domain vertex, padded with -1, and `depths[i]`
+    its depth; images are any valid addresses.  `FiniteTreeMap(shape,
+    radius, table)` packs a dict that is total on the ball and has no other
+    entries, and keeps a read-only copy as `table`; maps made from arrays
+    build `table` on first use, with the ball's own tuples for images inside
+    the ball.  Instances are immutable after construction.
     """
 
-    shape: TreeShape
-    domain_radius: int
-    table: dict
-
-    def __post_init__(self):
-        dom = _cached_ball(self.shape.degree, self.domain_radius)
-        if len(self.table) != len(dom) or any(v not in self.table for v in dom):
-            missing = next((v for v in dom if v not in self.table), None)
-            if missing is not None:
-                raise MapDomainError(
-                    f"table is missing domain vertex {format_address(missing)}"
-                )
-            extra = sorted(set(self.table) - set(dom))[0]
+    def __init__(self, shape: TreeShape, domain_radius: int, table: dict):
+        dom = _cached_ball(shape.degree, domain_radius)
+        try:
+            images = [table[v] for v in dom]
+        except KeyError:
+            missing = format_address(next(v for v in dom if v not in table))
+            raise MapDomainError(f"table is missing domain vertex {missing}") from None
+        if len(table) != len(dom):
+            extra = sorted(set(table) - set(dom))[0]
             raise MapDomainError(f"table has entry {format_address(extra)} outside the ball")
-        index = _address_index(self.shape.degree, self.domain_radius)
-        for v in dom:
-            w = self.table[v]
-            if not index.owns(w):
-                validate_address(w, self.shape)
+        depths = np.fromiter(map(len, images), np.int64, len(images))
+        flat_types = set(map(type, chain.from_iterable(images)))
+        fits = depths.max() <= MAX_DEPTH and all(issubclass(t, int) for t in flat_types)
+        if fits:
+            try:
+                labels, depths = _pack(images, _label_dtype(shape.degree))
+            except OverflowError:  # a label the dtype cannot hold is out of range
+                fits = False
+        if not fits:
+            for w in images:  # raises for the first bad image, in domain order
+                validate_address(w, shape)
+        _check_rows(shape, labels, depths, images.__getitem__)
+        self._init(shape, domain_radius, labels, depths)
+        self.table = MappingProxyType(dict(table))  # later edits of `table` cannot reach the map
+
+    @classmethod
+    def _from_arrays(
+        cls, shape: TreeShape, domain_radius: int, labels: np.ndarray, depths: np.ndarray
+    ) -> "FiniteTreeMap":
+        """The constructor of array producers: rows in ball order, checked as a table is."""
+        _check_rows(shape, labels, depths, lambda i: tuple(labels[i, : depths[i]].tolist()))
+        m = cls.__new__(cls)
+        m._init(shape, domain_radius, labels, depths)
+        return m
+
+    def _init(self, shape, domain_radius, labels, depths) -> None:
+        self.shape = shape
+        self.domain_radius = domain_radius
+        self.labels = np.ascontiguousarray(labels[:, : max(1, int(depths.max()))])
+        self.depths = depths.astype(np.int16)  # at most MAX_DEPTH
+        self.labels.flags.writeable = self.depths.flags.writeable = False
 
     @property
     def domain(self) -> tuple:
         """Domain vertices in address order."""
         return _cached_ball(self.shape.degree, self.domain_radius)
 
+    def _images(self, inside: list, deep=tuple) -> list:
+        """The images in domain order: inside[p] for the ball vertex at
+        position p, deep(labels) for an image deeper than the radius."""
+        positions = _ball_positions(self.labels, self.depths, self.shape.degree, self.domain_radius)
+        images = [inside[p] for p in positions.tolist()]
+        rows = np.flatnonzero(positions < 0)
+        depths = self.depths[rows].tolist()
+        for i, labels, k in zip(rows.tolist(), self.labels[rows].tolist(), depths):
+            images[i] = deep(labels[:k])
+        return images
+
     @cached_property
-    def domain_by_depth(self) -> tuple:
-        return tuple(sorted(self.domain, key=lambda v: (len(v), v)))
+    def table(self) -> MappingProxyType:
+        """The map as a read-only {domain vertex: image}."""
+        return MappingProxyType(dict(zip(self.domain, self._images(self.domain))))
 
     @cached_property
     def _image_index(self) -> _PrefixIndex:
-        return _PrefixIndex(*_label_matrix([self.table[v] for v in self.domain]))
+        return _PrefixIndex(self.labels, self.depths)
 
     def evaluate(self, v: Vertex) -> Vertex:
         if len(v) > self.domain_radius:
@@ -475,8 +601,24 @@ class FiniteTreeMap:
         except KeyError:
             raise MapDomainError(f"{format_address(v)} is not a valid domain vertex") from None
 
-    def __hash__(self):  # tables are dicts; maps are compared, never hashed
+    def __eq__(self, other):
+        if not isinstance(other, FiniteTreeMap):
+            return NotImplemented
+        w = min(self.labels.shape[1], other.labels.shape[1])
+        return (
+            (self.shape, self.domain_radius) == (other.shape, other.domain_radius)
+            and np.array_equal(self.depths, other.depths)
+            and np.array_equal(self.labels[:, :w], other.labels[:, :w])
+        )
+
+    def __hash__(self):  # maps are compared, never hashed
         raise TypeError("FiniteTreeMap is not hashable")
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteTreeMap(shape={self.shape!r}, domain_radius={self.domain_radius},"
+            f" table={self.table!r})"
+        )
 
 
 def evaluate(m: FiniteTreeMap, v: Vertex) -> Vertex:
@@ -529,18 +671,25 @@ def random_levelwise_permutation_map(shape: TreeShape, radius: int, seed: int) -
 
 def random_automorphism_map(shape: TreeShape, radius: int, seed: int) -> FiniteTreeMap:
     """Root-fixing automorphism of the ball: an independent child permutation
-    at every vertex, drawn from one seeded stream in address order."""
+    at every vertex, drawn from one seeded stream in address order.  At each
+    depth t the image of v carries the label that the permutation of v's
+    depth-t ancestor gives v's own label there."""
     rng = random.Random(seed)
-    table = {ROOT: ROOT}
-    for v in ball(shape, radius):
-        if len(v) == radius:
-            continue
-        perm = list(range(shape.child_label_count(v)))
+    degree = shape.degree
+    dom_labels, depths = _domain_arrays(degree, radius)
+    inner = np.flatnonzero(depths < radius)
+    perms = np.zeros((len(inner), degree), np.int64)  # row r: the permutation at inner[r]
+    for r, p in enumerate(inner.tolist()):
+        perm = list(range(degree if p == 0 else degree - 1))
         rng.shuffle(perm)
-        fv = table[v]
-        for a in range(len(perm)):
-            table[v + (a,)] = fv + (perm[a],)
-    return FiniteTreeMap(shape, radius, table)
+        perms[r, : len(perm)] = perm
+    ancestors = _domain_ancestors(degree, radius)
+    labels = np.full(dom_labels.shape, -1, dom_labels.dtype)
+    for t in range(radius):
+        below = np.flatnonzero(depths > t)
+        at = np.searchsorted(inner, ancestors[below, t])
+        labels[below, t] = perms[at, dom_labels[below, t]]
+    return FiniteTreeMap._from_arrays(shape, radius, labels, depths)
 
 
 def random_map(shape: TreeShape, radius: int, seed: int, *, fix_root: bool = False) -> FiniteTreeMap:
@@ -591,14 +740,16 @@ def is_order_preserving(m: FiniteTreeMap) -> tuple[bool, Vertex | None]:
 
     Returns the shallowest (then address-least) violating vertex otherwise.
     """
-    t = m.table
-    for v in m.domain_by_depth:
-        if not v:
-            continue
-        fp = t[v[:-1]]
-        if t[v][: len(fp)] != fp:
-            return False, v
-    return True, None
+    degree, radius = m.shape.degree, m.domain_radius
+    dom_labels, dom_depths = _domain_arrays(degree, radius)
+    kids = np.arange(1, len(dom_depths))
+    up = dom_depths[1:] - 1  # the parent's depth: child a sits a subtrees past it
+    parents = kids - 1 - dom_labels[kids, up] * _subtree_sizes(degree, radius)[up]
+    ok = _prefix_len(m.labels[1:], m.labels[parents]) == m.depths[parents]
+    if ok.all():
+        return True, None
+    bad = kids[~ok]
+    return False, m.domain[bad[np.argmin(dom_depths[bad])]]
 
 
 def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
@@ -608,8 +759,10 @@ def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
             f"cannot compare maps of degrees {m1.shape.degree} and {m2.shape.degree}"
         )
     r = min(m1.domain_radius, m2.domain_radius)
-    t1, t2 = m1.table, m2.table
-    return max(distance(t1[v], t2[v]) for v in _cached_ball(m1.shape.degree, r))
+    rows1 = _ball_rows(m1.shape.degree, r, m1.domain_radius)
+    rows2 = _ball_rows(m1.shape.degree, r, m2.domain_radius)
+    plen = _prefix_len(m1.labels[rows1], m2.labels[rows2])
+    return int((m1.depths[rows1] + m2.depths[rows2] - 2 * plen).max())
 
 
 def compose(outer: FiniteTreeMap, inner: FiniteTreeMap) -> FiniteTreeMap:
@@ -621,16 +774,16 @@ def compose(outer: FiniteTreeMap, inner: FiniteTreeMap) -> FiniteTreeMap:
     """
     if outer.shape != inner.shape:
         raise ShapeMismatchError("composed maps must share a degree")
-    eff = inner.domain_radius
-    for v in inner.domain:
-        if len(inner.table[v]) > outer.domain_radius:
-            eff = min(eff, len(v) - 1)
+    degree = inner.shape.degree
+    leaving = _domain_arrays(degree, inner.domain_radius)[1][inner.depths > outer.domain_radius]
+    eff = int(leaving.min(initial=inner.domain_radius + 1)) - 1
     if eff < 0:
         raise MapDomainError(
             "empty effective domain: the root's inner image leaves the outer ball"
         )
-    table = {v: outer.table[inner.table[v]] for v in _cached_ball(inner.shape.degree, eff)}
-    return FiniteTreeMap(inner.shape, eff, table)
+    rows = _ball_rows(degree, eff, inner.domain_radius)
+    at = _ball_positions(inner.labels[rows], inner.depths[rows], degree, outer.domain_radius)
+    return FiniteTreeMap._from_arrays(inner.shape, eff, outer.labels[at], outer.depths[at])
 
 
 def coarse_surjectivity_radius(

@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError, ValidationFailure
 from .mixed_builder import (
     BuildTrace,
@@ -37,11 +39,14 @@ from .qi_map import (
     EXHAUSTIVE,
     FiniteTreeMap,
     PairSource,
+    _domain_arrays,
+    _prefix_len,
+    _subtree_sizes,
     is_order_preserving,
     measure_qi,
     sup_distance,
 )
-from .tree_core import ROOT, Vertex, distance, format_address, lca_pair
+from .tree_core import Vertex, format_address
 
 # Promise checks fall back to a fixed-seed sample above this many pairs so
 # they stay affordable on large balls; the warning is best-effort anyway.
@@ -148,22 +153,14 @@ def normalize_order_preserving(
     Cf = Fraction(C)
     if Cf < 1:
         raise ValueError("C must be >= 1")
-    if f.table[ROOT] != ROOT:
+    if f.depths[0]:  # row 0 is the root's image
         raise PreconditionError("normalization requires a root-fixing map")
     honest = True
     if check_promise:
         measured, honest, mode = measure_promise(f, Cf)
         if not honest:
             _warn_promise("normalize_order_preserving", measured, Cf, mode)
-    table: dict = {}
-    # address order is preorder, so the reversed order visits children first
-    for v in reversed(f.domain):
-        acc = f.table[v]
-        if len(v) < f.domain_radius:
-            for c in f.shape.children(v):
-                acc = lca_pair(acc, table[c])
-        table[v] = acc
-    g = FiniteTreeMap(f.shape, f.domain_radius, table)
+    g = _normalize_fold(f)
     ok, wit = is_order_preserving(g)
     if not ok:
         raise ValidationFailure(
@@ -174,9 +171,34 @@ def normalize_order_preserving(
         sup = sup_distance(f, g)
         if sup > bound:
             raise ValidationFailure(
-                "normalize-bound", f"normalization moved a point {sup} > bound {bound}"
+                "normalize-bound",
+                f"normalization moved a point {sup} > bound {bound}",
+                value=sup,
+                bound=bound,
             )
     return g
+
+
+def _normalize_fold(f: FiniteTreeMap) -> FiniteTreeMap:
+    """Each vertex's image cut to the common prefix of the images of its
+    stored subtree, one depth level at a time from the deepest up.
+
+    That prefix has length acc(v) = min(depth f(v), min over children c of
+    min(cpl(f(v), f(c)), acc(c))), cpl being the common-prefix length; in
+    preorder the children of a depth-t vertex at position p sit at
+    p + 1 + a * sizes[t] for each child label a.
+    """
+    degree, radius = f.shape.degree, f.domain_radius
+    dom_depths = _domain_arrays(degree, radius)[1]
+    sizes = _subtree_sizes(degree, radius)
+    acc = f.depths.copy()
+    for t in range(radius - 1, -1, -1):
+        at = np.flatnonzero(dom_depths == t)
+        kids = at[:, None] + 1 + np.arange(degree if t == 0 else degree - 1) * sizes[t]
+        cpl = _prefix_len(f.labels[at][:, None, :], f.labels[kids])
+        acc[at] = np.minimum(acc[at], np.minimum(cpl, acc[kids]).min(axis=1))
+    labels = np.where(np.arange(f.labels.shape[1]) < acc[:, None], f.labels, -1)
+    return FiniteTreeMap._from_arrays(f.shape, radius, labels, acc)
 
 
 def approximate_by_mixed(
@@ -203,7 +225,7 @@ def approximate_by_mixed(
         raise PreconditionError(
             f"approximation requires an order-preserving map (witness {format_address(wit)})"
         )
-    if g.table[ROOT] != ROOT:
+    if g.depths[0]:  # row 0 is the root's image
         raise PreconditionError("approximation requires a root-fixing map")
     step = bundle.D_used
     levels = g.domain_radius // step
@@ -216,11 +238,15 @@ def approximate_by_mixed(
         if not honest:
             _warn_promise("approximate_by_mixed", measured, Cf, mode)
     fill_bound = bundle.final_bound
+    fill_floor = math.floor(fill_bound)
     gt = g.table
 
     def choose(i: int, cls: LevelClass, fill) -> ClassTrace:
-        def failure(kind: str, message: str) -> ValidationFailure:
-            return ValidationFailure(kind, message, level=i, image=cls.image)
+        def failure(kind: str, message: str, value=None) -> ValidationFailure:
+            bound = None if value is None else fill_bound
+            return ValidationFailure(
+                kind, message, level=i, image=cls.image, value=value, bound=bound
+            )
 
         # g's own images, kept once they form the boundary of a subtree
         assignment = {b: gt[b] for b in cls.block}
@@ -236,12 +262,17 @@ def approximate_by_mixed(
                     "shared-parent",
                     f"image {format_address(a)} drawn from children of two class members",
                 )
+        # g is order-preserving and each fill vertex descends from a member,
+        # whose g-image is the class image: the distance is a depth difference,
+        # and an integer exceeds the bound iff it exceeds the bound's floor
+        deepest = len(cls.image) + fill_floor
         for w in fill:
-            if distance(cls.image, gt[w]) > fill_bound:
+            if len(gt[w]) > deepest:
+                dist = len(gt[w]) - len(cls.image)
                 raise failure(
                     "fill-distance",
-                    f"{format_address(w)} collapsed {distance(cls.image, gt[w])}"
-                    f" > {fill_bound} from its g-image",
+                    f"{format_address(w)} collapsed {dist} > {fill_bound} from its g-image",
+                    value=dist,
                 )
         return ClassTrace(
             level=i,
@@ -257,6 +288,9 @@ def approximate_by_mixed(
     sup = sup_distance(approx, g)
     if sup > fill_bound:
         raise ValidationFailure(
-            "final-bound", f"approximation sits {sup} > bound {fill_bound} from the input"
+            "final-bound",
+            f"approximation sits {sup} > bound {fill_bound} from the input",
+            value=sup,
+            bound=fill_bound,
         )
     return approx, bundle, trace

@@ -176,6 +176,37 @@ def test_approximate_validation_exit(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_validation_failure_line_states_its_margin(tmp_path, capsys):
+    # the fill-distance map of test_transforms: vertex 0 collapses 15 levels
+    # onto the root against a bound of 10
+    shape = tq.TreeShape(3)
+    chain = tq.FiniteSubtree([(0,) * k for k in range(22)])
+    targets = sorted(tq.boundary(chain, shape), key=lambda a: (-len(a), a))
+    leaves = [v for v in tq.ball(shape, 4) if len(v) == 4]
+    image = dict(zip(leaves, targets, strict=True))
+
+    def spread(v):
+        return () if not v else tq.lca(a for b, a in image.items() if b[: len(v)] == v)
+
+    path = tmp_path / "spread.qi"
+    write_map_file(tq.map_from_function(shape, 4, spread), path)
+    code, out, _ = run_cli(
+        ["approximate", "--in", str(path), "--C", "1", "--D-override", "4",
+         "--out", str(tmp_path / "out.qi")],
+        capsys,
+    )
+    assert code == 2
+    assert out == "validation=fail kind=fill-distance level=0 class=. value=15 bound=10\n"
+
+
+def test_verify_reads_labels_past_int16(tmp_path, capsys):
+    path = tmp_path / "big.qi"
+    path.write_text("tree-qi v1 degree=40000 radius=0\n. 39999\n")
+    code, out, _ = run_cli(["verify", "--in", str(path)], capsys)
+    assert code == 0
+    assert "report=verify" in out and "degree=40000" in out and "best_single_C=1" in out
+
+
 def test_compose_and_distance(tmp_path, capsys):
     shape = tq.TreeShape(3)
     m = tq.random_levelwise_permutation_map(shape, 4, 1)

@@ -226,6 +226,10 @@ def _parser_inputs():
         "tree-qi v1 degree=3 radius=0\n. " + ".".join(["0"] * 65) + "\n",
         "tree-qi v1 degree=3 radius=1\n. 0.0.0.0.0.0.0.0\n0 1\n1 0.1\n2 2\n",
     ]
+    # images deeper than the radius: a ball vertex's text, then further labels
+    for image in ("0.0.2", "0.01.1", "0.\u00b2", "0..1", "0.1.x", "00.1.1", "2.1.0",
+                  "3.0.0", ".".join(["1"] * 64), ".".join(["1"] * 65)):
+        texts.append(f"tree-qi v1 degree=3 radius=1\n. .\n0 {image}\n1 1\n2 2\n")
     return texts
 
 

@@ -54,6 +54,13 @@ def test_table_validation():
             FiniteTreeMap(D3, 1, {**good, (0,): image})
 
 
+def test_sampled_measure_on_a_degree_past_int16():
+    big = TreeShape(40000)
+    m = tq.identity_map(big, 1)
+    rep = tq.measure_qi(m, PairSource.sampled(2000, 3))
+    assert rep.pairs_checked == 2000 and rep.best_single_C == 1
+
+
 def test_evaluate():
     m = tq.identity_map(D3, 3)
     assert m.evaluate((0, 1)) == (0, 1)
@@ -300,6 +307,14 @@ def test_measure_qi_equals_oracle_property(m, C, max_lca_depth, block_exp):
     assert got.measurement_fields() == want.measurement_fields()
 
 
+def _label_matrix(rows):
+    """Rows packed into a matrix padded with -1, one address per row."""
+    labels = np.full((len(rows), max(map(len, rows)) or 1), -1, dtype=np.int64)
+    for i, v in enumerate(rows):
+        labels[i, : len(v)] = v
+    return labels
+
+
 def _column_prefix_len(labels, iu, ju):
     """Common-prefix length by a scan over every depth column: the
     reference for the LCP/sparse-table kernel."""
@@ -338,7 +353,7 @@ def test_prefix_kernel_matches_column_loop():
             ([m.table[v] for v in m.domain], m._image_index),
         ]
         for rows, index in sides:
-            ref = _column_prefix_len(tq.qi_map._label_matrix(rows)[0], iu, ju)
+            ref = _column_prefix_len(_label_matrix(rows), iu, ju)
             assert (index.prefix_len(iu, ju) == ref).all()
             # the rows extending row i are exactly one rank interval
             lo, hi = index.extension_ranks(np.arange(n))

@@ -180,10 +180,10 @@ def test_approximate_checks_the_boundary_before_shared_parents():
     assert str(err.value) == "subtree-boundary: class image 0 occurs among the images"
 
 
-def test_approximate_fill_distance_failure():
-    # the 24 depth-4 vertices map onto the boundary of the 22-vertex chain
-    # 0, 0.0, ..., deepest first, so the intermediate vertex 0 spans images
-    # 15 levels deep while its class image is the root
+def _spread_map():
+    """The 24 depth-4 vertices map onto the boundary of the 22-vertex chain
+    0, 0.0, ..., deepest first, so the intermediate vertex 0 spans images
+    15 levels deep (and 0.0 spans 19) while its class image is the root."""
     chain = tq.FiniteSubtree([(0,) * k for k in range(22)])
     targets = sorted(tq.boundary(chain, D3), key=lambda a: (-len(a), a))
     leaves = [v for v in tq.ball(D3, 4) if len(v) == 4]
@@ -192,11 +192,28 @@ def test_approximate_fill_distance_failure():
     def spread(v):
         return () if not v else tq.lca(a for b, a in image.items() if b[: len(v)] == v)
 
-    g = tq.map_from_function(D3, 4, spread)
+    return tq.map_from_function(D3, 4, spread)
+
+
+def test_approximate_fill_distance_failure():
     with pytest.raises(ValidationFailure) as err:
-        tq.approximate_by_mixed(g, 1, 4, check_promise=False)
+        tq.approximate_by_mixed(_spread_map(), 1, 4, check_promise=False)
     assert (err.value.kind, err.value.level, err.value.image) == ("fill-distance", 0, ())
     assert str(err.value) == "fill-distance: 0 collapsed 15 > 10 from its g-image"
+    assert (err.value.value, err.value.bound) == (15, 10)
+
+
+@pytest.mark.parametrize(
+    "C, vertex, value", [(Fraction(6, 5), "0", 15), (Fraction(5, 4), "0.0", 19)]
+)
+def test_fill_distance_bound_is_exact(C, vertex, value):
+    # the bounds are 1764/125 = 14.112 and 245/16 = 15.3125: vertex 0's 15
+    # fails the first and passes the second, where 0.0's 19 fails instead
+    with pytest.raises(ValidationFailure) as err:
+        tq.approximate_by_mixed(_spread_map(), C, 4, check_promise=False)
+    bound = tq.constants(C, 4).final_bound
+    assert (err.value.kind, err.value.value, err.value.bound) == ("fill-distance", value, bound)
+    assert str(err.value) == f"fill-distance: {vertex} collapsed {value} > {bound} from its g-image"
 
 
 def test_approximate_passing_output_passes_structure():
