@@ -11,12 +11,11 @@ codes are 0 success, 1 usage or parse error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from fractions import Fraction
 
-from . import mapfile
+from . import mapfile, report
 from .errors import BudgetExceededError, TreeQIError, ValidationFailure
 from .mixed_builder import MixedPolicy, build_mixed, verify_mixed_structure
 from .oracle import oracle_measure
@@ -26,13 +25,14 @@ from .qi_map import (
     PairSource,
     check_geodesic_image,
     check_same_depth,
-    coarse_surjectivity_radius,
     compose,
+    finish_report,
     is_order_preserving,
     sup_distance,
     verify_map,
 )
-from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape, format_address
+from .report import JSON, TEXT, Rows
+from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape
 from .transforms import (
     PromiseWarning,
     approximate_by_mixed,
@@ -87,16 +87,13 @@ def _policy(args) -> MixedPolicy:
     return MixedPolicy.random(args.seed)
 
 
-def _emit(lines: list[str], json_dict: dict | None, as_json: bool) -> None:
-    if as_json and json_dict is not None:
-        print(json.dumps(json_dict, sort_keys=True, separators=(",", ":")))
-    else:
-        for ln in lines:
-            print(ln)
-
-
-def _promise_warnings(record) -> list[str]:
-    return [str(w.message) for w in record if issubclass(w.category, PromiseWarning)]
+def _warned(transform, *args):
+    """Run a transform; return its result and the PromiseWarnings it raised."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", PromiseWarning)
+        result = transform(*args)
+    messages = [str(w.message) for w in record if issubclass(w.category, PromiseWarning)]
+    return result, Rows("warning", messages)
 
 
 def cmd_gen_mixed(args) -> int:
@@ -105,28 +102,16 @@ def cmd_gen_mixed(args) -> int:
     mapfile.write_map_file(m, args.out)
     if args.trace_out:
         mapfile.write_trace_file(trace, args.trace_out)
-    lines = [
-        f"wrote={args.out}",
-        f"degree={shape.degree}",
-        f"D={args.D}",
-        f"levels={args.levels}",
-        f"radius={m.domain_radius}",
-        f"policy={trace.policy}",
-        f"vertices={len(m.domain)}",
+    fields = [
+        ("wrote", args.out),
+        ("degree", shape.degree),
+        ("D", args.D),
+        ("levels", args.levels),
+        ("radius", m.domain_radius),
+        ("policy", trace.policy),
+        ("vertices", len(m.domain)),
     ]
-    _emit(
-        lines,
-        {
-            "wrote": str(args.out),
-            "degree": shape.degree,
-            "D": args.D,
-            "levels": args.levels,
-            "radius": m.domain_radius,
-            "policy": trace.policy,
-            "vertices": len(m.domain),
-        },
-        args.json,
-    )
+    report.emit(fields, args.json)
     return EXIT_OK
 
 
@@ -134,7 +119,7 @@ def cmd_verify(args) -> int:
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     source = _parse_pairs(args.pairs, args.seed)
     candidate = _parse_C(args.C) if args.C is not None else None
-    report = verify_map(
+    rep = verify_map(
         m,
         source,
         candidate_C=candidate,
@@ -147,93 +132,66 @@ def cmd_verify(args) -> int:
         # for order-preserving maps, the same-depth nesting property; every
         # violation is counted, the first DEFAULT_MAX_VIOLATIONS are listed
         checks = [check_geodesic_image(m, candidate, source)]
-        if report.order_preserving:
+        if rep.order_preserving:
             checks.append(check_same_depth(m, candidate))
         for found in checks:
-            room = max(DEFAULT_MAX_VIOLATIONS - len(report.violations), 0)
-            report.violations.extend(found[:room])
-            report.violations_total += found.total
-    _emit(report.to_lines("verify"), report.to_json_dict("verify"), args.json)
+            room = max(DEFAULT_MAX_VIOLATIONS - len(rep.violations), 0)
+            rep.violations.extend(found[:room])
+            rep.violations_total += found.total
+    report.emit(rep.report_fields("verify"), args.json)
     return EXIT_OK
 
 
 def cmd_verify_mixed(args) -> int:
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
-    report = verify_mixed_structure(m, args.D)
-    _emit(report.to_lines(), report.to_json_dict(), args.json)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    rep = verify_mixed_structure(m, args.D)
+    report.emit(rep.report_fields(), args.json)
+    return EXIT_OK if rep.passed else EXIT_VALIDATION
 
 
 def cmd_normalize(args) -> int:
     f = mapfile.parse_map_file(args.infile, args.max_vertices)
     c = _parse_C(args.C)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always", PromiseWarning)
-        g = normalize_order_preserving(f, c)
+    g, warned = _warned(normalize_order_preserving, f, c)
     mapfile.write_map_file(g, args.out)
     bound = 3 * c**3 + 2 * c
     sup = sup_distance(f, g)
     ok, _ = is_order_preserving(g)
-    lines = [
-        f"wrote={args.out}",
-        f"C={c}",
-        f"bound={bound}",
-        f"sup_distance={sup}",
-        f"order_preserving={'true' if ok else 'false'}",
+    fields = [
+        ("wrote", args.out),
+        ("C", c),
+        ("bound", bound),
+        ("sup_distance", sup),
+        ("order_preserving", ok),
+        ("warnings", warned),
     ]
-    warns = _promise_warnings(record)
-    lines.extend(f"warning={w}" for w in warns)
-    _emit(
-        lines,
-        {
-            "wrote": str(args.out),
-            "C": str(c),
-            "bound": str(bound),
-            "sup_distance": sup,
-            "order_preserving": ok,
-            "warnings": warns,
-        },
-        args.json,
-    )
+    report.emit(fields, args.json)
     return EXIT_OK
 
 
 def cmd_approximate(args) -> int:
     g = mapfile.parse_map_file(args.infile, args.max_vertices)
     c = _parse_C(args.C)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always", PromiseWarning)
-        f, bundle, trace = approximate_by_mixed(g, c, args.D_override)
+    (f, bundle, trace), warned = _warned(approximate_by_mixed, g, c, args.D_override)
     mapfile.write_map_file(f, args.out)
     if args.trace_out:
         mapfile.write_trace_file(trace, args.trace_out)
     sup = sup_distance(f, g)
-    lines = [
-        f"wrote={args.out}",
-        f"C={bundle.C}",
-        f"K={bundle.K_samedepth}",
-        f"D_guaranteed={bundle.D_guaranteed}",
-        f"D_used={bundle.D_used}",
-        f"levels={f.domain_radius // bundle.D_used}",
-        f"covered_radius={f.domain_radius}",
-        f"final_bound={bundle.final_bound}",
-        f"sup_distance={sup}",
-        "validation=pass",
+    fields = [
+        ("wrote", args.out),
+        ("C", bundle.C, TEXT),
+        ("K", bundle.K_samedepth, TEXT),
+        ("D_guaranteed", bundle.D_guaranteed, TEXT),
+        ("D_used", bundle.D_used, TEXT),
+        ("levels", f.domain_radius // bundle.D_used, TEXT),
+        ("bundle", bundle, JSON),
+        ("covered_radius", f.domain_radius),
+        ("final_bound", bundle.final_bound, TEXT),
+        ("sup_distance", sup),
+        ("validation", "pass"),
+        ("warnings", warned),
     ]
-    warns = _promise_warnings(record)
-    lines.extend(f"warning={w}" for w in warns)
-    _emit(
-        lines,
-        {
-            "wrote": str(args.out),
-            "bundle": bundle.to_json_dict(),
-            "covered_radius": f.domain_radius,
-            "sup_distance": sup,
-            "validation": "pass",
-            "warnings": warns,
-        },
-        args.json,
-    )
+    report.emit(fields, args.json)
     return EXIT_OK
 
 
@@ -242,42 +200,32 @@ def cmd_compose(args) -> int:
     inner = mapfile.parse_map_file(args.b, args.max_vertices)
     m = compose(outer, inner)
     mapfile.write_map_file(m, args.out)
-    lines = [f"wrote={args.out}", f"effective_radius={m.domain_radius}"]
-    _emit(lines, {"wrote": str(args.out), "effective_radius": m.domain_radius}, args.json)
+    report.emit([("wrote", args.out), ("effective_radius", m.domain_radius)], args.json)
     return EXIT_OK
 
 
 def cmd_distance(args) -> int:
     a = mapfile.parse_map_file(args.a, args.max_vertices)
     b = mapfile.parse_map_file(args.b, args.max_vertices)
-    sup = sup_distance(a, b)
     radius = min(a.domain_radius, b.domain_radius)
-    _emit(
-        [f"sup_distance={sup}", f"radius={radius}"],
-        {"sup_distance": sup, "radius": radius},
-        args.json,
-    )
+    report.emit([("sup_distance", sup_distance(a, b)), ("radius", radius)], args.json)
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
     c = _parse_C(args.C)
     bundle = constants(c, args.D_override)
-    _emit([bundle.to_line()], bundle.to_json_dict(), args.json)
+    report.emit(bundle.report_fields(), args.json, one_line=True)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     candidate = _parse_C(args.C) if args.C is not None else None
-    report = oracle_measure(m, candidate_C=candidate)
-    tr = m.domain_radius if args.target_radius is None else args.target_radius
-    report.coarse_surjectivity_radius = coarse_surjectivity_radius(m, tr)
-    report.target_radius = tr
-    ok, wit = is_order_preserving(m)
-    report.order_preserving = ok
-    report.order_violation = wit
-    _emit(report.to_lines("oracle"), report.to_json_dict("oracle"), args.json)
+    rep = finish_report(
+        oracle_measure(m, candidate_C=candidate), m, args.target_radius, args.max_vertices
+    )
+    report.emit(rep.report_fields("oracle"), args.json)
     return EXIT_OK
 
 
@@ -363,30 +311,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:  # ValueError: an argument out of range
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValidationFailure as e:
-        line = f"validation=fail kind={e.kind} level={_opt(e.level)} class={_opt_addr(e.image)}"
+        fields = [("validation", "fail"), ("kind", e.kind), ("level", e.level), ("class", e.image)]
         if e.value is not None:  # the distance checks state their margin
-            line += f" value={e.value} bound={e.bound}"
-        print(line)
+            fields += [("value", e.value), ("bound", e.bound)]
+        report.emit(fields, args.json, one_line=True)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except TreeQIError as e:
+    # ValueError: an argument out of range; OSError: a file that cannot be
+    # read or written
+    except (UsageError, ValueError, OSError, TreeQIError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _opt(x) -> str:
-    return "-" if x is None else str(x)
-
-
-def _opt_addr(v) -> str:
-    return "-" if v is None else format_address(v)
 
 
 def main_exit() -> None:

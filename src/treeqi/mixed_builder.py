@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable
 
+from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
 from .qi_map import FiniteTreeMap, _address_index, _AddressIndex
 from .tree_core import (
@@ -522,8 +523,11 @@ class StructureWitness:
     level: int
     detail: str
 
+    def report_fields(self) -> list:
+        return [("kind", self.kind), ("level", self.level), ("detail", self.detail)]
+
     def to_line(self) -> str:
-        return f"witness kind={self.kind} level={self.level} detail={self.detail}"
+        return report.row("witness", self)
 
 
 @dataclass
@@ -541,43 +545,30 @@ class MixedStructureReport:
     image_step_max: int | None
     image_step_bound: int
 
-    def to_lines(self) -> list[str]:
-        mult = max(self.multiplicity_by_level.values()) if self.multiplicity_by_level else 0
-        lines = [
-            "report=mixed-structure",
-            f"degree={self.degree}",
-            f"D={self.step}",
-            f"radius={self.radius}",
-            f"levels={self.levels}",
-            f"passed={'true' if self.passed else 'false'}",
-            f"max_multiplicity={mult}",
-            f"multiplicity_bound={self.multiplicity_bound}",
-            f"image_step_min={'-' if self.image_step_min is None else self.image_step_min}",
-            f"image_step_max={'-' if self.image_step_max is None else self.image_step_max}",
-            f"image_step_bound={self.image_step_bound}",
-            f"witnesses={self.witness_total}",
+    def report_fields(self) -> list:
+        return [
+            ("report", "mixed-structure"),
+            ("degree", self.degree),
+            ("D", self.step),
+            ("radius", self.radius),
+            ("levels", self.levels),
+            ("passed", self.passed),
+            ("max_multiplicity", max(self.multiplicity_by_level.values()), report.TEXT),
+            ("multiplicity_by_level", self.multiplicity_by_level, report.JSON),
+            ("multiplicity_bound", self.multiplicity_bound),
+            ("image_step_min", self.image_step_min),
+            ("image_step_max", self.image_step_max),
+            ("image_step_bound", self.image_step_bound),
+            ("witnesses", self.witness_total, report.TEXT),
+            ("witness_total", self.witness_total, report.JSON),
+            ("witnesses", report.Rows("witness", self.witnesses)),
         ]
-        lines.extend(w.to_line() for w in self.witnesses)
-        return lines
+
+    def to_lines(self) -> list[str]:
+        return report.lines(self.report_fields())
 
     def to_json_dict(self) -> dict:
-        return {
-            "report": "mixed-structure",
-            "degree": self.degree,
-            "D": self.step,
-            "radius": self.radius,
-            "levels": self.levels,
-            "passed": self.passed,
-            "multiplicity_by_level": {str(k): v for k, v in self.multiplicity_by_level.items()},
-            "multiplicity_bound": self.multiplicity_bound,
-            "image_step_min": self.image_step_min,
-            "image_step_max": self.image_step_max,
-            "image_step_bound": self.image_step_bound,
-            "witness_total": self.witness_total,
-            "witnesses": [
-                {"kind": w.kind, "level": w.level, "detail": w.detail} for w in self.witnesses
-            ],
-        }
+        return report.to_dict(self.report_fields())
 
 
 def recover_class_subtree(

@@ -32,6 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import report
 from .errors import (
     BudgetExceededError,
     MapDomainError,
@@ -389,14 +390,18 @@ class Violation:
     value: int
     at: Vertex | None = None
 
+    def report_fields(self) -> list:
+        # the text line omits a missing at=, JSON states it as null
+        return [
+            ("x", self.x),
+            ("y", self.y),
+            ("kind", self.kind),
+            ("value", self.value),
+            ("at", self.at, report.JSON) if self.at is None else ("at", self.at),
+        ]
+
     def to_line(self) -> str:
-        line = (
-            f"violation x={format_address(self.x)} y={format_address(self.y)}"
-            f" kind={self.kind} value={self.value}"
-        )
-        if self.at is not None:
-            line += f" at={format_address(self.at)}"
-        return line
+        return report.row("violation", self)
 
 
 class ViolationList(list):
@@ -404,10 +409,6 @@ class ViolationList(list):
     violation found, listed or not."""
 
     total = 0
-
-
-def _fmt_opt(value) -> str:
-    return "-" if value is None else str(value)
 
 
 @dataclass
@@ -445,71 +446,39 @@ class VerificationReport:
             self.violations_total,
         )
 
-    def to_lines(self, label: str = "verify") -> list[str]:
-        lines = [
-            f"report={label}",
-            f"degree={self.degree}",
-            f"radius={self.radius}",
-            f"pairs={self.pair_mode}",
-            f"pairs_checked={self.pairs_checked}",
-            f"sampling_seed={_fmt_opt(self.sampling_seed)}",
-            f"max_lca_depth={_fmt_opt(self.max_lca_depth)}",
-            f"best_single_C={self.best_single_C}",
-            f"witness_x={_fmt_opt(self.witness and format_address(self.witness[0]))}",
-            f"witness_y={_fmt_opt(self.witness and format_address(self.witness[1]))}",
-            f"upper_mult={self.upper_pair[0]}",
-            f"upper_add={self.upper_pair[1]}",
-            f"lower_mult={self.lower_pair[0]}",
-            f"lower_add={self.lower_pair[1]}",
-            f"candidate_C={_fmt_opt(self.candidate_C)}",
-            f"coarse_surjectivity_radius={_fmt_opt(self.coarse_surjectivity_radius)}",
-            f"target_radius={_fmt_opt(self.target_radius)}",
-            "order_preserving=-"
-            if self.order_preserving is None
-            else f"order_preserving={'true' if self.order_preserving else 'false'}",
-            f"order_witness={_fmt_opt(self.order_violation and format_address(self.order_violation))}",
-            f"violations={self.violations_total}",
-            f"violations_shown={len(self.violations)}",
+    def report_fields(self, label: str = "verify") -> list:
+        witness = self.witness or (None, None)
+        return [
+            ("report", label),
+            ("degree", self.degree),
+            ("radius", self.radius),
+            ("pairs", self.pair_mode),
+            ("pairs_checked", self.pairs_checked),
+            ("sampling_seed", self.sampling_seed),
+            ("max_lca_depth", self.max_lca_depth),
+            ("best_single_C", self.best_single_C),
+            ("witness_x", witness[0]),
+            ("witness_y", witness[1]),
+            ("upper_mult", self.upper_pair[0]),
+            ("upper_add", self.upper_pair[1]),
+            ("lower_mult", self.lower_pair[0]),
+            ("lower_add", self.lower_pair[1]),
+            ("candidate_C", self.candidate_C),
+            ("coarse_surjectivity_radius", self.coarse_surjectivity_radius),
+            ("target_radius", self.target_radius),
+            ("order_preserving", self.order_preserving),
+            ("order_witness", self.order_violation),
+            ("violations", self.violations_total, report.TEXT),
+            ("violations_shown", len(self.violations), report.TEXT),
+            ("violations_total", self.violations_total, report.JSON),
+            ("violations", report.Rows("violation", self.violations)),
         ]
-        lines.extend(v.to_line() for v in self.violations)
-        return lines
+
+    def to_lines(self, label: str = "verify") -> list[str]:
+        return report.lines(self.report_fields(label))
 
     def to_json_dict(self, label: str = "verify") -> dict:
-        def frac(x):
-            return None if x is None else str(x)
-
-        return {
-            "report": label,
-            "degree": self.degree,
-            "radius": self.radius,
-            "pairs": self.pair_mode,
-            "pairs_checked": self.pairs_checked,
-            "sampling_seed": self.sampling_seed,
-            "max_lca_depth": self.max_lca_depth,
-            "best_single_C": frac(self.best_single_C),
-            "witness_x": self.witness and format_address(self.witness[0]),
-            "witness_y": self.witness and format_address(self.witness[1]),
-            "upper_mult": frac(self.upper_pair[0]),
-            "upper_add": frac(self.upper_pair[1]),
-            "lower_mult": frac(self.lower_pair[0]),
-            "lower_add": frac(self.lower_pair[1]),
-            "candidate_C": frac(self.candidate_C),
-            "coarse_surjectivity_radius": self.coarse_surjectivity_radius,
-            "target_radius": self.target_radius,
-            "order_preserving": self.order_preserving,
-            "order_witness": self.order_violation and format_address(self.order_violation),
-            "violations_total": self.violations_total,
-            "violations": [
-                {
-                    "x": format_address(v.x),
-                    "y": format_address(v.y),
-                    "kind": v.kind,
-                    "value": v.value,
-                    "at": None if v.at is None else format_address(v.at),
-                }
-                for v in self.violations
-            ],
-        }
+        return report.to_dict(self.report_fields(label))
 
 
 class FiniteTreeMap:
@@ -956,12 +925,20 @@ def verify_map(
         max_violations=max_violations,
         max_pairs=max_pairs,
     )
-    tr = m.domain_radius if target_radius is None else target_radius
-    rep.coarse_surjectivity_radius = coarse_surjectivity_radius(m, tr, budget)
-    rep.target_radius = tr
-    ok, wit = is_order_preserving(m)
-    rep.order_preserving = ok
-    rep.order_violation = wit
+    return finish_report(rep, m, target_radius, budget)
+
+
+def finish_report(
+    rep: VerificationReport,
+    m: FiniteTreeMap,
+    target_radius: int | None = None,
+    budget: int = DEFAULT_VERTEX_BUDGET,
+) -> VerificationReport:
+    """Fill in coarse surjectivity over the target ball (the domain radius by
+    default) and the order-preservation flag; returns `rep`."""
+    rep.target_radius = m.domain_radius if target_radius is None else target_radius
+    rep.coarse_surjectivity_radius = coarse_surjectivity_radius(m, rep.target_radius, budget)
+    rep.order_preserving, rep.order_violation = is_order_preserving(m)
     return rep
 
 

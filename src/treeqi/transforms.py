@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import report
 from .errors import PreconditionError, ValidationFailure
 from .mixed_builder import (
     BuildTrace,
@@ -77,21 +78,23 @@ class ConstantsBundle:
     D_used: int
     final_bound: Fraction
 
+    def report_fields(self) -> list:
+        return [
+            ("C", self.C, report.JSON),
+            ("K_normalize", self.K_normalize),
+            ("K_samedepth", self.K_samedepth),
+            ("D", self.D_used, report.TEXT),
+            ("bound", self.final_bound, report.TEXT),
+            ("D_guaranteed", self.D_guaranteed, report.JSON),
+            ("D_used", self.D_used, report.JSON),
+            ("final_bound", self.final_bound, report.JSON),
+        ]
+
     def to_line(self) -> str:
-        return (
-            f"K_normalize={self.K_normalize} K_samedepth={self.K_samedepth}"
-            f" D={self.D_used} bound={self.final_bound}"
-        )
+        return report.line(self.report_fields())
 
     def to_json_dict(self) -> dict:
-        return {
-            "C": str(self.C),
-            "K_normalize": str(self.K_normalize),
-            "K_samedepth": str(self.K_samedepth),
-            "D_guaranteed": self.D_guaranteed,
-            "D_used": self.D_used,
-            "final_bound": str(self.final_bound),
-        }
+        return report.to_dict(self.report_fields())
 
 
 def constants(C, D_override: int | None = None) -> ConstantsBundle:

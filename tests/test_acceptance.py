@@ -238,6 +238,15 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["distance", "--a", "m.qi", "--b", "mm.qi"],
         ["oracle", "--in", "mm.qi"],
     ]
+    # --json twins of the reports above pinned in one view only; a twin
+    # rewrites its text twin's files with the same bytes
+    invocations += [
+        [*args, "--json"]
+        for args in (
+            invocations[2],  # gen-mixed
+            *invocations[8:],  # verify-mixed .. oracle
+        )
+    ]
     # sha256 of each invocation's stdout and of each tracked file, pinned so
     # that an output change between versions fails here, not only a change
     # between two runs of one version
@@ -256,6 +265,13 @@ def test_criterion_9_cli_determinism(tmp_path):
         "5db7ede4d4639643b0d49be29363df2d9ae9402b9d677611cdc5f4ffae17084b",
         "6456287909198260c4308e1cdfb20a942bafa7b223e25a640010930215c85953",
         "d2ef4d8a3cd7ff0a92eb7495c02ca0b67b36ef7600c0be2b7f179fe76c4e76ff",
+        "27bc1f54fd48911f0113023487eb8106a94d76f5a646c2caed87882b7f0eb688",
+        "df3c74a4a09f29c59c6fec77125417ed0542b5dea0249860edd0e88938355838",
+        "d4b8c2ec8aedd7adeb311c3597c64a244fc4e2ec10544f78dd8ac3fad3b49388",
+        "a856d64cdc07299b391c6e623004e08f5d524cb20002fa74c91c782c617be3ac",
+        "510a09aecf3e862707a2167c10f18d131a51e9292e84c16a6d4fc30634f5afad",
+        "e9aa8fe3b52ca26b706df072b9b195398bce3f131d8f5d9b2ecb1aad1756e0bd",
+        "3c2e9b391fc1d43f745ae0fefbbb98c398786ac022e3282075df6b4ebb8f632e",
     ]
     file_sha256 = {
         "m.qi": "d523a647998b0421393b9070d948c7c01c836f2083fa35727f8876d53f21dc22",

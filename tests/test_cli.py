@@ -174,6 +174,17 @@ def test_approximate_validation_exit(tmp_path, capsys):
     assert code == 2
     assert "validation=fail kind=subtree-boundary" in out
     assert not out_path.exists()
+    # --json prints the failure as one object, never a key=value line
+    code, out, err = run_cli(
+        ["approximate", "--in", str(path), "--C", "2", "--D-override", "1",
+         "--out", str(out_path), "--json"],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: subtree-boundary")
+    assert json.loads(out) == {
+        "validation": "fail", "kind": "subtree-boundary", "level": 0, "class": ".",
+    }
+    assert not out_path.exists()
 
 
 def test_validation_failure_line_states_its_margin(tmp_path, capsys):
@@ -277,6 +288,10 @@ def test_usage_errors(tmp_path, capsys):
         ["approximate", "--in", str(m4), "--C", "1", "--D-override", "0", "--out", out],
         ["verify", "--in", str(m4), "--target-radius", "-1"],
         ["oracle", "--in", str(m4), "--target-radius", "-1"],
+        # file-system errors on the map files themselves
+        ["gen-mixed", "--degree", "3", "--D", "1", "--levels", "1",
+         "--out", str(tmp_path / "missing_dir" / "x.qi")],
+        ["verify", "--in", str(tmp_path)],
     ):
         code, stdout, err = run_cli(args, capsys)
         assert (code, stdout) == (1, ""), args
@@ -296,6 +311,16 @@ def test_budget_exit(tmp_path, capsys):
     over.write_text("tree-qi v1 degree=3 radius=30\nnot a line\n")
     code, _, err = run_cli(["verify", "--in", str(over)], capsys)
     assert code == 3 and "budget" in err
+    # a target ball past the budget is refused by verify and oracle alike
+    small = tmp_path / "id3.qi"
+    write_map_file(tq.identity_map(tq.TreeShape(3), 3), small)
+    for cmd in ("verify", "oracle"):
+        code, out, err = run_cli(
+            [cmd, "--in", str(small), "--target-radius", "12", "--max-vertices", "1000"],
+            capsys,
+        )
+        assert (code, out) == (3, ""), cmd
+        assert "budget" in err, cmd
 
 
 def test_sampled_pair_budget_exit(tmp_path, capsys):
