@@ -20,7 +20,6 @@ from .errors import BudgetExceededError, TreeQIError, ValidationFailure
 from .mixed_builder import MixedPolicy, build_mixed, verify_mixed_structure
 from .oracle import oracle_measure
 from .qi_map import (
-    DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_VIOLATIONS,
     PairSource,
     check_geodesic_image,
@@ -73,8 +72,6 @@ def _parse_pairs(text: str, seed: int) -> PairSource:
             count = int(text.removeprefix("sampled:"))
         except ValueError:
             raise UsageError(f"bad --pairs value {text!r}") from None
-        if count < 0:
-            raise UsageError("sample count must be >= 0")
         return PairSource.sampled(count, seed)
     raise UsageError(f"--pairs must be 'exhaustive' or 'sampled:<n>', got {text!r}")
 
@@ -124,7 +121,6 @@ def cmd_verify(args) -> int:
         source,
         candidate_C=candidate,
         target_radius=args.target_radius,
-        max_pairs=DEFAULT_MAX_PAIRS,
         budget=args.max_vertices,
     )
     if candidate is not None:

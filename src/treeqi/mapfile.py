@@ -13,12 +13,12 @@ ball is past the depth cap or the vertex budget before it reads any line,
 rejects duplicate sources, sources outside the ball, labels out of range
 for the header degree, and reports the first missing domain vertex by name.
 
-Both directions go through the ball's cached address index
-(`qi_map._address_index`): canonical text of a vertex of the ball maps
-straight to its ball position and back, so only other text (images deeper
-than the radius, non-canonical spellings, bad labels) is parsed and checked
-label by label.  The parser gathers each image's label row from the ball's
-own label matrix by position; the writer emits text by position.
+Both directions go through the text of the ball's cached layout
+(`qi_map._ball`): canonical text of a vertex of the ball maps straight to
+its ball position and back, so only other text (images deeper than the
+radius, non-canonical spellings, bad labels) is parsed and checked label by
+label.  The parser gathers each image's label row from the ball's own label
+matrix by position; the writer emits text by position.
 """
 
 from __future__ import annotations
@@ -29,20 +29,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap, _address_index, _domain_arrays, _pack
-from .tree_core import (
-    DEFAULT_VERTEX_BUDGET,
-    TreeShape,
-    checked_ball_size,
-    format_address,
-)
+from .qi_map import FiniteTreeMap, _ball, _pack
+from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape, checked_ball_size
 
 _MAGIC = "tree-qi"
 _VERSION = "v1"
 
 
 def _map_lines(m: FiniteTreeMap) -> Iterator[str]:
-    texts = _address_index(m.shape.degree, m.domain_radius).texts
+    texts = _ball(m.shape.degree, m.domain_radius).texts
     images = m._images(texts, lambda labels: ".".join(map(str, labels)))
     yield f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}\n"
     for source, image in zip(texts, images):
@@ -84,14 +79,15 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
         raise MapFormatError(f"radius must be >= 0, got {radius}", 1)
     shape = TreeShape(degree)
     size = checked_ball_size(shape, radius, budget)
-    index = _address_index(degree, radius)
+    ball = _ball(degree, radius)
+    locate = ball.locate
     images: list = [None] * size  # per source position: image position, or a deeper image
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise MapFormatError(f"expected 'source image', got {ln!r}", no)
         try:
-            src = index.locate(parts[0])
+            src = locate(parts[0])
         except TreeQIError as e:
             raise MapFormatError(f"bad source address: {e}", no) from None
         if not isinstance(src, int):
@@ -101,23 +97,22 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
         if images[src] is not None:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
         try:
-            images[src] = index.locate(parts[1])
+            images[src] = locate(parts[1])
         except TreeQIError as e:
             raise MapFormatError(f"bad image address: {e}", no) from None
     if len(lines) - 1 != size:  # every source is a distinct vertex of the ball
-        missing = index.verts[images.index(None)]
-        raise MapFormatError(f"missing domain vertex {format_address(missing)}")
-    return FiniteTreeMap._from_arrays(shape, radius, *_gather(degree, radius, images))
+        raise MapFormatError(f"missing domain vertex {ball.texts[images.index(None)]}")
+    return FiniteTreeMap._from_arrays(shape, radius, *_gather(ball, images))
 
 
-def _gather(degree: int, radius: int, images: list) -> tuple[np.ndarray, np.ndarray]:
-    """Label rows of images given as ball positions or as deeper addresses."""
-    dom_labels, dom_depths = _domain_arrays(degree, radius)
+def _gather(ball, images: list) -> tuple[np.ndarray, np.ndarray]:
+    """Label rows of images given as positions in `ball` (a `qi_map._ball`)
+    or as deeper addresses."""
     deep = [i for i, a in enumerate(images) if not isinstance(a, int)]
     at = np.fromiter((a if isinstance(a, int) else 0 for a in images), np.int64, len(images))
-    labels, depths = dom_labels[at], dom_depths[at]
+    labels, depths = ball.labels[at], ball.depths[at]
     if deep:
-        deep_labels, deep_depths = _pack([images[i] for i in deep], dom_labels.dtype)
+        deep_labels, deep_depths = _pack([images[i] for i in deep], labels.dtype)
         width = max(labels.shape[1], deep_labels.shape[1])
         labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
         labels[deep, : deep_labels.shape[1]] = deep_labels

@@ -15,6 +15,7 @@ checks the construction invariants exhaustively on the stored ball.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Iterable
 
 from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
-from .qi_map import FiniteTreeMap, _address_index, _AddressIndex
+from .qi_map import FiniteTreeMap, _ball
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     ROOT,
@@ -35,7 +36,7 @@ from .tree_core import (
     checked_ball_size,
     distance,
     format_address,
-    insort_address,
+    parse_address,
 )
 
 
@@ -70,18 +71,18 @@ class BuildTrace:
     policy: str
     classes: list[ClassTrace] = field(default_factory=list)
 
-    def _index(self) -> _AddressIndex:
-        """The address index of the ball the trace builds, or an empty one
-        when the header's ball is past the depth cap or the default budget."""
-        shape = TreeShape(self.degree)
+    def _layout(self):
+        """The cached layout (`qi_map._ball`) of the ball the trace builds,
+        or None when the header's ball is past the depth cap or the default
+        budget; addresses then go through format_address and parse_address."""
         try:
-            checked_ball_size(shape, self.step * self.levels)
+            return _ball(self.degree, self.step * self.levels)
         except (BudgetExceededError, ValueError):  # ValueError: negative radius
-            return _AddressIndex(shape, ())
-        return _address_index(self.degree, self.step * self.levels)
+            return None
 
     def to_text(self) -> str:
-        fmt = self._index().format
+        ball = self._layout()
+        fmt = ball.format if ball else format_address
 
         def join(vs) -> str:
             return "|".join(fmt(v) for v in vs)
@@ -124,7 +125,8 @@ class BuildTrace:
             )
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
-        addr = trace._index().parse
+        ball = trace._layout()
+        addr = ball.parse if ball else lambda text: parse_address(text, TreeShape(trace.degree))
 
         def addrs(text: str) -> tuple:
             return tuple(addr(p) for p in text.split("|"))
@@ -313,7 +315,7 @@ def grow_subtree(
                 pool.remove(w)
             members.add(w)
             for c in shape.children(w):
-                insort_address(pool, c)
+                bisect.insort(pool, c)
     return FiniteSubtree(members)
 
 

@@ -4,19 +4,27 @@ Everything here is plain Python over exact Fractions: pairwise distances are
 recomputed from scratch, the per-pair binding constant is re-derived with a
 bisection square root, and pairs are folded one at a time.  The fast
 ``measure_qi`` must agree with this module field for field; tests compare
-the two on small balls.  Intended for small balls only (all-pairs cost).
+the two on small balls.  Intended for small balls only: every pair is kept
+and folded in Python, so a ball with more than MAX_PAIRS pairs is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import BudgetExceededError
 from .qi_map import (
     SQRT_SCALE,
     FiniteTreeMap,
     VerificationReport,
     Violation,
 )
+
+# Every pair is folded in Python (about 40 microseconds each on a 2-core VM)
+# and kept in memory until the fold ends, so this bound keeps a run under a
+# minute: the degree-3 ball of radius 8 has 292,995 pairs, of radius 9
+# 1,175,811.
+MAX_PAIRS = 10**6
 
 
 def _dist(u, v) -> int:
@@ -60,8 +68,12 @@ def oracle_measure(
     """Exhaustive reference version of measure_qi."""
     cand = None if candidate_C is None else Fraction(candidate_C)
     verts = m.domain
-    t = m.table
     n = len(verts)
+    if n * (n - 1) // 2 > MAX_PAIRS:
+        raise BudgetExceededError(
+            f"{n * (n - 1) // 2} vertex pairs exceed the oracle's pair budget {MAX_PAIRS}"
+        )
+    t = m.table
 
     best = Fraction(1)
     witness = None

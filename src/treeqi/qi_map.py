@@ -2,14 +2,18 @@
 
 A map is defined on the ball of a given radius about the root and holds its
 images as label arrays in ball (address) order; images may be any valid
-addresses, arbitrarily deep.  Whole-map operations (comparison,
-composition, sup distance, the ancestry check) run on those arrays; the
+addresses, arbitrarily deep.  One cached `_Ball` per degree and radius owns
+that order: its label rows, the position arithmetic of children, parents
+and addresses, its vertex tuples and its canonical text, which the map
+files read too.  Whole-map operations (comparison, composition, sup
+distance, the ancestry check, coarse surjectivity) run on the arrays; the
 dict view `FiniteTreeMap.table` serves the code that walks tuples.
-Verification
-measures the best single quasi-isometry constant exactly: every distance is
-an integer, the per-pair binding constant is solved in closed form, and the
-one irrational case (the square root from the lower bound) is rounded up to
-the nearest 1/10^6, so reports are deterministic rationals.
+
+Verification measures the best single quasi-isometry constant exactly:
+every distance is an integer, the per-pair binding constant is solved in
+closed form, and the one irrational case (the square root from the lower
+bound) is rounded up to the nearest 1/10^6, so reports are deterministic
+rationals.
 
 Pair sets may be scanned exhaustively or sampled without replacement from a
 seeded generator.  Either way pairs are processed in canonical (row-major
@@ -45,7 +49,7 @@ from .tree_core import (
     ROOT,
     TreeShape,
     Vertex,
-    ball,
+    ball_size,
     checked_ball_size,
     format_address,
     geodesic,
@@ -61,73 +65,6 @@ DEFAULT_MAX_PAIRS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 1000
 
 _FAR = 1 << 20  # beyond any distance in the tree's depth cap
-
-
-@lru_cache(maxsize=64)
-def _cached_ball(degree: int, radius: int) -> tuple:
-    return tuple(ball(TreeShape(degree), radius))
-
-
-class _AddressIndex:
-    """The canonical dotted text of every vertex of one cached ball, both ways.
-
-    `texts[p]` is the text of the vertex at ball position p and `position`
-    maps it back; the vertices are `_cached_ball`'s own tuples, so an address
-    read through the index shares them.  Canonical text of an address deeper
-    than the radius is read as a ball vertex's text plus further labels.
-    Other text (a spelling such as '01.1', a bad label) goes through
-    `parse_address` and its checks; a vertex the index lacks is formatted
-    afresh.
-    """
-
-    __slots__ = ("shape", "radius", "verts", "texts", "position", "text")
-
-    def __init__(self, shape: TreeShape, verts: tuple):
-        self.shape = shape
-        self.radius = len(verts[-1]) if verts else -1
-        # verts is in address order, which is preorder: the latest vertex
-        # seen one level up is the parent, so each text extends its parent's
-        texts = []
-        latest: dict[int, str] = {}
-        for v in verts:
-            d = len(v)
-            t = "." if d == 0 else str(v[0]) if d == 1 else f"{latest[d - 1]}.{v[-1]}"
-            latest[d] = t
-            texts.append(t)
-        self.verts = verts
-        self.texts = texts
-        self.position = {t: p for p, t in enumerate(texts)}
-        self.text = dict(zip(verts, texts))
-
-    def locate(self, text: str) -> int | Vertex:
-        """The ball position of the address in any spelling, or the parsed
-        address itself when it lies outside the ball."""
-        p = self.position.get(text)
-        if p is not None:
-            return p
-        # canonical text deeper than the ball starts with a ball vertex's text
-        extra = text.count(".") + 1 - self.radius
-        if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
-            head, *tail = text.rsplit(".", extra)
-            p = self.position.get(head)
-            if p is not None and text.isascii() and all(map(str.isdigit, tail)):
-                labels = tuple(map(int, tail))
-                if max(labels) < self.shape.degree - 1:
-                    return self.verts[p] + labels
-        v = parse_address(text, self.shape)
-        return self.position[format_address(v)] if len(v) <= self.radius else v
-
-    def parse(self, text: str) -> Vertex:
-        p = self.locate(text)
-        return self.verts[p] if isinstance(p, int) else p
-
-    def format(self, v: Vertex) -> str:
-        return self.text.get(v) or format_address(v)
-
-
-@lru_cache(maxsize=64)
-def _address_index(degree: int, radius: int) -> _AddressIndex:
-    return _AddressIndex(TreeShape(degree), _cached_ball(degree, radius))
 
 
 def _label_dtype(degree: int) -> np.dtype:
@@ -157,49 +94,136 @@ def _check_rows(shape: TreeShape, labels: np.ndarray, depths: np.ndarray, image)
         validate_address(image(int(bad.argmax())), shape)
 
 
-@lru_cache(maxsize=16)
-def _domain_arrays(degree: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ball's own addresses as (labels, depths), in ball order, built
-    level by level at the children's closed-form positions."""
-    n = checked_ball_size(TreeShape(degree), radius)
-    sizes = _subtree_sizes(degree, radius)
-    labels = np.full((n, max(1, radius)), -1, _label_dtype(degree))
-    depths = np.zeros(n, np.int16)
-    at = np.zeros(1, np.int64)
-    for t in range(radius):
-        k = degree if t == 0 else degree - 1
-        kids = (at[:, None] + 1 + np.arange(k) * sizes[t]).ravel()
-        labels[kids, :t] = np.repeat(labels[at, :t], k, axis=0)
-        labels[kids, t] = np.tile(np.arange(k), len(at))
-        depths[kids] = t + 1
-        at = kids
-    labels.flags.writeable = depths.flags.writeable = False
-    return labels, depths
+class _Ball:
+    """The ball of one radius about the root, laid out in preorder, which is
+    address order; every map is a self-map of one such ball.
+
+    `labels` (rows padded with -1), `depths`, `parents` and the positions of
+    each depth (`levels`) come from one walk down the levels.  `sizes[k]`
+    counts the vertices of the ball at and below one vertex of depth k + 1,
+    so the children of a depth-k vertex at position p sit at
+    p + 1 + a * sizes[k] for label a (`children`), and an address
+    (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
+    (`positions`).  The vertex tuples, the prefix index, the ancestor table
+    and the canonical text of every vertex are built on first use.
+    """
+
+    def __init__(self, degree: int, radius: int):
+        self.shape = TreeShape(degree)
+        self.radius = radius
+        n = ball_size(self.shape, radius)
+        q = degree - 1
+        self.sizes = np.array([(q ** (radius - k) - 1) // (q - 1) for k in range(radius)], np.int64)
+        self.labels = np.full((n, max(1, radius)), -1, _label_dtype(degree))
+        self.depths = np.zeros(n, np.int16)
+        self.parents = np.zeros(n, np.int64)
+        self.levels = [np.zeros(1, np.int64)]
+        for t in range(radius):
+            at = self.levels[t]
+            kids = self.children(at, t)
+            self.labels[kids, :t] = self.labels[at, None, :t]
+            self.labels[kids, t] = np.arange(kids.shape[1])
+            self.depths[kids] = t + 1
+            self.parents[kids] = at[:, None]
+            self.levels.append(kids.ravel())
+        self.labels.flags.writeable = self.depths.flags.writeable = False
+
+    def children(self, at: np.ndarray, t: int) -> np.ndarray:
+        """Positions of the children of the depth-t vertices at `at`, one row each."""
+        k = self.shape.degree if t == 0 else self.shape.degree - 1
+        return at[:, None] + 1 + np.arange(k) * self.sizes[t]
+
+    def positions(self, labels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        """Position of each address row (its first depths[i] labels); -1 for
+        rows deeper than the radius."""
+        w = min(labels.shape[1], self.radius)
+        offsets = np.maximum(labels[:, :w], 0).astype(np.int64) @ self.sizes[:w]
+        return np.where(depths <= self.radius, depths + offsets, -1)
+
+    def rows(self, r: int) -> np.ndarray | slice:
+        """Positions of the ball of radius r <= radius, in its own order."""
+        return slice(None) if r == self.radius else np.flatnonzero(self.depths <= r)
+
+    def _down(self, root, extend) -> list:
+        """`root` at position 0, then extend(entry of the parent, own last
+        label) at each later position; preorder puts every parent first."""
+        out = [root] * len(self.depths)
+        last = self.labels[np.arange(len(out)), self.depths - 1].tolist()
+        for p, q in enumerate(self.parents[1:].tolist(), 1):
+            out[p] = extend(out[q], last[p])
+        return out
+
+    @cached_property
+    def verts(self) -> tuple:
+        return tuple(self._down(ROOT, lambda v, a: v + (a,)))
+
+    @cached_property
+    def prefix_index(self) -> _PrefixIndex:
+        return _PrefixIndex(self.labels, self.depths, presorted=True)
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        """ancestors[i, k]: position of vertex i's ancestor at depth k <= depth(i).
+
+        In preorder that ancestor is the last vertex of depth k at or before i.
+        """
+        idx = np.arange(len(self.depths), dtype=np.int32)
+        out = np.empty((len(self.depths), self.radius + 1), np.int32)
+        for k in range(self.radius + 1):
+            out[:, k] = np.maximum.accumulate(np.where(self.depths == k, idx, 0))
+        return out
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """The canonical dotted text of each vertex."""
+        return self._down(".", lambda t, a: f"{t}.{a}" if t != "." else str(a))
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {t: p for p, t in enumerate(self.texts)}
+
+    @cached_property
+    def _text(self) -> dict:
+        return dict(zip(self.verts, self.texts))
+
+    def locate(self, text: str) -> int | Vertex:
+        """The ball position of the address in any spelling, or the parsed
+        address itself when it lies outside the ball.
+
+        Canonical text of a vertex is one dict lookup, and canonical text of
+        an address deeper than the radius is read as a ball vertex's text
+        plus further labels.  Other text (a spelling such as '01.1', a bad
+        label) goes through `parse_address` and its checks.
+        """
+        p = self._position.get(text)
+        if p is not None:
+            return p
+        extra = text.count(".") + 1 - self.radius
+        if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
+            head, *tail = text.rsplit(".", extra)
+            p = self._position.get(head)
+            if p is not None and text.isascii() and all(map(str.isdigit, tail)):
+                labels = tuple(map(int, tail))
+                if max(labels) < self.shape.degree - 1:
+                    return self.verts[p] + labels
+        v = parse_address(text, self.shape)
+        return self._position[format_address(v)] if len(v) <= self.radius else v
+
+    def parse(self, text: str) -> Vertex:
+        """The address in any spelling, as the ball's own tuple when inside it."""
+        p = self.locate(text)
+        return self.verts[p] if isinstance(p, int) else p
+
+    def format(self, v: Vertex) -> str:
+        return self._text.get(v) or format_address(v)
 
 
-@lru_cache(maxsize=16)
-def _subtree_sizes(degree: int, radius: int) -> np.ndarray:
-    """sizes[k]: vertices of the ball below (and at) one vertex of depth k + 1.
-
-    In preorder the children of a depth-k vertex at position p sit at
-    p + 1 + a * sizes[k] for label a, so an address (a_0 .. a_{m-1}) of the
-    ball sits at m + sum a_k * sizes[k]."""
-    q = degree - 1
-    return np.array([(q ** (radius - k) - 1) // (q - 1) for k in range(radius)], np.int64)
-
-
-def _ball_positions(labels: np.ndarray, depths: np.ndarray, degree: int, radius: int) -> np.ndarray:
-    """Position in the ball of radius `radius` of each row; -1 for rows deeper."""
-    w = min(labels.shape[1], radius)
-    offsets = np.maximum(labels[:, :w], 0).astype(np.int64) @ _subtree_sizes(degree, radius)[:w]
-    return np.where(depths <= radius, depths + offsets, -1)
-
-
-def _ball_rows(degree: int, r: int, radius: int) -> np.ndarray | slice:
-    """Positions in the ball of radius `radius` of the ball of radius r <= radius."""
-    if r == radius:
-        return slice(None)
-    return _ball_positions(*_domain_arrays(degree, r), degree, radius)
+@lru_cache(maxsize=32)
+def _ball(degree: int, radius: int) -> _Ball:
+    """The one cached layout of each ball; refuses a ball past the depth cap
+    or the default vertex budget."""
+    checked_ball_size(TreeShape(degree), radius)
+    return _Ball(degree, radius)
 
 
 def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,25 +293,6 @@ class _PrefixIndex:
             down = (lo >= w) & (row[np.maximum(lo - w, 0)] >= d)
             lo -= w * down
         return lo, hi
-
-
-@lru_cache(maxsize=16)
-def _domain_index(degree: int, radius: int) -> _PrefixIndex:
-    return _PrefixIndex(*_domain_arrays(degree, radius), presorted=True)
-
-
-@lru_cache(maxsize=16)
-def _domain_ancestors(degree: int, radius: int) -> np.ndarray:
-    """ancestors[i, k]: index of vertex i's ancestor at depth k <= depth(i).
-
-    In preorder that ancestor is the last vertex of depth k at or before i.
-    """
-    depths = _domain_arrays(degree, radius)[1]
-    idx = np.arange(len(depths), dtype=np.int32)
-    out = np.empty((len(depths), radius + 1), np.int32)
-    for k in range(radius + 1):
-        out[:, k] = np.maximum.accumulate(np.where(depths == k, idx, 0))
-    return out
 
 
 # Pairs are evaluated in blocks of at most this many items (pairs, or pair
@@ -488,13 +493,13 @@ class FiniteTreeMap:
     is the image of the i-th domain vertex, padded with -1, and `depths[i]`
     its depth; images are any valid addresses.  `FiniteTreeMap(shape,
     radius, table)` packs a dict that is total on the ball and has no other
-    entries, and keeps a read-only copy as `table`; maps made from arrays
-    build `table` on first use, with the ball's own tuples for images inside
-    the ball.  Instances are immutable after construction.
+    entries.  `table` is built on first use from the arrays, with the ball's
+    own tuples for images inside the ball.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, shape: TreeShape, domain_radius: int, table: dict):
-        dom = _cached_ball(shape.degree, domain_radius)
+        dom = _ball(shape.degree, domain_radius).verts
         try:
             images = [table[v] for v in dom]
         except KeyError:
@@ -516,7 +521,6 @@ class FiniteTreeMap:
                 validate_address(w, shape)
         _check_rows(shape, labels, depths, images.__getitem__)
         self._init(shape, domain_radius, labels, depths)
-        self.table = MappingProxyType(dict(table))  # later edits of `table` cannot reach the map
 
     @classmethod
     def _from_arrays(
@@ -538,12 +542,12 @@ class FiniteTreeMap:
     @property
     def domain(self) -> tuple:
         """Domain vertices in address order."""
-        return _cached_ball(self.shape.degree, self.domain_radius)
+        return _ball(self.shape.degree, self.domain_radius).verts
 
     def _images(self, inside: list, deep=tuple) -> list:
         """The images in domain order: inside[p] for the ball vertex at
         position p, deep(labels) for an image deeper than the radius."""
-        positions = _ball_positions(self.labels, self.depths, self.shape.degree, self.domain_radius)
+        positions = _ball(self.shape.degree, self.domain_radius).positions(self.labels, self.depths)
         images = [inside[p] for p in positions.tolist()]
         rows = np.flatnonzero(positions < 0)
         depths = self.depths[rows].tolist()
@@ -599,7 +603,7 @@ def evaluate(m: FiniteTreeMap, v: Vertex) -> Vertex:
 
 
 def map_from_function(shape: TreeShape, radius: int, fn: Callable[[Vertex], Vertex]) -> FiniteTreeMap:
-    return FiniteTreeMap(shape, radius, {v: fn(v) for v in ball(shape, radius)})
+    return FiniteTreeMap(shape, radius, {v: fn(v) for v in _ball(shape.degree, radius).verts})
 
 
 def identity_map(shape: TreeShape, radius: int) -> FiniteTreeMap:
@@ -645,26 +649,25 @@ def random_automorphism_map(shape: TreeShape, radius: int, seed: int) -> FiniteT
     depth-t ancestor gives v's own label there."""
     rng = random.Random(seed)
     degree = shape.degree
-    dom_labels, depths = _domain_arrays(degree, radius)
-    inner = np.flatnonzero(depths < radius)
+    b = _ball(degree, radius)
+    inner = np.flatnonzero(b.depths < radius)
     perms = np.zeros((len(inner), degree), np.int64)  # row r: the permutation at inner[r]
     for r, p in enumerate(inner.tolist()):
         perm = list(range(degree if p == 0 else degree - 1))
         rng.shuffle(perm)
         perms[r, : len(perm)] = perm
-    ancestors = _domain_ancestors(degree, radius)
-    labels = np.full(dom_labels.shape, -1, dom_labels.dtype)
-    for t in range(radius):
-        below = np.flatnonzero(depths > t)
-        at = np.searchsorted(inner, ancestors[below, t])
-        labels[below, t] = perms[at, dom_labels[below, t]]
-    return FiniteTreeMap._from_arrays(shape, radius, labels, depths)
+    labels = np.full(b.labels.shape, -1, b.labels.dtype)
+    for t, at in enumerate(b.levels[:radius]):
+        kids = b.children(at, t)
+        labels[kids, :t] = labels[at, None, :t]
+        labels[kids, t] = perms[np.searchsorted(inner, at), : kids.shape[1]]
+    return FiniteTreeMap._from_arrays(shape, radius, labels, b.depths)
 
 
 def random_map(shape: TreeShape, radius: int, seed: int, *, fix_root: bool = False) -> FiniteTreeMap:
     """Arbitrary (generally non-embedding) map with images drawn from the ball."""
     rng = random.Random(seed)
-    verts = ball(shape, radius)
+    verts = _ball(shape.degree, radius).verts
     table = {v: verts[rng.randrange(len(verts))] for v in verts}
     if fix_root:
         table[ROOT] = ROOT
@@ -709,16 +712,13 @@ def is_order_preserving(m: FiniteTreeMap) -> tuple[bool, Vertex | None]:
 
     Returns the shallowest (then address-least) violating vertex otherwise.
     """
-    degree, radius = m.shape.degree, m.domain_radius
-    dom_labels, dom_depths = _domain_arrays(degree, radius)
-    kids = np.arange(1, len(dom_depths))
-    up = dom_depths[1:] - 1  # the parent's depth: child a sits a subtrees past it
-    parents = kids - 1 - dom_labels[kids, up] * _subtree_sizes(degree, radius)[up]
+    b = _ball(m.shape.degree, m.domain_radius)
+    parents = b.parents[1:]
     ok = _prefix_len(m.labels[1:], m.labels[parents]) == m.depths[parents]
     if ok.all():
         return True, None
-    bad = kids[~ok]
-    return False, m.domain[bad[np.argmin(dom_depths[bad])]]
+    bad = np.flatnonzero(~ok) + 1
+    return False, b.verts[bad[np.argmin(b.depths[bad])]]
 
 
 def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
@@ -728,8 +728,8 @@ def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
             f"cannot compare maps of degrees {m1.shape.degree} and {m2.shape.degree}"
         )
     r = min(m1.domain_radius, m2.domain_radius)
-    rows1 = _ball_rows(m1.shape.degree, r, m1.domain_radius)
-    rows2 = _ball_rows(m1.shape.degree, r, m2.domain_radius)
+    rows1 = _ball(m1.shape.degree, m1.domain_radius).rows(r)
+    rows2 = _ball(m1.shape.degree, m2.domain_radius).rows(r)
     plen = _prefix_len(m1.labels[rows1], m2.labels[rows2])
     return int((m1.depths[rows1] + m2.depths[rows2] - 2 * plen).max())
 
@@ -743,15 +743,15 @@ def compose(outer: FiniteTreeMap, inner: FiniteTreeMap) -> FiniteTreeMap:
     """
     if outer.shape != inner.shape:
         raise ShapeMismatchError("composed maps must share a degree")
-    degree = inner.shape.degree
-    leaving = _domain_arrays(degree, inner.domain_radius)[1][inner.depths > outer.domain_radius]
+    b = _ball(inner.shape.degree, inner.domain_radius)
+    leaving = b.depths[inner.depths > outer.domain_radius]
     eff = int(leaving.min(initial=inner.domain_radius + 1)) - 1
     if eff < 0:
         raise MapDomainError(
             "empty effective domain: the root's inner image leaves the outer ball"
         )
-    rows = _ball_rows(degree, eff, inner.domain_radius)
-    at = _ball_positions(inner.labels[rows], inner.depths[rows], degree, outer.domain_radius)
+    rows = b.rows(eff)
+    at = _ball(b.shape.degree, outer.domain_radius).positions(inner.labels[rows], inner.depths[rows])
     return FiniteTreeMap._from_arrays(inner.shape, eff, outer.labels[at], outer.depths[at])
 
 
@@ -760,33 +760,30 @@ def coarse_surjectivity_radius(
 ) -> int:
     """Max over the target ball of the distance to the nearest image point.
 
-    For each target y and each ancestor prefix p of y that some image point
-    extends, the distance to the closest image below p is depth(y) + (min
-    image depth below p) - 2*depth(p); minimizing over p is exact because the
-    true nearest image point realizes it at p = lca(y, image).
+    A pass up the levels gives each target vertex y the depth of the
+    shallowest image at or below it (an image deeper than the target radius
+    counts at its ancestor on the last level); that depth minus depth(y) is
+    the distance to the nearest image below y.  Any other image is reached
+    through y's parent, so a pass down takes the minimum of that distance
+    and the parent's distance + 1.
     """
     if target_radius < 0:
         raise ValueError("target radius must be >= 0")
-    min_depth_below: dict = {}
-    for w in m.table.values():
-        dw = len(w)
-        for k in range(dw + 1):
-            p = w[:k]
-            cur = min_depth_below.get(p)
-            if cur is None or dw < cur:
-                min_depth_below[p] = dw
-    worst = 0
-    for y in ball(m.shape, target_radius, budget):
-        dy = len(y)
-        best = None
-        for k in range(dy + 1):
-            md = min_depth_below.get(y[:k])
-            if md is not None:
-                cand = dy + md - 2 * k
-                if best is None or cand < best:
-                    best = cand
-        worst = max(worst, best)
-    return worst
+    if checked_ball_size(m.shape, target_radius, budget) > DEFAULT_VERTEX_BUDGET:
+        # admitted only by a raised budget: built for this call, not cached
+        b = _Ball(m.shape.degree, target_radius)
+    else:
+        b = _ball(m.shape.degree, target_radius)
+    dist = np.full(len(b.depths), _FAR, np.int64)
+    np.minimum.at(dist, b.positions(m.labels, np.minimum(m.depths, target_radius)), m.depths)
+    for t in range(target_radius - 1, -1, -1):
+        at = b.levels[t]
+        dist[at] = np.minimum(dist[at], dist[b.children(at, t)].min(axis=1))
+    dist -= b.depths
+    for t, at in enumerate(b.levels[:target_radius]):
+        kids = b.children(at, t)
+        dist[kids] = np.minimum(dist[kids], dist[at, None] + 1)
+    return int(dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +832,7 @@ def measure_qi(
     if cand is not None and cand < 1:
         raise ValueError("candidate C must be >= 1")
     verts = m.domain
-    dom = _domain_index(m.shape.degree, m.domain_radius)
+    dom = _ball(m.shape.degree, m.domain_radius).prefix_index
     img = m._image_index
     kinds = None
     if cand is not None:
@@ -968,8 +965,8 @@ def check_geodesic_image(
     thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
     verts = m.domain
     R = m.domain_radius
-    dom = _domain_index(m.shape.degree, R)
-    anc = _domain_ancestors(m.shape.degree, R)
+    b = _ball(m.shape.degree, R)
+    dom, anc = b.prefix_index, b.ancestors
     img = m._image_index
     steps = np.arange(2 * R + 1, dtype=np.int32)
     width = 2 * max(R, int(img.depths.max())) + 1
@@ -1032,7 +1029,7 @@ def check_same_depth(
     thr = K.numerator // K.denominator  # an integer distance exceeds K iff > thr
     verts = m.domain
     n = len(verts)
-    dom = _domain_index(m.shape.degree, m.domain_radius)
+    dom = _ball(m.shape.degree, m.domain_radius).prefix_index
     img = m._image_index
     ext_lo, ext_hi = img.extension_ranks(np.arange(n))
     violations = ViolationList()

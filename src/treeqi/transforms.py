@@ -40,9 +40,8 @@ from .qi_map import (
     EXHAUSTIVE,
     FiniteTreeMap,
     PairSource,
-    _domain_arrays,
+    _ball,
     _prefix_len,
-    _subtree_sizes,
     is_order_preserving,
     measure_qi,
     sup_distance,
@@ -187,17 +186,14 @@ def _normalize_fold(f: FiniteTreeMap) -> FiniteTreeMap:
     stored subtree, one depth level at a time from the deepest up.
 
     That prefix has length acc(v) = min(depth f(v), min over children c of
-    min(cpl(f(v), f(c)), acc(c))), cpl being the common-prefix length; in
-    preorder the children of a depth-t vertex at position p sit at
-    p + 1 + a * sizes[t] for each child label a.
+    min(cpl(f(v), f(c)), acc(c))), cpl being the common-prefix length.
     """
-    degree, radius = f.shape.degree, f.domain_radius
-    dom_depths = _domain_arrays(degree, radius)[1]
-    sizes = _subtree_sizes(degree, radius)
+    radius = f.domain_radius
+    b = _ball(f.shape.degree, radius)
     acc = f.depths.copy()
     for t in range(radius - 1, -1, -1):
-        at = np.flatnonzero(dom_depths == t)
-        kids = at[:, None] + 1 + np.arange(degree if t == 0 else degree - 1) * sizes[t]
+        at = b.levels[t]
+        kids = b.children(at, t)
         cpl = _prefix_len(f.labels[at][:, None, :], f.labels[kids])
         acc[at] = np.minimum(acc[at], np.minimum(cpl, acc[kids]).min(axis=1))
     labels = np.where(np.arange(f.labels.shape[1]) < acc[:, None], f.labels, -1)

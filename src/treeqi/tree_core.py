@@ -13,7 +13,6 @@ function over immutable values and safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -111,7 +110,9 @@ def d_children_count(v: Vertex, dist_down: int, shape: TreeShape) -> int:
 
 def _frontiers(v: Vertex, dist_down: int, shape: TreeShape) -> list[list[Vertex]]:
     """The descendants of v at distance 1, 2, .., dist_down: one list per
-    distance, each in address order.  This is the package's one tree walk."""
+    distance, each in address order.  The tuple walk behind `ball`,
+    `d_children` and the construction's class walk; the cached ball layout
+    in `qi_map` walks the same levels as arrays."""
     out: list[list[Vertex]] = []
     frontier = [v]
     for _ in range(dist_down):
@@ -257,8 +258,3 @@ def boundary(subtree: FiniteSubtree, shape: TreeShape) -> list[Vertex]:
                 out.append(c)
     out.sort()
     return out
-
-
-def insort_address(sorted_list: list[Vertex], v: Vertex) -> None:
-    """Insert v into an address-sorted list, keeping it sorted."""
-    bisect.insort(sorted_list, v)

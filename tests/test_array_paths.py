@@ -2,10 +2,11 @@
 
 Each reference below is the tuple-by-tuple implementation the label-array
 version replaced, kept verbatim in spirit: the table validation,
-`sup_distance`, `is_order_preserving` with its witness, `compose` and the
-normalization fold.  Bounded properties compare fast and reference results,
-errors included, on identity, automorphism, perturbed (images deeper than
-the radius), random non-root-fixing, constant and mixed maps.
+`sup_distance`, `is_order_preserving` with its witness, `compose`, the
+normalization fold and `coarse_surjectivity_radius`.  Bounded properties
+compare fast and reference results, errors included, on identity,
+automorphism, perturbed (images deeper than the radius), random
+non-root-fixing, constant and mixed maps.
 """
 
 import numpy as np
@@ -18,7 +19,14 @@ from treeqi import ROOT, FiniteTreeMap, MixedPolicy, TreeShape, ball
 from treeqi.errors import MapDomainError, ShapeMismatchError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text
 from treeqi.transforms import _normalize_fold
-from treeqi.tree_core import distance, format_address, lca_pair, validate_address
+from treeqi.tree_core import (
+    DEFAULT_VERTEX_BUDGET,
+    ball_size,
+    distance,
+    format_address,
+    lca_pair,
+    validate_address,
+)
 
 NET = settings(max_examples=60, deadline=None)
 
@@ -81,6 +89,33 @@ def _reference_normalize_fold(f):
                 acc = lca_pair(acc, table[c])
         table[v] = acc
     return FiniteTreeMap(f.shape, f.domain_radius, table)
+
+
+def _reference_coarse_surjectivity(m, target_radius, budget=DEFAULT_VERTEX_BUDGET):
+    """The tuple version: for each target y and each ancestor prefix p of y
+    that some image extends, depth(y) + (min image depth below p) - 2*depth(p)."""
+    if target_radius < 0:
+        raise ValueError("target radius must be >= 0")
+    min_depth_below: dict = {}
+    for w in m.table.values():
+        dw = len(w)
+        for k in range(dw + 1):
+            p = w[:k]
+            cur = min_depth_below.get(p)
+            if cur is None or dw < cur:
+                min_depth_below[p] = dw
+    worst = 0
+    for y in ball(m.shape, target_radius, budget):
+        dy = len(y)
+        best = None
+        for k in range(dy + 1):
+            md = min_depth_below.get(y[:k])
+            if md is not None:
+                cand = dy + md - 2 * k
+                if best is None or cand < best:
+                    best = cand
+        worst = max(worst, best)
+    return worst
 
 
 KINDS = ("identity", "automorphism", "perturbed", "random", "constant", "mixed")
@@ -167,6 +202,32 @@ def test_normalization_fold_matches_reference(m):
     got = _normalize_fold(m)
     assert got == want and got.table == want.table
     assert dump_map_text(got) == dump_map_text(want)
+
+
+@NET
+@given(family_maps(), st.data())
+def test_coarse_surjectivity_matches_reference(m, data):
+    r = m.domain_radius
+    for target in sorted({0, max(r - 1, 0), r, r + 1, r + 3}):
+        size = ball_size(m.shape, target)
+        budget = data.draw(st.sampled_from([DEFAULT_VERTEX_BUDGET, size, size - 1]))
+        out = _outcomes(
+            lambda: tq.coarse_surjectivity_radius(m, target, budget),
+            lambda: _reference_coarse_surjectivity(m, target, budget),
+        )
+        assert out is None or out[0] == out[1], target
+
+
+def test_coarse_surjectivity_honors_a_raised_budget(monkeypatch):
+    # a target ball past the default vertex budget, admitted by the caller's
+    # larger budget, is built for the call and kept out of the ball cache
+    monkeypatch.setattr(tq.qi_map, "DEFAULT_VERTEX_BUDGET", 50)
+    m = tq.perturb_map_in_subtree(tq.random_automorphism_map(TreeShape(3), 3, 1), 2)
+    for target in (4, 6):  # 46 and 190 vertices
+        calls = sum(tq.qi_map._ball.cache_info()[:2])
+        got = tq.coarse_surjectivity_radius(m, target, 200)
+        assert got == _reference_coarse_surjectivity(m, target, 200)
+        assert (sum(tq.qi_map._ball.cache_info()[:2]) == calls) == (target == 6)
 
 
 def _mutations(rnd, shape, radius, table):

@@ -297,6 +297,8 @@ def test_usage_errors(tmp_path, capsys):
         assert (code, stdout) == (1, ""), args
         assert err.startswith("error: ") and err.count("\n") == 1, args
     assert not (tmp_path / "x.qi").exists()
+    code, stdout, err = run_cli(["verify", "--in", str(m4), "--pairs", "sampled:-1"], capsys)
+    assert (code, stdout, err) == (1, "", "error: sample count must be >= 0\n")
 
 
 def test_budget_exit(tmp_path, capsys):
@@ -321,6 +323,13 @@ def test_budget_exit(tmp_path, capsys):
         )
         assert (code, out) == (3, ""), cmd
         assert "budget" in err, cmd
+    # the oracle keeps every pair, so radius 9 (1,175,811 pairs) is refused
+    # before its first pair
+    r9 = tmp_path / "id9.qi"
+    write_map_file(tq.identity_map(tq.TreeShape(3), 9), r9)
+    code, out, err = run_cli(["oracle", "--in", str(r9)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: 1175811 vertex pairs exceed the oracle's pair budget 1000000\n"
 
 
 def test_sampled_pair_budget_exit(tmp_path, capsys):

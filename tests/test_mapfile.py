@@ -7,7 +7,7 @@ from treeqi import MixedPolicy, TreeShape
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
 from treeqi.mixed_builder import BuildTrace
-from treeqi.qi_map import FiniteTreeMap, _address_index
+from treeqi.qi_map import FiniteTreeMap, _ball
 from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball, format_address, parse_address
 
 D3 = TreeShape(3)
@@ -169,7 +169,7 @@ def test_non_ascii_digit_label():
 
 
 def test_budget_checked_before_any_line():
-    misses = _address_index.cache_info().misses
+    misses = _ball.cache_info().misses
     with pytest.raises(BudgetExceededError) as err:
         parse_map_text("tree-qi v1 degree=3 radius=30\nnot a line\n")
     assert not isinstance(err.value, DepthLimitError)
@@ -177,7 +177,7 @@ def test_budget_checked_before_any_line():
         parse_map_text("tree-qi v1 degree=3 radius=65\nnot a line\n")
     with pytest.raises(BudgetExceededError):
         parse_map_text("tree-qi v1 degree=3 radius=3\nnot a line\n", budget=21)
-    assert _address_index.cache_info().misses == misses
+    assert _ball.cache_info().misses == misses
 
 
 def _respell(line: str) -> str:
@@ -250,7 +250,7 @@ def test_parser_matches_reference():
 
 def test_parsed_map_shares_the_ball_tuples():
     m = parse_map_text(dump_map_text(tq.random_automorphism_map(D3, 3, 1)))
-    ball_tuples = {id(v) for v in tq.qi_map._cached_ball(3, 3)}
+    ball_tuples = {id(v) for v in tq.qi_map._ball(3, 3).verts}
     assert all(id(v) in ball_tuples and id(w) in ball_tuples for v, w in m.table.items())
 
 

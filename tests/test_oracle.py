@@ -1,8 +1,10 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import treeqi as tq
-from treeqi import TreeShape
+from treeqi import TreeShape, oracle
 from treeqi.oracle import oracle_measure
 
 D3 = TreeShape(3)
@@ -35,3 +37,27 @@ def test_oracle_matches_on_structured_maps():
     ]
     for m in maps:
         assert oracle_measure(m).measurement_fields() == tq.measure_qi(m).measurement_fields()
+
+
+def test_oracle_stays_independent_of_the_fast_path():
+    """oracle.py imports neither numpy nor any private helper, and reads a
+    map only through domain, table, shape and domain_radius."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    maps = {
+        a.arg
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for a in f.args.args + f.args.kwonlyargs
+        if isinstance(a.annotation, ast.Name) and a.annotation.id == "FiniteTreeMap"
+    }
+    assert maps  # the check below must see the map parameters
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            modules = names if isinstance(node, ast.Import) else [node.module or ""]
+            assert all(m.split(".")[0] != "numpy" for m in modules), modules
+            assert not any(n.split(".")[-1].startswith("_") for n in names), names
+        if isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), node.attr
+            if isinstance(node.value, ast.Name) and node.value.id in maps:
+                assert node.attr in ("domain", "table", "shape", "domain_radius"), node.attr

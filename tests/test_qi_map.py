@@ -349,7 +349,7 @@ def test_prefix_kernel_matches_column_loop():
         n = len(m.domain)
         iu, ju = (a.ravel() for a in np.indices((n, n)))
         sides = [
-            (m.domain, tq.qi_map._domain_index(m.shape.degree, m.domain_radius)),
+            (m.domain, tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index),
             ([m.table[v] for v in m.domain], m._image_index),
         ]
         for rows, index in sides:
