@@ -38,7 +38,7 @@ _VERSION = "v1"
 
 def _map_lines(m: FiniteTreeMap) -> Iterator[str]:
     texts = _ball(m.shape.degree, m.domain_radius).texts
-    images = m._images(texts, lambda labels: ".".join(map(str, labels)))
+    images = m._images(inside=texts, deep=lambda labels: ".".join(map(str, labels)))
     yield f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}\n"
     for source, image in zip(texts, images):
         yield f"{source} {image}\n"

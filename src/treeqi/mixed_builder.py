@@ -9,8 +9,13 @@ collapses to the class image.  Policies own the free choices (which boundary
 size, how the subtree grows, who absorbs the assignment surplus) and a
 replayable trace records every choice made.
 
-The structural verifier re-derives the classes from a finished map and
-checks the construction invariants exhaustively on the stored ball.
+The class walk runs on the positions of the cached ball layout
+(`qi_map._ball`): each level is one array of positions in preorder, and
+blocks and fill come from the layout's child arithmetic.  The builder, the
+approximation in `transforms` and the structural verifier all drive it,
+reading and writing images by position.  The structural verifier re-derives
+the classes from a finished map and checks the construction invariants
+exhaustively on the stored ball.
 """
 
 from __future__ import annotations
@@ -22,22 +27,25 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable
 
+import numpy as np
+
 from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
-from .qi_map import FiniteTreeMap, _ball
+from .qi_map import FiniteTreeMap, _Ball, _ball, _label_dtype, _pack, _prefix_len
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     ROOT,
     FiniteSubtree,
     TreeShape,
     Vertex,
-    _frontiers,
     boundary,
     checked_ball_size,
-    distance,
     format_address,
     parse_address,
 )
+
+# verify_mixed_structure lists at most this many witnesses; it counts them all
+MAX_WITNESSES = 100
 
 
 @dataclass(frozen=True)
@@ -400,43 +408,53 @@ def assign_images(
     return assignment
 
 
-def _level_classes(shape: TreeShape, step: int, levels: int, image):
-    """The construction's class walk: yields (i, LevelClass, fill) per class.
+def _level_classes(ball: _Ball, step: int, levels: int, image):
+    """The construction's class walk on the positions of `ball`, whose
+    radius is at least step*levels: yields (i, LevelClass, block, fill) per
+    class.
 
-    Level i groups the vertices at depth i*step by `image` and takes the
-    classes in order of least member; `fill` lists the vertices strictly
-    between the members and the block, member by member and depth by depth.
-    The sorted blocks form the next level, whose images are read only after
-    the consumer has taken every class of this one.
+    Level i groups the positions of depth i*step by `image(positions)`, one
+    image per position; positions are in preorder, which is address order,
+    so the classes come in order of least member.  `block` holds the
+    positions of LevelClass.block, and `fill` the positions strictly between
+    the members and the block, member by member, depth by depth, in address
+    order.  The blocks make up the next level, whose images are read only
+    after the consumer has taken every class of this one.
     """
-    current = [ROOT]
     for i in range(levels):
-        groups: dict[Vertex, list[Vertex]] = {}
-        for x in current:  # sorted, so each member list is sorted too
-            groups.setdefault(image(x), []).append(x)
-        next_level: list[Vertex] = []
-        for image_v, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
-            walks = [_frontiers(x, step, shape) for x in members]
-            block = tuple(b for walk in walks for b in walk[-1])
-            fill = [w for walk in walks for frontier in walk[:-1] for w in frontier]
-            yield i, LevelClass(image_v, tuple(members), block), fill
-            next_level.extend(block)
-        current = sorted(next_level)
+        at = ball.levels[i * step]
+        groups: dict[Vertex, list[int]] = {}
+        for r, w in enumerate(image(at)):
+            groups.setdefault(w, []).append(r)
+        walk = [at[:, None]]  # walk[s][r]: the descendants at distance s of member at[r]
+        for t in range(i * step, (i + 1) * step):
+            walk.append(ball.children(walk[-1].ravel(), t).reshape(len(at), -1))
+        # heads[r]: member at[r], then its fill; blocks[r]: its D-children
+        heads, blocks = np.hstack(walk[:-1]).tolist(), walk[-1].tolist()
+        for w, rows in groups.items():
+            block = [p for r in rows for p in blocks[r]]
+            members = tuple(ball.verts[heads[r][0]] for r in rows)
+            cls = LevelClass(w, members, tuple(map(ball.verts.__getitem__, block)))
+            yield i, cls, block, [p for r in rows for p in heads[r][1:]]
 
 
-def _build_levels(shape: TreeShape, trace: BuildTrace, choose) -> FiniteTreeMap:
-    """The construction along the class walk: `choose(i, cls, fill)` returns
-    each class's ClassTrace, whose assignment the block takes while the fill
-    collapses onto the class image.  Appends to trace.classes."""
-    table = {ROOT: ROOT}
-    for i, cls, fill in _level_classes(shape, trace.step, trace.levels, table.__getitem__):
-        entry = choose(i, cls, fill)
-        for b in cls.block:
-            table[b] = entry.assignment[b]
-        for w in fill:
-            table[w] = cls.image
+def _build_levels(ball: _Ball, trace: BuildTrace, choose) -> FiniteTreeMap:
+    """The construction along the class walk on `ball`: `choose(i, cls,
+    block, fill)` returns each class's ClassTrace, whose assignment the
+    block takes while the fill collapses onto the class image.  Appends to
+    trace.classes; the map covers the trace's radius."""
+    images = np.empty(len(ball.depths), object)  # by ball position
+    images[0] = ROOT
+    for i, cls, block, fill in _level_classes(ball, trace.step, trace.levels, images.__getitem__):
+        entry = choose(i, cls, block, fill)
+        for p, b in zip(block, cls.block):
+            images[p] = entry.assignment[b]
+        for p in fill:
+            images[p] = cls.image
         trace.classes.append(entry)
-    return FiniteTreeMap(shape, trace.levels * trace.step, table)
+    radius = trace.step * trace.levels
+    labels, depths = _pack(images[ball.rows(radius)], _label_dtype(trace.degree))
+    return FiniteTreeMap._from_arrays(ball.shape, radius, labels, depths)
 
 
 def build_mixed(
@@ -466,7 +484,7 @@ def build_mixed(
             )
         recorded = head.by_class()
 
-    def choose(i: int, cls: LevelClass, fill) -> ClassTrace:
+    def choose(i: int, cls: LevelClass, block, fill) -> ClassTrace:
         rng = class_rng(policy, i, cls.image)
         if policy.variant == "explicit":
             entry = recorded.get((i, cls.image))
@@ -508,7 +526,7 @@ def build_mixed(
         )
 
     trace = BuildTrace(shape.degree, step, levels, policy.describe())
-    m = _build_levels(shape, trace, choose)
+    m = _build_levels(_ball(shape.degree, levels * step), trace, choose)
     if policy.variant == "explicit" and len(trace.classes) < len(head.classes):
         unused = len(head.classes) - len(trace.classes)
         raise PolicyError(f"{unused} of {len(head.classes)} trace class lines match no class")
@@ -612,9 +630,7 @@ def recover_class_subtree(
     return members, None
 
 
-def verify_mixed_structure(
-    m: FiniteTreeMap, step: int, *, max_witnesses: int = 100
-) -> MixedStructureReport:
+def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     """Exhaustively check the construction invariants on the stored ball.
 
     Per level (a multiple of the step depth): equal images force a shared
@@ -632,72 +648,67 @@ def verify_mixed_structure(
     d = m.shape.degree
     K = d**step
     K2 = K * K
-    t = m.table
+    ball = _ball(d, radius)
     witnesses: list[StructureWitness] = []
     witness_total = 0
 
     def add(kind: str, level: int, detail: str) -> None:
         nonlocal witness_total
         witness_total += 1
-        if len(witnesses) < max_witnesses:
+        if len(witnesses) < MAX_WITNESSES:
             witnesses.append(StructureWitness(kind, level, detail))
 
-    if t[ROOT] != ROOT:
-        add("root-anchor", 0, f"root maps to {format_address(t[ROOT])}")
+    if m.depths[0]:
+        add("root-anchor", 0, f"root maps to {format_address(m._images([0])[0])}")
 
     multiplicity = {0: 1}
-    step_min: int | None = None
-    step_max: int | None = None
-    walk = _level_classes(m.shape, step, levels, t.__getitem__)
+    steps: list[int] = []  # every D-parent/D-child image distance
+    walk = _level_classes(ball, step, levels, m._images)
     for j, entries in groupby(walk, key=lambda e: e[0]):  # one level's classes
         i, lv = j + 1, (j + 1) * step
-        entries = [(cls, fill) for _, cls, fill in entries]
-        depth = sorted(b for cls, _ in entries for b in cls.block)
-        classes: dict[Vertex, list[Vertex]] = {}
-        for v in depth:
-            classes.setdefault(t[v], []).append(v)
+        # every vertex below the members down to this level, in depth order,
+        # then address order; the first `fill` lie strictly between the two
+        below = np.concatenate(ball.levels[lv - step + 1 : lv + 1])
+        up = ball.ancestors[below, lv - step]  # the member above, the D-parent on this level
+        moved = m.depths[below] + m.depths[up] - 2 * _prefix_len(m.labels[below], m.labels[up])
+        at, fill = ball.levels[lv], len(below) - len(ball.levels[lv])
+        images = m._images(at)
+        classes: dict[Vertex, list[int]] = {}
+        for r, w in enumerate(images):
+            classes.setdefault(w, []).append(r)
         multiplicity[i] = max(len(g) for g in classes.values())
         if multiplicity[i] > K:
             add("multiplicity", i, f"{multiplicity[i]} same-image vertices exceed {K}")
-        for image, grp in sorted(classes.items()):
-            parents = {v[: lv - step] for v in grp}
+        parent_of = up[fill:].tolist()
+        for w, rows in sorted(classes.items()):
+            parents = {parent_of[r] for r in rows}
             if len(parents) > 1:
                 two = sorted(parents)[:2]
                 add(
                     "shared-image-parent",
                     i,
-                    f"image {format_address(image)} shared across"
-                    f" {format_address(two[0])} and {format_address(two[1])}",
+                    f"image {format_address(w)} shared across"
+                    f" {ball.texts[two[0]]} and {ball.texts[two[1]]}",
                 )
-        images = sorted(classes)
-        for a, b in zip(images, images[1:]):
+        ordered = sorted(classes)
+        for a, b in zip(ordered, ordered[1:]):
             if b[: len(a)] == a:
                 add(
                     "image-ancestry",
                     i,
                     f"{format_address(a)} is an ancestor of {format_address(b)}",
                 )
-        for v in depth:
-            dist_step = distance(t[v], t[v[: lv - step]])
-            step_min = dist_step if step_min is None else min(step_min, dist_step)
-            step_max = dist_step if step_max is None else max(step_max, dist_step)
-            if not 1 <= dist_step <= K2:
-                add(
-                    "image-step",
-                    i,
-                    f"{format_address(v)} moved its image {dist_step}, outside [1, {K2}]",
-                )
-        for cls, _ in sorted(entries, key=lambda e: e[0].image):
-            _, reason = recover_class_subtree(cls.image, {t[b] for b in cls.block}, m.shape)
+        for p, dist in zip(at.tolist(), moved[fill:].tolist()):
+            steps.append(dist)
+            if not 1 <= dist <= K2:
+                add("image-step", i, f"{ball.texts[p]} moved its image {dist}, outside [1, {K2}]")
+        for cls, block, _ in sorted((e[1:] for e in entries), key=lambda e: e[0].image):
+            targets = {images[r] for r in np.searchsorted(at, block).tolist()}
+            _, reason = recover_class_subtree(cls.image, targets, m.shape)
             if reason is not None:
                 add("class-subtree", j, reason)
-        stray = [w for cls, fill in entries for w in fill if t[w] != cls.image]
-        for w in sorted(stray, key=lambda w: (len(w), w)):
-            add(
-                "intermediate-fill",
-                i,
-                f"{format_address(w)} does not collapse onto its class image",
-            )
+        for w in below[:fill][moved[:fill] != 0].tolist():
+            add("intermediate-fill", i, f"{ball.texts[w]} does not collapse onto its class image")
 
     return MixedStructureReport(
         degree=d,
@@ -709,7 +720,7 @@ def verify_mixed_structure(
         witness_total=witness_total,
         multiplicity_by_level=multiplicity,
         multiplicity_bound=K,
-        image_step_min=step_min,
-        image_step_max=step_max,
+        image_step_min=min(steps, default=None),
+        image_step_max=max(steps, default=None),
         image_step_bound=K2,
     )

@@ -6,8 +6,10 @@ addresses, arbitrarily deep.  One cached `_Ball` per degree and radius owns
 that order: its label rows, the position arithmetic of children, parents
 and addresses, its vertex tuples and its canonical text, which the map
 files read too.  Whole-map operations (comparison, composition, sup
-distance, the ancestry check, coarse surjectivity) run on the arrays; the
-dict view `FiniteTreeMap.table` serves the code that walks tuples.
+distance, the ancestry check, coarse surjectivity) run on the arrays, and
+so do the mixed construction and its checks in `mixed_builder`; the dict
+view `FiniteTreeMap.table` serves `evaluate`, the independent oracle and
+callers that want tuples.
 
 Verification measures the best single quasi-isometry constant exactly:
 every distance is an integer, the per-pair binding constant is solved in
@@ -544,21 +546,24 @@ class FiniteTreeMap:
         """Domain vertices in address order."""
         return _ball(self.shape.degree, self.domain_radius).verts
 
-    def _images(self, inside: list, deep=tuple) -> list:
-        """The images in domain order: inside[p] for the ball vertex at
-        position p, deep(labels) for an image deeper than the radius."""
-        positions = _ball(self.shape.degree, self.domain_radius).positions(self.labels, self.depths)
-        images = [inside[p] for p in positions.tolist()]
-        rows = np.flatnonzero(positions < 0)
-        depths = self.depths[rows].tolist()
-        for i, labels, k in zip(rows.tolist(), self.labels[rows].tolist(), depths):
-            images[i] = deep(labels[:k])
+    def _images(self, at=slice(None), inside=None, deep=tuple) -> list:
+        """The images of the domain vertices at positions `at` (all of them,
+        in domain order, by default): inside[p] for the ball vertex at
+        position p (by default the ball's own vertex tuple), deep(labels)
+        for an image deeper than the radius."""
+        ball = _ball(self.shape.degree, self.domain_radius)
+        inside = ball.verts if inside is None else inside
+        labels, depths = self.labels[at], self.depths[at]
+        images = [inside[p] for p in ball.positions(labels, depths).tolist()]
+        rows = np.flatnonzero(depths > ball.radius)
+        for i, row, k in zip(rows.tolist(), labels[rows].tolist(), depths[rows].tolist()):
+            images[i] = deep(row[:k])
         return images
 
     @cached_property
     def table(self) -> MappingProxyType:
         """The map as a read-only {domain vertex: image}."""
-        return MappingProxyType(dict(zip(self.domain, self._images(self.domain))))
+        return MappingProxyType(dict(zip(self.domain, self._images())))
 
     @cached_property
     def _image_index(self) -> _PrefixIndex:
@@ -1015,7 +1020,8 @@ def check_same_depth(
 
     The same-depth vertices u whose image extends f(v) occupy one contiguous
     range of that level sorted by image rank, so only nested pairs are
-    enumerated, a block at a time.
+    enumerated, a block at a time.  Their number is known before the first
+    block: more than DEFAULT_MAX_PAIRS raise BudgetExceededError.
     """
     ok, wit = is_order_preserving(m)
     if not ok:
@@ -1032,35 +1038,40 @@ def check_same_depth(
     dom = _ball(m.shape.degree, m.domain_radius).prefix_index
     img = m._image_index
     ext_lo, ext_hi = img.extension_ranks(np.arange(n))
+    # every vertex but the root, by depth, then image rank: the same-depth
+    # vertices whose image extends f(v) are the run order[first : first + count]
+    order = np.lexsort((img.rank, dom.depths))[1:]
+    level = dom.depths[order].astype(np.int64) * n
+    key = level + img.rank[order]
+    first = np.searchsorted(key, level + ext_lo[order], side="left")
+    counts = np.searchsorted(key, level + ext_hi[order], side="right") - first
+    ends = np.cumsum(counts)
+    if counts.sum() > DEFAULT_MAX_PAIRS:
+        raise BudgetExceededError(
+            f"{counts.sum()} nested same-depth pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
+        )
     violations = ViolationList()
-    for level in range(1, m.domain_radius + 1):
-        room = max(max_violations - len(violations), 0)
-        idxs = np.flatnonzero(dom.depths == level)
-        by_img = idxs[np.argsort(img.rank[idxs])]
-        img_ranks = img.rank[by_img]
-        first = np.searchsorted(img_ranks, ext_lo[by_img], side="left")
-        counts = np.searchsorted(img_ranks, ext_hi[by_img], side="right") - first
-        ends = np.cumsum(counts)
-        found = np.empty(0, np.int64)  # keys u * n + v of failing pairs
-        start = 0
-        while start < len(by_img):
-            done = int(ends[start - 1]) if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
-            c = counts[start:stop]
-            v = np.repeat(by_img[start:stop], c)
-            q = np.repeat(first[start:stop] - (ends[start:stop] - c - done), c)
-            u = by_img[q + np.arange(len(q))]
-            ddom = 2 * (level - dom.prefix_len(u, v))
-            dimg = img.depths[u] - img.depths[v]
-            fail = (u != v) & ((ddom > thr) | (dimg > thr))
-            violations.total += int(fail.sum())
-            found = np.concatenate([found, u[fail].astype(np.int64) * n + v[fail]])
-            if len(found) > room:
-                found = np.sort(found)[:room]
-            start = stop
-        for key in np.sort(found).tolist():
-            a, b = divmod(key, n)
-            dd = 2 * (level - int(dom.prefix_len(a, b)))
-            di = int(img.depths[a] - img.depths[b])
-            violations.append(Violation(verts[a], verts[b], "samedepth", di if di > thr else dd))
+    found = np.empty(0, np.int64)  # keys (depth * n + u) * n + v of failing pairs
+    start = 0
+    while start < len(order):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+        c = counts[start:stop]
+        v = np.repeat(order[start:stop], c)
+        q = np.repeat(first[start:stop] - (ends[start:stop] - c - done), c)
+        u = order[q + np.arange(len(q))]
+        ddom = 2 * (dom.depths[u] - dom.prefix_len(u, v))
+        dimg = img.depths[u] - img.depths[v]
+        fail = (u != v) & ((ddom > thr) | (dimg > thr))
+        violations.total += int(fail.sum())
+        u, v = u[fail], v[fail]
+        found = np.concatenate([found, (dom.depths[u].astype(np.int64) * n + u) * n + v])
+        if len(found) > max_violations:
+            found = np.sort(found)[:max_violations]
+        start = stop
+    for key in np.sort(found).tolist():
+        a, b = divmod(key % (n * n), n)
+        dd = 2 * (int(dom.depths[a]) - int(dom.prefix_len(a, b)))
+        di = int(img.depths[a] - img.depths[b])
+        violations.append(Violation(verts[a], verts[b], "samedepth", di if di > thr else dd))
     return violations

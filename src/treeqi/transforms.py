@@ -238,9 +238,9 @@ def approximate_by_mixed(
             _warn_promise("approximate_by_mixed", measured, Cf, mode)
     fill_bound = bundle.final_bound
     fill_floor = math.floor(fill_bound)
-    gt = g.table
+    ball = _ball(g.shape.degree, g.domain_radius)  # the walk runs on g's positions
 
-    def choose(i: int, cls: LevelClass, fill) -> ClassTrace:
+    def choose(i: int, cls: LevelClass, block, fill) -> ClassTrace:
         def failure(kind: str, message: str, value=None) -> ValidationFailure:
             bound = None if value is None else fill_bound
             return ValidationFailure(
@@ -248,7 +248,7 @@ def approximate_by_mixed(
             )
 
         # g's own images, kept once they form the boundary of a subtree
-        assignment = {b: gt[b] for b in cls.block}
+        assignment = dict(zip(cls.block, g._images(block)))
         subtree, reason = recover_class_subtree(cls.image, assignment.values(), g.shape)
         if reason is not None:
             raise failure("subtree-boundary", reason)
@@ -264,15 +264,15 @@ def approximate_by_mixed(
         # g is order-preserving and each fill vertex descends from a member,
         # whose g-image is the class image: the distance is a depth difference,
         # and an integer exceeds the bound iff it exceeds the bound's floor
-        deepest = len(cls.image) + fill_floor
-        for w in fill:
-            if len(gt[w]) > deepest:
-                dist = len(gt[w]) - len(cls.image)
-                raise failure(
-                    "fill-distance",
-                    f"{format_address(w)} collapsed {dist} > {fill_bound} from its g-image",
-                    value=dist,
-                )
+        far = np.flatnonzero(g.depths[fill] > len(cls.image) + fill_floor)
+        if len(far):
+            w = fill[far[0]]
+            dist = int(g.depths[w]) - len(cls.image)
+            raise failure(
+                "fill-distance",
+                f"{ball.texts[w]} collapsed {dist} > {fill_bound} from its g-image",
+                value=dist,
+            )
         return ClassTrace(
             level=i,
             image=cls.image,
@@ -283,7 +283,7 @@ def approximate_by_mixed(
         )
 
     trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
-    approx = _build_levels(g.shape, trace, choose)
+    approx = _build_levels(ball, trace, choose)
     sup = sup_distance(approx, g)
     if sup > fill_bound:
         raise ValidationFailure(

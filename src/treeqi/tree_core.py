@@ -110,9 +110,9 @@ def d_children_count(v: Vertex, dist_down: int, shape: TreeShape) -> int:
 
 def _frontiers(v: Vertex, dist_down: int, shape: TreeShape) -> list[list[Vertex]]:
     """The descendants of v at distance 1, 2, .., dist_down: one list per
-    distance, each in address order.  The tuple walk behind `ball`,
-    `d_children` and the construction's class walk; the cached ball layout
-    in `qi_map` walks the same levels as arrays."""
+    distance, each in address order.  The tuple walk behind `ball` and
+    `d_children`, which stay as the plain references tests compare the
+    cached ball layout in `qi_map` (the same levels as arrays) against."""
     out: list[list[Vertex]] = []
     frontier = [v]
     for _ in range(dist_down):

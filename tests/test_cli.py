@@ -330,6 +330,15 @@ def test_budget_exit(tmp_path, capsys):
     code, out, err = run_cli(["oracle", "--in", str(r9)], capsys)
     assert (code, out) == (3, "")
     assert err == "error: 1175811 vertex pairs exceed the oracle's pair budget 1000000\n"
+    # a constant map nests every same-depth pair, 12,582,909 of them at
+    # radius 11: the same-depth check refuses them before the first block
+    c11 = tmp_path / "const11.qi"
+    write_map_file(tq.constant_map(tq.TreeShape(3), 11), c11)
+    code, out, err = run_cli(
+        ["verify", "--in", str(c11), "--pairs", "sampled:10", "--C", "1"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: 12582909 nested same-depth pairs exceed the pair budget 10000000\n"
 
 
 def test_sampled_pair_budget_exit(tmp_path, capsys):
