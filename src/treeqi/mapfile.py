@@ -29,8 +29,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap, _ball, _pack
-from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape, checked_ball_size
+from .qi_map import FiniteTreeMap, _ball, _budgeted_ball, _pack
+from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape
 
 _MAGIC = "tree-qi"
 _VERSION = "v1"
@@ -78,9 +78,8 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
     if radius < 0:
         raise MapFormatError(f"radius must be >= 0, got {radius}", 1)
     shape = TreeShape(degree)
-    size = checked_ball_size(shape, radius, budget)
-    ball = _ball(degree, radius)
-    locate = ball.locate
+    ball = _budgeted_ball(shape, radius, budget)
+    locate, size = ball.locate, len(ball.depths)
     images: list = [None] * size  # per source position: image position, or a deeper image
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()

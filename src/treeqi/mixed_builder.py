@@ -16,14 +16,28 @@ approximation in `transforms` and the structural verifier all drive it,
 reading and writing images by position.  The structural verifier re-derives
 the classes from a finished map and checks the construction invariants
 exhaustively on the stored ball.
+
+Each class choice costs time linear in the class and works relative to the
+class image v: below v, a subtree's shape and boundary depend on v only
+through whether v is the root.  Growth runs on addresses relative to v and
+stops with its pool of candidates equal to the boundary; the minimal and
+the deepest policy grow one leftmost chain, cached per (degree, root or
+not, size), and the result is translated to v once.  The block arrives
+member by member, so the assignment and its check take each member's
+children as one run of the block.  A replayed subtree is checked in one
+pass over its vertices.  In trace text, an address v.w below a class image
+is the image's text, a dot and the text of w, so writing and reading it
+needs no ball lookup; members and block vertices are ball vertices and take
+the ball's text.  `FiniteSubtree` and `tree_core.boundary` serve only the
+public `grow_subtree`.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Iterable
 
@@ -31,15 +45,14 @@ import numpy as np
 
 from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
-from .qi_map import FiniteTreeMap, _Ball, _ball, _label_dtype, _pack, _prefix_len
+from .qi_map import FiniteTreeMap, _Ball, _ball, _budgeted_ball, _label_dtype, _pack, _prefix_len
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
+    MAX_DEPTH,
     ROOT,
     FiniteSubtree,
     TreeShape,
     Vertex,
-    boundary,
-    checked_ball_size,
     format_address,
     parse_address,
 )
@@ -51,7 +64,8 @@ MAX_WITNESSES = 100
 @dataclass(frozen=True)
 class LevelClass:
     """One same-image class: the common image, the same-depth preimages, and
-    all D-children of those preimages (the vertices about to be assigned)."""
+    all D-children of those preimages (the vertices about to be assigned),
+    member by member, each member's children in address order."""
 
     image: Vertex
     members: tuple
@@ -69,6 +83,16 @@ class ClassTrace:
     rng_draws: int = 0
 
 
+@lru_cache(maxsize=4096)
+def _tail(text: str, bound: int) -> tuple | None:
+    """The labels of the text of an address relative to a vertex other than
+    the root, or None unless each is an ASCII number below `bound`."""
+    labels = text.split(".")
+    if text.isascii() and all(a.isdigit() and int(a) < bound for a in labels):
+        return tuple(map(int, labels))
+    return None
+
+
 @dataclass
 class BuildTrace:
     """Complete record of the choices of one construction run."""
@@ -84,36 +108,53 @@ class BuildTrace:
         or None when the header's ball is past the depth cap or the default
         budget; addresses then go through format_address and parse_address."""
         try:
-            return _ball(self.degree, self.step * self.levels)
+            return _budgeted_ball(TreeShape(self.degree), self.step * self.levels)
         except (BudgetExceededError, ValueError):  # ValueError: negative radius
             return None
 
     def to_text(self) -> str:
+        """Members and block vertices take the ball's text; an address below
+        a class image other than the root is the image's text followed by
+        the text of the relative address, each relative text made once."""
         ball = self._layout()
-        fmt = ball.format if ball else format_address
+        known = ball._text if ball else {}  # ball vertex -> its text
+        tails: dict = {}  # relative address -> '.a.b...'
 
-        def join(vs) -> str:
-            return "|".join(fmt(v) for v in vs)
+        def fmt(v: Vertex) -> str:
+            return known.get(v) or format_address(v)
 
         lines = [
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
             f" levels={self.levels} policy={self.policy}"
         ]
         for c in self.classes:
-            assign = ",".join(f"{fmt(b)}:{fmt(a)}" for b, a in c.assignment.items())
+            image, n, head = c.image, len(c.image), fmt(c.image)
+
+            def below(u: Vertex) -> str:
+                if not (n and u[:n] == image):
+                    return fmt(u)
+                w = u[n:]
+                return head + (tails.get(w) or tails.setdefault(w, "".join(f".{a}" for a in w)))
+
+            bd = list(map(below, c.boundary))
+            text = dict(zip(c.boundary, bd))
+            pairs = [f"{fmt(b)}:{text.get(a) or below(a)}" for b, a in c.assignment.items()]
             lines.append(
                 f"class level={c.level}"
-                f" image={fmt(c.image)}"
-                f" members={join(c.members)}"
-                f" subtree={join(c.subtree)}"
-                f" boundary={join(c.boundary)}"
+                f" image={head}"
+                f" members={'|'.join(map(fmt, c.members))}"
+                f" subtree={'|'.join(map(below, c.subtree))}"
+                f" boundary={'|'.join(bd)}"
                 f" rng_draws={c.rng_draws}"
-                f" assign={assign}"
+                f" assign={','.join(pairs)}"
             )
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "BuildTrace":
+        """Ball vertices (members, block vertices) are read by their text's
+        ball position; an address below a class image other than the root
+        is read relative to the image, each relative text checked once."""
         lines = text.splitlines()
         if not lines:
             raise MapFormatError("empty trace", 1)
@@ -133,11 +174,14 @@ class BuildTrace:
             )
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
-        ball = trace._layout()
-        addr = ball.parse if ball else lambda text: parse_address(text, TreeShape(trace.degree))
+        ball, shape = trace._layout(), TreeShape(trace.degree)
+        position, verts = (ball._position, ball.verts) if ball else ({}, ())
+        seen: dict = {}  # text of an address below an image -> the address
+        known = seen.get
 
-        def addrs(text: str) -> tuple:
-            return tuple(addr(p) for p in text.split("|"))
+        def addr(t: str) -> Vertex:
+            p = position.get(t)
+            return verts[p] if p is not None else seen.get(t) or parse_address(t, shape)
 
         for no, ln in enumerate(lines[1:], start=2):
             toks = ln.split()
@@ -147,18 +191,31 @@ class BuildTrace:
             for tok in toks[1:]:
                 k, _, v = tok.partition("=")
                 kv[k] = v
+            try:  # the image first, for the addresses below it; a bad one fails in its place
+                image = addr(kv["image"])
+            except (KeyError, TreeQIError):
+                image = None
+            prefix = f"{kv['image']}." if image else "\0"  # the root's text has no prefix
+
+            def below(t: str) -> Vertex:
+                w = _tail(t[len(prefix) :], shape.degree - 1) if t.startswith(prefix) else None
+                fits = w is not None and len(image) + len(w) <= MAX_DEPTH
+                u = seen[t] = image + w if fits else addr(t)
+                return u
+
             try:
                 assignment = {}
                 for pair in kv["assign"].split(","):
                     b, _, a = pair.partition(":")
-                    assignment[addr(b)] = addr(a)
+                    u, p = known(a) or below(a), position.get(b)
+                    assignment[verts[p] if p is not None else addr(b)] = u
                 trace.classes.append(
                     ClassTrace(
                         level=int(kv["level"]),
-                        image=addr(kv["image"]),
-                        members=addrs(kv["members"]),
-                        subtree=addrs(kv["subtree"]),
-                        boundary=addrs(kv["boundary"]),
+                        image=addr(kv["image"]) if image is None else image,
+                        members=tuple(map(addr, kv["members"].split("|"))),
+                        subtree=tuple([known(t) or below(t) for t in kv["subtree"].split("|")]),
+                        boundary=tuple([known(t) or below(t) for t in kv["boundary"].split("|")]),
                         assignment=assignment,
                         rng_draws=int(kv.get("rng_draws", "0")),
                     )
@@ -229,10 +286,6 @@ class _CountingRandom:
         self.calls += 1
         return self._rng.randrange(n)
 
-    def choice(self, seq):
-        self.calls += 1
-        return seq[self._rng.randrange(len(seq))]
-
     def shuffle(self, seq) -> None:
         self.calls += 1
         self._rng.shuffle(seq)
@@ -247,6 +300,12 @@ def class_rng(policy: MixedPolicy, level: int, image: Vertex) -> _CountingRandom
     if policy.variant != "random":
         return None
     return _CountingRandom(_class_seed(policy.seed, level, image))
+
+
+def _stream(policy: MixedPolicy, rng: _CountingRandom | None) -> _CountingRandom | None:
+    """The given stream under the random policy (one from its seed when none
+    is given); None under the others, whose choices draw nothing."""
+    return None if policy.variant != "random" else rng or _CountingRandom(policy.seed)
 
 
 def feasible_boundary_sizes(
@@ -264,16 +323,62 @@ def feasible_boundary_sizes(
         raise ValueError("block size must be at least the class size")
     d = shape.degree
     base = d if v_is_root else d - 1
-    lo = max(class_size, base)
-    if lo > block_size:
-        return []
-    k0 = -((base - lo) // (d - 2)) if lo > base else 0
-    out = []
-    s = base + k0 * (d - 2)
-    while s <= block_size:
-        out.append(s)
-        s += d - 2
-    return out
+    first = base - (base - max(class_size, base)) // (d - 2) * (d - 2)  # the least >= class_size
+    return list(range(first, block_size + 1, d - 2))
+
+
+def _grow(d: int, at_root: bool, steps: int, rng: _CountingRandom | None = None) -> tuple:
+    """Grow `steps` vertices below a class image, in addresses relative to
+    it (the image itself is the empty address): returns the members and the
+    boundary in address order, and the members in the order they grew.
+
+    Each step takes one candidate from the pool of boundary vertices and
+    puts its children in, so when growth stops the pool is the boundary.
+    The random policy takes a uniform candidate; the minimal and the deepest
+    policy (no rng) both take the address-least one, which is the leftmost
+    child of the vertex taken last and so also the address-least deepest
+    candidate: both grow the leftmost chain, and the pool stays sorted.
+    Growth stops early at a vertex the depth cap deep, whose children pass
+    the cap below any image; the caller raises for it.
+    """
+
+    def kids(w):
+        return [w + (a,) for a in range(d if at_root and not w else d - 1)]
+
+    grown, pool = [ROOT], kids(ROOT)
+    for _ in range(steps):
+        if rng is None:
+            w = pool.pop(0)
+        else:  # order-free pool with swap removal: uniform picks, deterministic per seed
+            idx = rng.randrange(len(pool))
+            w, pool[idx] = pool[idx], pool[-1]
+            pool.pop()
+        grown.append(w)
+        if len(w) == MAX_DEPTH:
+            break
+        at = len(pool) if rng else 0  # the sorted pool takes w's children first
+        pool[at:at] = kids(w)
+    return tuple(sorted(grown)), tuple(sorted(pool)), grown
+
+
+# the leftmost chains of the minimal and the deepest policy, by (d, at_root, steps)
+_leftmost = lru_cache(maxsize=None)(_grow)
+
+
+def _subtree_at(v: Vertex, target: int, d: int, rng: _CountingRandom | None) -> tuple:
+    """The subtree grown at v until its boundary has the target size, and
+    that boundary, both in address order: grown relative to v (the cached
+    leftmost chain without an rng), then translated to v."""
+    base = d if v == ROOT else d - 1
+    if target < base or (target - base) % (d - 2):
+        raise PolicyError(f"boundary size {target} is infeasible at {format_address(v)}", image=v)
+    steps = (target - base) // (d - 2)
+    chain = min(steps, MAX_DEPTH)  # a longer chain reaches the cap all the same
+    members, bd, grown = _grow(d, not v, steps, rng) if rng else _leftmost(d, not v, chain)
+    n = len(v)
+    if n + max(map(len, grown)) >= MAX_DEPTH:  # the first grown vertex whose children pass the cap
+        TreeShape(d).children(v + next(w for w in grown if n + len(w) >= MAX_DEPTH))
+    return tuple([v + w for w in members]), tuple([v + w for w in bd])
 
 
 def grow_subtree(
@@ -293,59 +398,32 @@ def grow_subtree(
     """
     if policy.variant == "explicit":
         raise PolicyError("the explicit policy supplies subtrees directly", image=v)
-    d = shape.degree
-    base = d if v == ROOT else d - 1
-    if target_boundary < base or (target_boundary - base) % (d - 2):
-        raise PolicyError(
-            f"boundary size {target_boundary} is infeasible at {format_address(v)}", image=v
-        )
-    if policy.variant == "random" and rng is None:
-        rng = _CountingRandom(policy.seed)
-    steps = (target_boundary - base) // (d - 2)
-    members = {v}
-    if policy.variant == "random":
-        # order-free pool with swap removal: uniform picks, deterministic per seed
-        pool = shape.children(v)
-        for _ in range(steps):
-            idx = rng.randrange(len(pool))
-            w = pool[idx]
-            pool[idx] = pool[-1]
-            pool.pop()
-            members.add(w)
-            pool.extend(shape.children(w))
-    else:
-        pool = sorted(shape.children(v))
-        for _ in range(steps):
-            if policy.variant == "minimal":
-                w = pool.pop(0)
-            else:  # deepest, address-least among the deepest
-                w = max(pool, key=lambda u: (len(u), [-a for a in u]))
-                pool.remove(w)
-            members.add(w)
-            for c in shape.children(w):
-                bisect.insort(pool, c)
-    return FiniteSubtree(members)
+    return FiniteSubtree(_subtree_at(v, target_boundary, shape.degree, _stream(policy, rng))[0])
 
 
 def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices, step: int) -> None:
     """Raise PolicyError unless the assignment covers the whole boundary and
-    only children of the same class member share an image."""
-    bd = set(boundary_vertices)
-    if set(assignment) != set(cls.block):
+    only children of the same class member share an image.
+
+    The block holds each member's children in turn, as the class walk gives
+    it, so the groups are runs of equal length and `step` is not read; a
+    shared image is named by its first occurrence in block order.
+    """
+    block = cls.block
+    if len(assignment) != len(block) or not all(map(assignment.__contains__, block)):
         raise PolicyError("assignment is not total on the class block", image=cls.image)
-    used = set(assignment.values())
-    if used != bd:
+    images = list(map(assignment.__getitem__, block))
+    used = set(images)
+    if used != set(boundary_vertices):
         raise PolicyError("assignment image differs from the subtree boundary", image=cls.image)
-    sources: dict = {}
-    for b in cls.block:
-        sources.setdefault(assignment[b], []).append(b)
-    for a, srcs in sources.items():
-        parents = {b[: len(b) - step] for b in srcs}
-        if len(parents) > 1:
-            raise PolicyError(
-                f"children of different class members share the image {format_address(a)}",
-                image=cls.image,
-            )
+    k = len(block) // len(cls.members)
+    groups = [set(images[j : j + k]) for j in range(0, len(images), k)]
+    if sum(map(len, groups)) != len(used):
+        a = next(a for a in images if sum(a in g for g in groups) > 1)
+        raise PolicyError(
+            f"children of different class members share the image {format_address(a)}",
+            image=cls.image,
+        )
 
 
 def assign_images(
@@ -362,49 +440,34 @@ def assign_images(
     surplus boundary vertices fill remaining child slots, and any children
     still unassigned fold onto a boundary vertex their own member already
     owns.  The minimal policy does all of this in address order; the random
-    policy shuffles the deal and picks absorbers uniformly.
+    policy shuffles the deal and picks absorbers uniformly.  The result is
+    in block order.
     """
     if policy.variant == "explicit":
         raise PolicyError("the explicit policy supplies assignments directly", image=cls.image)
-    if policy.variant == "random" and rng is None:
-        rng = _CountingRandom(policy.seed)
-    bd = sorted(boundary_vertices)
-    groups = []
-    for x in cls.members:
-        groups.append([b for b in cls.block if b[: len(b) - step] == x])
-    if not (len(groups) <= len(bd) <= len(cls.block)):
-        raise PolicyError(
-            f"boundary size {len(bd)} outside [{len(groups)}, {len(cls.block)}]",
-            image=cls.image,
-        )
-    deal = list(bd)
-    if policy.variant == "random":
+    rng = _stream(policy, rng)
+    deal = sorted(boundary_vertices)
+    m, size = len(cls.members), len(cls.block)
+    if not (m <= len(deal) <= size):
+        raise PolicyError(f"boundary size {len(deal)} outside [{m}, {size}]", image=cls.image)
+    if rng is not None:
         rng.shuffle(deal)
-    assignment: dict = {}
-    owned: list[list[Vertex]] = [[] for _ in groups]
-    next_slot = [0] * len(groups)
-
-    for gi, group in enumerate(groups):
-        a = deal[gi]
-        assignment[group[0]] = a
-        owned[gi].append(a)
-        next_slot[gi] = 1
-    for a in deal[len(groups) :]:
-        if policy.variant == "random":
-            open_groups = [gi for gi in range(len(groups)) if next_slot[gi] < len(groups[gi])]
-            gi = rng.choice(open_groups)
-        else:
-            gi = next(g for g in range(len(groups)) if next_slot[g] < len(groups[g]))
-        assignment[groups[gi][next_slot[gi]]] = a
-        owned[gi].append(a)
-        next_slot[gi] += 1
-    for gi, group in enumerate(groups):
-        for b in group[next_slot[gi] :]:
-            if policy.variant == "random":
-                assignment[b] = rng.choice(owned[gi])
-            else:
-                assignment[b] = min(owned[gi])
-    check_assignment(cls, assignment, bd, step)
+    k = size // m  # children per member
+    owned = [[a] for a in deal[:m]]  # owned[j]: member j's images, child by child
+    open_groups = list(range(m)) if k > 1 else []
+    for a in deal[m:]:  # first fit, or a uniform member with a free child
+        idx = 0 if rng is None else rng.randrange(len(open_groups))
+        own = owned[open_groups[idx]]
+        own.append(a)
+        if len(own) == k:
+            del open_groups[idx]
+    images = []
+    for own in owned:
+        rest = k - len(own)
+        fold = [own[rng.randrange(len(own))] for _ in range(rest)] if rng else [min(own)] * rest
+        images += own + fold
+    assignment = dict(zip(cls.block, images))
+    check_assignment(cls, assignment, deal, step)
     return assignment
 
 
@@ -440,21 +503,48 @@ def _level_classes(ball: _Ball, step: int, levels: int, image):
 
 def _build_levels(ball: _Ball, trace: BuildTrace, choose) -> FiniteTreeMap:
     """The construction along the class walk on `ball`: `choose(i, cls,
-    block, fill)` returns each class's ClassTrace, whose assignment the
-    block takes while the fill collapses onto the class image.  Appends to
-    trace.classes; the map covers the trace's radius."""
+    block, fill)` returns each class's ClassTrace, whose assignment (in
+    block order) the block takes while the fill collapses onto the class
+    image.  Appends to trace.classes; the map covers the trace's radius."""
     images = np.empty(len(ball.depths), object)  # by ball position
     images[0] = ROOT
     for i, cls, block, fill in _level_classes(ball, trace.step, trace.levels, images.__getitem__):
         entry = choose(i, cls, block, fill)
-        for p, b in zip(block, cls.block):
-            images[p] = entry.assignment[b]
+        for p, a in zip(block, entry.assignment.values()):
+            images[p] = a
         for p in fill:
             images[p] = cls.image
         trace.classes.append(entry)
     radius = trace.step * trace.levels
     labels, depths = _pack(images[ball.rows(radius)], _label_dtype(trace.degree))
     return FiniteTreeMap._from_arrays(ball.shape, radius, labels, depths)
+
+
+def _replayed_subtree(i: int, image: Vertex, entry: ClassTrace, d: int) -> tuple[tuple, tuple]:
+    """The recorded subtree and its boundary, both in address order, once
+    the subtree is connected, hangs at the class image and has exactly the
+    recorded boundary: one pass over the recorded vertices checks each
+    parent and gathers the children outside the subtree."""
+    fail = partial(PolicyError, level=i, image=image)
+    present = set(entry.subtree)
+    vs = sorted(present)
+    if not vs:
+        raise fail("recorded subtree is empty")
+    top = min(vs, key=len)
+    bd = []
+    for v in vs:
+        if v != top and v[:-1] not in present:
+            missing = f"{format_address(v)} is missing its parent"
+            raise fail(f"recorded subtree is disconnected: {missing}")
+        bd += [c for c in (v + (a,) for a in range(d if not v else d - 1)) if c not in present]
+    if top != image:
+        raise fail("recorded subtree hangs elsewhere")
+    if max(map(len, vs)) >= MAX_DEPTH:  # a member whose children pass the cap
+        TreeShape(d).children(next(v for v in vs if len(v) >= MAX_DEPTH))
+    bd.sort()
+    if tuple(bd) != tuple(entry.boundary):
+        raise fail("recorded boundary is wrong")
+    return tuple(vs), tuple(bd)
 
 
 def build_mixed(
@@ -475,13 +565,11 @@ def build_mixed(
         raise ValueError("step depth must be >= 1")
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    checked_ball_size(shape, levels * step, budget)  # enforce the budget before any work
+    ball = _budgeted_ball(shape, levels * step, budget)
     if policy.variant == "explicit":
         head = policy.replay
         if (head.degree, head.step, head.levels) != (shape.degree, step, levels):
-            raise PolicyError(
-                "trace header does not match the requested construction parameters"
-            )
+            raise PolicyError("trace header does not match the requested construction parameters")
         recorded = head.by_class()
 
     def choose(i: int, cls: LevelClass, block, fill) -> ClassTrace:
@@ -490,43 +578,23 @@ def build_mixed(
             entry = recorded.get((i, cls.image))
             if entry is None:
                 raise PolicyError("trace has no entry for this class", level=i, image=cls.image)
-            subtree = FiniteSubtree(entry.subtree)
-            if subtree.local_root != cls.image:
-                raise PolicyError("recorded subtree hangs elsewhere", level=i, image=cls.image)
-            bd = boundary(subtree, shape)
-            if tuple(bd) != tuple(entry.boundary):
-                raise PolicyError("recorded boundary is wrong", level=i, image=cls.image)
-            assignment = entry.assignment
-            check_assignment(cls, assignment, bd, step)
+            subtree, bd = _replayed_subtree(i, cls.image, entry, shape.degree)
+            check_assignment(cls, entry.assignment, bd, step)
+            assignment = {b: entry.assignment[b] for b in cls.block}
             draws = entry.rng_draws
         else:
-            feas = feasible_boundary_sizes(
-                len(cls.members), len(cls.block), cls.image == ROOT, shape
-            )
+            feas = feasible_boundary_sizes(len(cls.members), len(block), cls.image == ROOT, shape)
             if not feas:
                 raise PolicyError("no feasible boundary size", level=i, image=cls.image)
-            if policy.variant == "minimal":
-                target = feas[0]
-            elif policy.variant == "deepest":
-                target = feas[-1]
-            else:
-                target = feas[rng.randrange(len(feas))]
-            subtree = grow_subtree(cls.image, target, policy, shape, rng)
-            bd = boundary(subtree, shape)
+            pick = rng.randrange(len(feas)) if rng else 0 if policy.variant == "minimal" else -1
+            target = feas[pick]  # the smallest, the largest, or a uniform feasible size
+            subtree, bd = _subtree_at(cls.image, target, shape.degree, rng)
             assignment = assign_images(cls, bd, step, policy, rng)
             draws = rng.calls if rng else 0
-        return ClassTrace(
-            level=i,
-            image=cls.image,
-            members=cls.members,
-            subtree=subtree.vertices,
-            boundary=tuple(bd),
-            assignment={b: assignment[b] for b in cls.block},
-            rng_draws=draws,
-        )
+        return ClassTrace(i, cls.image, cls.members, subtree, bd, assignment, draws)
 
     trace = BuildTrace(shape.degree, step, levels, policy.describe())
-    m = _build_levels(_ball(shape.degree, levels * step), trace, choose)
+    m = _build_levels(ball, trace, choose)
     if policy.variant == "explicit" and len(trace.classes) < len(head.classes):
         unused = len(head.classes) - len(trace.classes)
         raise PolicyError(f"{unused} of {len(head.classes)} trace class lines match no class")
@@ -610,7 +678,7 @@ def recover_class_subtree(
     if num < 0 or num % (d - 2):
         return None, f"{len(targets)} boundary vertices fit no subtree size"
     expected = num // (d - 2) + 1
-    max_depth = max(len(a) for a in targets)
+    max_depth = max(map(len, targets))  # at most the depth cap, so no child passes it
     members: set = set()
     stack = [image]
     while stack:
@@ -622,7 +690,7 @@ def recover_class_subtree(
         members.add(y)
         if len(members) > expected:
             return None, "subtree exceeds the size its boundary implies"
-        stack.extend(shape.children(y))
+        stack += [y + (a,) for a in range(d if not y else d - 1)]
     bdry = {a for a in targets if a[:-1] in members}
     if bdry != targets:
         missing = sorted(targets - bdry)[0]

@@ -41,6 +41,7 @@ import numpy as np
 from . import report
 from .errors import (
     BudgetExceededError,
+    DepthLimitError,
     MapDomainError,
     PreconditionError,
     ShapeMismatchError,
@@ -211,21 +212,22 @@ class _Ball:
         v = parse_address(text, self.shape)
         return self._position[format_address(v)] if len(v) <= self.radius else v
 
-    def parse(self, text: str) -> Vertex:
-        """The address in any spelling, as the ball's own tuple when inside it."""
-        p = self.locate(text)
-        return self.verts[p] if isinstance(p, int) else p
-
-    def format(self, v: Vertex) -> str:
-        return self._text.get(v) or format_address(v)
-
 
 @lru_cache(maxsize=32)
 def _ball(degree: int, radius: int) -> _Ball:
-    """The one cached layout of each ball; refuses a ball past the depth cap
-    or the default vertex budget."""
-    checked_ball_size(TreeShape(degree), radius)
+    """The one cached layout of each ball; refuses only a radius past the
+    depth cap.  Entry points ask `_budgeted_ball`, so a ball that a raised
+    budget admits is cached like any other."""
+    if radius > MAX_DEPTH:
+        raise DepthLimitError(f"radius {radius} exceeds the depth cap {MAX_DEPTH}")
     return _Ball(degree, radius)
+
+
+def _budgeted_ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_BUDGET) -> _Ball:
+    """The layout of a ball that an entry point is asked for, once the
+    caller's vertex budget admits it: the one budget check, before any work."""
+    checked_ball_size(shape, radius, budget)
+    return _ball(shape.degree, radius)
 
 
 def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,7 +503,7 @@ class FiniteTreeMap:
     """
 
     def __init__(self, shape: TreeShape, domain_radius: int, table: dict):
-        dom = _ball(shape.degree, domain_radius).verts
+        dom = _budgeted_ball(shape, domain_radius).verts
         try:
             images = [table[v] for v in dom]
         except KeyError:
@@ -608,7 +610,7 @@ def evaluate(m: FiniteTreeMap, v: Vertex) -> Vertex:
 
 
 def map_from_function(shape: TreeShape, radius: int, fn: Callable[[Vertex], Vertex]) -> FiniteTreeMap:
-    return FiniteTreeMap(shape, radius, {v: fn(v) for v in _ball(shape.degree, radius).verts})
+    return FiniteTreeMap(shape, radius, {v: fn(v) for v in _budgeted_ball(shape, radius).verts})
 
 
 def identity_map(shape: TreeShape, radius: int) -> FiniteTreeMap:
@@ -654,7 +656,7 @@ def random_automorphism_map(shape: TreeShape, radius: int, seed: int) -> FiniteT
     depth-t ancestor gives v's own label there."""
     rng = random.Random(seed)
     degree = shape.degree
-    b = _ball(degree, radius)
+    b = _budgeted_ball(shape, radius)
     inner = np.flatnonzero(b.depths < radius)
     perms = np.zeros((len(inner), degree), np.int64)  # row r: the permutation at inner[r]
     for r, p in enumerate(inner.tolist()):
@@ -672,7 +674,7 @@ def random_automorphism_map(shape: TreeShape, radius: int, seed: int) -> FiniteT
 def random_map(shape: TreeShape, radius: int, seed: int, *, fix_root: bool = False) -> FiniteTreeMap:
     """Arbitrary (generally non-embedding) map with images drawn from the ball."""
     rng = random.Random(seed)
-    verts = _ball(shape.degree, radius).verts
+    verts = _budgeted_ball(shape, radius).verts
     table = {v: verts[rng.randrange(len(verts))] for v in verts}
     if fix_root:
         table[ROOT] = ROOT
@@ -774,11 +776,7 @@ def coarse_surjectivity_radius(
     """
     if target_radius < 0:
         raise ValueError("target radius must be >= 0")
-    if checked_ball_size(m.shape, target_radius, budget) > DEFAULT_VERTEX_BUDGET:
-        # admitted only by a raised budget: built for this call, not cached
-        b = _Ball(m.shape.degree, target_radius)
-    else:
-        b = _ball(m.shape.degree, target_radius)
+    b = _budgeted_ball(m.shape, target_radius, budget)
     dist = np.full(len(b.depths), _FAR, np.int64)
     np.minimum.at(dist, b.positions(m.labels, np.minimum(m.depths, target_radius)), m.depths)
     for t in range(target_radius - 1, -1, -1):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import treeqi as tq
 from treeqi import ROOT, FiniteTreeMap, MixedPolicy, TreeShape, ball
-from treeqi.errors import MapDomainError, ShapeMismatchError, TreeQIError
+from treeqi.errors import BudgetExceededError, MapDomainError, ShapeMismatchError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text
 from treeqi.transforms import _normalize_fold
 from treeqi.tree_core import (
@@ -219,15 +219,19 @@ def test_coarse_surjectivity_matches_reference(m, data):
 
 
 def test_coarse_surjectivity_honors_a_raised_budget(monkeypatch):
-    # a target ball past the default vertex budget, admitted by the caller's
-    # larger budget, is built for the call and kept out of the ball cache
-    monkeypatch.setattr(tq.qi_map, "DEFAULT_VERTEX_BUDGET", 50)
+    # with the default vertex budget patched down, a target ball past it is
+    # admitted by the caller's larger budget and goes through the one ball
+    # cache like any other; a lowered budget refuses it
     m = tq.perturb_map_in_subtree(tq.random_automorphism_map(TreeShape(3), 3, 1), 2)
+    monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
     for target in (4, 6):  # 46 and 190 vertices
-        calls = sum(tq.qi_map._ball.cache_info()[:2])
         got = tq.coarse_surjectivity_radius(m, target, 200)
         assert got == _reference_coarse_surjectivity(m, target, 200)
-        assert (sum(tq.qi_map._ball.cache_info()[:2]) == calls) == (target == 6)
+        misses = tq.qi_map._ball.cache_info().misses
+        tq.qi_map._ball(3, target)
+        assert tq.qi_map._ball.cache_info().misses == misses  # the target ball is cached
+    with pytest.raises(BudgetExceededError, match="has 190 vertices, budget is 100"):
+        tq.coarse_surjectivity_radius(m, 6, 100)
 
 
 def _mutations(rnd, shape, radius, table):

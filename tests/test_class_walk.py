@@ -161,7 +161,9 @@ def test_position_walk_matches_the_tuple_walk(build, rnd):
 def test_class_walk_reads_no_tuple_table():
     """The builder, the approximation and the structural verifier walk ball
     positions: neither module reads a `.table` attribute or imports the
-    tuple walk `_frontiers`."""
+    tuple walk `_frontiers`.  The class choices run relative to the class
+    image: no function of the builder but the public `grow_subtree` wrapper
+    names `FiniteSubtree` or the second boundary pass `tree_core.boundary`."""
     for module in (mixed_builder, transforms):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -170,3 +172,17 @@ def test_class_walk_reads_no_tuple_table():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [a.name.split(".")[-1] for a in node.names]
                 assert "_frontiers" not in names, (module.__name__, node.lineno)
+                assert "boundary" not in names, (module.__name__, node.lineno)
+    tree = ast.parse(Path(mixed_builder.__file__).read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "grow_subtree":
+            continue
+        for node in ast.walk(fn):
+            named = isinstance(node, ast.Name) and node.id in ("FiniteSubtree", "boundary")
+            dotted = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("FiniteSubtree", "boundary")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "tree_core"
+            )
+            assert not (named or dotted), (fn.name, node.lineno)

@@ -6,7 +6,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import treeqi as tq
+import treeqi.cli
 from treeqi.cli import main
 from treeqi.mapfile import parse_map_file, write_map_file
 
@@ -339,6 +342,39 @@ def test_budget_exit(tmp_path, capsys):
     )
     assert (code, out) == (3, "")
     assert err == "error: 12582909 nested same-depth pairs exceed the pair budget 10000000\n"
+
+
+def test_the_callers_vertex_budget_is_the_only_one(tmp_path, capsys, monkeypatch):
+    # with the default budget patched down to 50, the radius-6 ball (190
+    # vertices) is admitted by a raised budget and refused by a lowered one,
+    # by the library entry points and the CLI alike
+    monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
+    monkeypatch.setattr(tq.cli, "DEFAULT_VERTEX_BUDGET", 50)
+    minimal = tq.MixedPolicy.minimal()
+    m, _ = tq.build_mixed(tq.TreeShape(3), 2, 3, minimal, budget=1000)
+    assert tq.parse_map_text(tq.dump_map_text(m), 1000) == m
+    for lowered in (
+        lambda: tq.build_mixed(tq.TreeShape(3), 2, 3, minimal, budget=100),
+        lambda: tq.parse_map_text(tq.dump_map_text(m), 100),
+    ):
+        with pytest.raises(tq.BudgetExceededError, match="has 190 vertices, budget is 100$"):
+            lowered()
+    out = str(tmp_path / "m6.qi")
+    gen = ["gen-mixed", "--degree", "3", "--D", "2", "--levels", "3", "--out", out]
+    runs = [
+        (gen + ["--max-vertices", "1000"], 0),
+        (["verify-mixed", "--in", out, "--D", "2", "--max-vertices", "1000"], 0),
+        (["verify", "--in", out, "--max-vertices", "1000"], 0),
+        (gen + ["--max-vertices", "100"], 3),
+        (gen, 3),  # the patched CLI default
+        (["verify-mixed", "--in", out, "--D", "2", "--max-vertices", "100"], 3),
+        (["verify", "--in", out, "--target-radius", "7", "--max-vertices", "300"], 3),
+    ]
+    for args, want in runs:
+        code, stdout, err = run_cli(args, capsys)
+        assert code == want, (args, err)
+        if want == 3:
+            assert stdout == "" and "budget is" in err, args
 
 
 def test_sampled_pair_budget_exit(tmp_path, capsys):

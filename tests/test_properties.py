@@ -14,11 +14,11 @@ PROPERTY = settings(max_examples=50, deadline=None)
 
 
 @st.composite
-def builds(draw):
+def builds(draw, degrees=(3, 4), min_levels=0):
     """(shape, step, levels, policy) with at most a few hundred vertices."""
-    shape = TreeShape(draw(st.sampled_from([3, 4])))
+    shape = TreeShape(draw(st.sampled_from(degrees)))
     step = draw(st.integers(1, 3))
-    levels = draw(st.integers(0, (6 if shape.degree == 3 else 4) // step))
+    levels = draw(st.integers(min_levels, max(min_levels, (6 if shape.degree == 3 else 4) // step)))
     policy = draw(
         st.sampled_from([MixedPolicy.minimal(), MixedPolicy.deepest_feasible()])
         | st.integers(0, 10**6).map(MixedPolicy.random)

@@ -1,0 +1,81 @@
+"""Print one sha256 line per build of a fixed sweep of mixed constructions.
+
+    python tools/build_sweep.py > sweep.txt
+
+Run with treeqi importable (for example PYTHONPATH=src).  The sweep covers
+degrees 3-5, step depths 1-3 and every number of levels up to a small
+radius, each with the minimal, the deepest and 34 seeded random policies
+(1,152 builds).  Each line digests, in order: the map file text, the trace
+text, the map rebuilt by replaying the parsed trace, the `verify-mixed`
+report as text lines and as JSON, and `approximate_by_mixed` at the build's
+step D and at D+1 (the map and trace text, or the failure).  Two checkouts
+produce the same bytes exactly when every one of these outputs agrees, so a
+change to the construction is checked byte for byte with one `diff` of two
+sweeps.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import warnings
+
+import treeqi as tq
+
+RADIUS = {3: 8, 4: 6, 5: 4}  # the largest radius swept per degree
+RANDOM_SEEDS = 34
+APPROXIMATION_C = 1
+
+
+def _approximation(m, step: int) -> str:
+    try:
+        f, _, trace = tq.approximate_by_mixed(m, APPROXIMATION_C, step, check_promise=False)
+    except tq.TreeQIError as e:
+        return f"{type(e).__name__}: {e}"
+    return tq.dump_map_text(f) + trace.to_text()
+
+
+def build_outputs(shape, step: int, levels: int, policy) -> list[str]:
+    m, trace = tq.build_mixed(shape, step, levels, policy)
+    text = trace.to_text()
+    replayed, _ = tq.build_mixed(
+        shape, step, levels, tq.MixedPolicy.explicit(tq.BuildTrace.from_text(text))
+    )
+    rep = tq.verify_mixed_structure(m, step)
+    return [
+        tq.dump_map_text(m),
+        text,
+        tq.dump_map_text(replayed),
+        "\n".join(rep.to_lines()),
+        json.dumps(rep.to_json_dict(), sort_keys=True),
+        _approximation(m, step),
+        _approximation(m, step + 1),
+    ]
+
+
+def sweep():
+    """(label, shape, step, levels, policy) for every build of the sweep."""
+    for degree, radius in RADIUS.items():
+        shape = tq.TreeShape(degree)
+        for step in (1, 2, 3):
+            for levels in range(1, radius // step + 1):
+                policies = [tq.MixedPolicy.minimal(), tq.MixedPolicy.deepest_feasible()]
+                policies += [tq.MixedPolicy.random(seed) for seed in range(RANDOM_SEEDS)]
+                for policy in policies:
+                    label = f"d={degree} D={step} levels={levels} policy={policy.describe()}"
+                    yield label, shape, step, levels, policy
+
+
+def main() -> int:
+    warnings.simplefilter("ignore")
+    for label, shape, step, levels, policy in sweep():
+        digest = hashlib.sha256()
+        for part in build_outputs(shape, step, levels, policy):
+            digest.update(part.encode() + b"\0")
+        print(f"{digest.hexdigest()} {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
