@@ -1,9 +1,10 @@
 """Self quasi-isometries of finite regular-tree truncations.
 
-Exact tree combinatorics, quasi-isometry constant measurement over explicit
-map tables, the level-by-level mixed-subtree construction with pluggable
-policies, and the two constructive conversions between map families
-(order-preserving normalization and mixed-subtree approximation).
+Tree addresses and ball sizes, exact quasi-isometry constant measurement
+over explicit maps, the level-by-level mixed-subtree construction with
+pluggable policies, and the two constructive conversions between map
+families (order-preserving normalization and mixed-subtree approximation).
+The names exported here are the public API that README lists.
 """
 
 from .errors import (
@@ -37,7 +38,6 @@ from .mixed_builder import (
     build_mixed,
     check_assignment,
     feasible_boundary_sizes,
-    grow_subtree,
     verify_mixed_structure,
 )
 from .oracle import oracle_measure
@@ -52,7 +52,7 @@ from .qi_map import (
     coarse_surjectivity_radius,
     compose,
     constant_map,
-    evaluate,
+    finish_report,
     identity_map,
     is_order_preserving,
     levelwise_permutation_map,
@@ -64,7 +64,6 @@ from .qi_map import (
     random_levelwise_permutation_map,
     random_map,
     sup_distance,
-    verify_map,
 )
 from .transforms import (
     ConstantsBundle,
@@ -78,23 +77,10 @@ from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
     ROOT,
-    FiniteSubtree,
     TreeShape,
     Vertex,
-    ball,
     ball_size,
-    boundary,
-    common_prefix_len,
-    d_children,
-    d_children_count,
-    depth,
-    distance,
     format_address,
-    geodesic,
-    is_descendant,
-    lca,
-    lca_pair,
-    parent,
     parse_address,
     validate_address,
 )

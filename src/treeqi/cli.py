@@ -27,8 +27,8 @@ from .qi_map import (
     compose,
     finish_report,
     is_order_preserving,
+    measure_qi,
     sup_distance,
-    verify_map,
 )
 from .report import JSON, TEXT, Rows
 from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape
@@ -116,12 +116,8 @@ def cmd_verify(args) -> int:
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     source = _parse_pairs(args.pairs, args.seed)
     candidate = _parse_C(args.C) if args.C is not None else None
-    rep = verify_map(
-        m,
-        source,
-        candidate_C=candidate,
-        target_radius=args.target_radius,
-        budget=args.max_vertices,
+    rep = finish_report(
+        measure_qi(m, source, candidate_C=candidate), m, args.target_radius, args.max_vertices
     )
     if candidate is not None:
         # the candidate constant also gates the geodesic-image coverage and,

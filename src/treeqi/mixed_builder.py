@@ -28,8 +28,7 @@ children as one run of the block.  A replayed subtree is checked in one
 pass over its vertices.  In trace text, an address v.w below a class image
 is the image's text, a dot and the text of w, so writing and reading it
 needs no ball lookup; members and block vertices are ball vertices and take
-the ball's text.  `FiniteSubtree` and `tree_core.boundary` serve only the
-public `grow_subtree`.
+the ball's text.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
     ROOT,
-    FiniteSubtree,
     TreeShape,
     Vertex,
     format_address,
@@ -381,33 +379,13 @@ def _subtree_at(v: Vertex, target: int, d: int, rng: _CountingRandom | None) -> 
     return tuple([v + w for w in members]), tuple([v + w for w in bd])
 
 
-def grow_subtree(
-    v: Vertex,
-    target_boundary: int,
-    policy: MixedPolicy,
-    shape: TreeShape,
-    rng: _CountingRandom | None = None,
-) -> FiniteSubtree:
-    """Grow a subtree hanging at v until its boundary has the target size.
-
-    Each added vertex grows the boundary by d-2, so the target must lie on
-    the progression starting at the singleton's boundary size.  The minimal
-    policy always extends the address-least boundary vertex (the leftmost
-    branch); the deepest policy extends the deepest one; the random policy
-    extends a uniformly chosen one.
-    """
-    if policy.variant == "explicit":
-        raise PolicyError("the explicit policy supplies subtrees directly", image=v)
-    return FiniteSubtree(_subtree_at(v, target_boundary, shape.degree, _stream(policy, rng))[0])
-
-
-def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices, step: int) -> None:
+def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices) -> None:
     """Raise PolicyError unless the assignment covers the whole boundary and
     only children of the same class member share an image.
 
     The block holds each member's children in turn, as the class walk gives
-    it, so the groups are runs of equal length and `step` is not read; a
-    shared image is named by its first occurrence in block order.
+    it, so the groups are runs of equal length; a shared image is named by
+    its first occurrence in block order.
     """
     block = cls.block
     if len(assignment) != len(block) or not all(map(assignment.__contains__, block)):
@@ -429,7 +407,6 @@ def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices, step:
 def assign_images(
     cls: LevelClass,
     boundary_vertices,
-    step: int,
     policy: MixedPolicy,
     rng: _CountingRandom | None = None,
 ) -> dict:
@@ -467,7 +444,7 @@ def assign_images(
         fold = [own[rng.randrange(len(own))] for _ in range(rest)] if rng else [min(own)] * rest
         images += own + fold
     assignment = dict(zip(cls.block, images))
-    check_assignment(cls, assignment, deal, step)
+    check_assignment(cls, assignment, deal)
     return assignment
 
 
@@ -579,7 +556,7 @@ def build_mixed(
             if entry is None:
                 raise PolicyError("trace has no entry for this class", level=i, image=cls.image)
             subtree, bd = _replayed_subtree(i, cls.image, entry, shape.degree)
-            check_assignment(cls, entry.assignment, bd, step)
+            check_assignment(cls, entry.assignment, bd)
             assignment = {b: entry.assignment[b] for b in cls.block}
             draws = entry.rng_draws
         else:
@@ -589,7 +566,7 @@ def build_mixed(
             pick = rng.randrange(len(feas)) if rng else 0 if policy.variant == "minimal" else -1
             target = feas[pick]  # the smallest, the largest, or a uniform feasible size
             subtree, bd = _subtree_at(cls.image, target, shape.degree, rng)
-            assignment = assign_images(cls, bd, step, policy, rng)
+            assignment = assign_images(cls, bd, policy, rng)
             draws = rng.calls if rng else 0
         return ClassTrace(i, cls.image, cls.members, subtree, bd, assignment, draws)
 

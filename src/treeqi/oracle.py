@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import qi_map
 from .errors import BudgetExceededError
 from .qi_map import (
     SQRT_SCALE,
@@ -63,10 +64,11 @@ def oracle_measure(
     *,
     candidate_C=None,
     max_lca_depth: int | None = None,
-    max_violations: int = 1000,
 ) -> VerificationReport:
-    """Exhaustive reference version of measure_qi."""
+    """Exhaustive reference version of measure_qi, listing at most as many
+    violations as it does."""
     cand = None if candidate_C is None else Fraction(candidate_C)
+    max_violations = qi_map.DEFAULT_MAX_VIOLATIONS
     verts = m.domain
     n = len(verts)
     if n * (n - 1) // 2 > MAX_PAIRS:

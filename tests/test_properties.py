@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeqi as tq
-from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape, ball
+from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape
 from treeqi.mapfile import dump_map_text, parse_map_text
+from treeqi.tree_core import ball
 
 PROPERTY = settings(max_examples=50, deadline=None)
 

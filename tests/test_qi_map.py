@@ -14,7 +14,6 @@ from treeqi import (
     FiniteTreeMap,
     PairSource,
     TreeShape,
-    ball,
 )
 from treeqi.errors import (
     BudgetExceededError,
@@ -22,7 +21,9 @@ from treeqi.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
+from reference import distance, geodesic, parent
 from treeqi.oracle import oracle_measure
+from treeqi.tree_core import ball
 
 D3 = TreeShape(3)
 
@@ -86,7 +87,8 @@ def test_pair_min_C_closed_form():
 
 
 def test_identity_measurement():
-    rep = tq.verify_map(tq.identity_map(D3, 5))
+    m = tq.identity_map(D3, 5)
+    rep = tq.finish_report(tq.measure_qi(m), m)
     assert rep.best_single_C == 1
     assert rep.coarse_surjectivity_radius == 0
     assert rep.order_preserving is True
@@ -99,7 +101,7 @@ def test_constant_map_measurement():
     # the farthest pair sits at distance 6; the lower bound forces C >= sqrt(6)
     assert rep.best_single_C == Fraction(2449490, 10**6)
     wx, wy = rep.witness
-    assert tq.distance(wx, wy) == 6
+    assert distance(wx, wy) == 6
     assert rep.upper_pair == (1, 0)
     assert rep.lower_pair == (1, 6)
 
@@ -130,7 +132,7 @@ def test_coarse_surjectivity():
         m = tq.random_map(D3, 4, seed)
         targets = ball(D3, 3)
         images = sorted(set(m.table.values()))
-        brute = max(min(tq.distance(y, w) for w in images) for y in targets)
+        brute = max(min(distance(y, w) for w in images) for y in targets)
         assert tq.coarse_surjectivity_radius(m, 3) == brute
 
 
@@ -149,7 +151,7 @@ def test_order_preserving():
 def test_sup_distance():
     m = tq.identity_map(D3, 5)
     assert tq.sup_distance(m, m) == 0
-    parent_map = tq.map_from_function(D3, 5, tq.parent)
+    parent_map = tq.map_from_function(D3, 5, parent)
     assert tq.sup_distance(m, parent_map) == 1
     with pytest.raises(ShapeMismatchError):
         tq.sup_distance(m, tq.identity_map(TreeShape(4), 5))
@@ -212,9 +214,9 @@ def _brute_geodesic_violations(m, C, pairs):
     t = m.table
     out = []
     for u, v in pairs:
-        dom_path = tq.geodesic(u, v)
-        for a in tq.geodesic(t[u], t[v]):
-            best = min(tq.distance(t[b], a) for b in dom_path)
+        dom_path = geodesic(u, v)
+        for a in geodesic(t[u], t[v]):
+            best = min(distance(t[b], a) for b in dom_path)
             if best > C:
                 out.append((u, v, a, best))
     return out
@@ -232,7 +234,7 @@ def _canonical_pairs(m, source):
     return [pairs[r] for r in sorted(picked)]
 
 
-def test_check_geodesic_image_matches_brute_force():
+def test_check_geodesic_image_matches_brute_force(monkeypatch):
     rng = random.Random(21)
     cut_checked = 0
     for seed in range(6):
@@ -240,11 +242,13 @@ def test_check_geodesic_image_matches_brute_force():
         C = Fraction(rng.randrange(1, 3))
         for source in (EXHAUSTIVE, PairSource.sampled(60, seed)):
             brute = _brute_geodesic_violations(m, C, _canonical_pairs(m, source))
-            got = tq.check_geodesic_image(m, C, source, max_violations=10**9)
+            monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**9)
+            got = tq.check_geodesic_image(m, C, source)
             assert [(v.x, v.y, v.at, v.value) for v in got] == brute
             cut_checked += len(brute) > 1
             for cap in (0, 1, len(brute) // 2):
-                got = tq.check_geodesic_image(m, C, source, max_violations=cap)
+                monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", cap)
+                got = tq.check_geodesic_image(m, C, source)
                 assert [(v.x, v.y, v.at, v.value) for v in got] == brute[:cap]
                 assert got.total == len(brute)  # the cap limits the list, not the count
     assert cut_checked >= 4
@@ -277,12 +281,12 @@ def small_maps(draw):
 @settings(max_examples=30, deadline=2000)
 @given(small_maps(), st.sampled_from([1, Fraction(3, 2), 2, 5]), st.integers(0, 8))
 def test_geodesic_image_property(m, C, block_exp):
-    saved = tq.qi_map._BLOCK
-    tq.qi_map._BLOCK = 1 << block_exp
+    saved = tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
+    tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 10**9
     try:
-        got = tq.check_geodesic_image(m, C, max_violations=10**9)
+        got = tq.check_geodesic_image(m, C)
     finally:
-        tq.qi_map._BLOCK = saved
+        tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
     assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(
         m, C, _canonical_pairs(m, EXHAUSTIVE)
     )
@@ -297,13 +301,13 @@ def test_geodesic_image_property(m, C, block_exp):
     st.integers(0, 8),
 )
 def test_measure_qi_equals_oracle_property(m, C, max_lca_depth, block_exp):
-    saved = tq.qi_map._BLOCK
-    tq.qi_map._BLOCK = 1 << block_exp
+    saved = tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
+    tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 7
     try:
-        got = tq.measure_qi(m, candidate_C=C, max_lca_depth=max_lca_depth, max_violations=7)
+        got = tq.measure_qi(m, candidate_C=C, max_lca_depth=max_lca_depth)
+        want = oracle_measure(m, candidate_C=C, max_lca_depth=max_lca_depth)
     finally:
-        tq.qi_map._BLOCK = saved
-    want = oracle_measure(m, candidate_C=C, max_lca_depth=max_lca_depth, max_violations=7)
+        tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
     assert got.measurement_fields() == want.measurement_fields()
 
 
@@ -371,11 +375,11 @@ def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
         for m in maps:
             for source in sources:
                 for lca in (None, 1):
-                    rep = tq.measure_qi(
-                        m, source, candidate_C=2, max_lca_depth=lca, max_violations=9
-                    )
+                    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 9)
+                    rep = tq.measure_qi(m, source, candidate_C=2, max_lca_depth=lca)
                     out.append(rep.measurement_fields())
-                out.append(tq.check_geodesic_image(m, 1, source, max_violations=40))
+                monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 40)
+                out.append(tq.check_geodesic_image(m, 1, source))
         return out
 
     whole = run()
@@ -387,17 +391,20 @@ def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     assert run() == whole
 
 
-def test_sampled_sources_answer_to_the_pair_budget():
+def test_sampled_sources_answer_to_the_pair_budget(monkeypatch):
     m = tq.random_map(D3, 3, 1)  # 231 pairs
     source = PairSource.sampled(100, 1)
+    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_PAIRS", 50)
     with pytest.raises(BudgetExceededError):
-        tq.measure_qi(m, source, max_pairs=50)
+        tq.measure_qi(m, source)
     with pytest.raises(BudgetExceededError):
-        tq.check_geodesic_image(m, 2, source, max_pairs=50)
+        tq.check_geodesic_image(m, 2, source)
+    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_PAIRS", 230)
     with pytest.raises(BudgetExceededError):
-        tq.check_geodesic_image(m, 2, max_pairs=230)
-    assert tq.measure_qi(m, source, max_pairs=100).pairs_checked == 100
-    tq.check_geodesic_image(m, 2, source, max_pairs=100)
+        tq.check_geodesic_image(m, 2)
+    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_PAIRS", 100)
+    assert tq.measure_qi(m, source).pairs_checked == 100
+    tq.check_geodesic_image(m, 2, source)
 
 
 def _brute_same_depth_violations(m, C):
@@ -418,7 +425,7 @@ def _brute_same_depth_violations(m, C):
                 fu, fv = t[u], t[v]
                 if fu[: len(fv)] != fv:
                     continue
-                if tq.distance(u, v) > K or tq.distance(fu, fv) > K:
+                if distance(u, v) > K or distance(fu, fv) > K:
                     out.append((u, v))
     return out
 
@@ -432,11 +439,13 @@ def test_check_same_depth_matches_brute_force(monkeypatch):
             want = _brute_same_depth_violations(m, C)
             for block in blocks:
                 monkeypatch.setattr(tq.qi_map, "_BLOCK", block)
-                got = tq.check_same_depth(m, C, max_violations=10**9)
+                monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**9)
+                got = tq.check_same_depth(m, C)
                 assert [(v.x, v.y) for v in got] == want
                 assert got.total == len(want)
                 for cap in (0, 3):
-                    got = tq.check_same_depth(m, C, max_violations=cap)
+                    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", cap)
+                    got = tq.check_same_depth(m, C)
                     assert [(v.x, v.y) for v in got] == want[:cap]
                     assert got.total == len(want)
 
@@ -506,8 +515,8 @@ def test_chunked_evaluation_merges_to_the_sequential_result():
     for start in range(0, len(pairs), 313):
         best = Fraction(1)
         for i, j in pairs[start : start + 313]:
-            delta = tq.distance(verts[i], verts[j])
-            iota = tq.distance(m.table[verts[i]], m.table[verts[j]])
+            delta = distance(verts[i], verts[j])
+            iota = distance(m.table[verts[i]], m.table[verts[j]])
             best = max(best, tq.pair_min_C(delta, iota))
             if iota > 2 * delta + 2:
                 chunk_violations.append((verts[i], verts[j], "upper"))
@@ -525,7 +534,7 @@ def test_best_constant_is_attained_and_fits_bound_all_pairs():
         rep = tq.measure_qi(m)
         wx, wy = rep.witness
         # the witness pair is exactly tight for the reported constant
-        assert tq.pair_min_C(tq.distance(wx, wy), tq.distance(m.table[wx], m.table[wy])) \
+        assert tq.pair_min_C(distance(wx, wy), distance(m.table[wx], m.table[wy])) \
             == rep.best_single_C
         # the two-parameter fits bound every pair in their direction
         um, ua = rep.upper_pair
@@ -533,8 +542,8 @@ def test_best_constant_is_attained_and_fits_bound_all_pairs():
         verts = m.domain
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
-                delta = tq.distance(verts[i], verts[j])
-                iota = tq.distance(m.table[verts[i]], m.table[verts[j]])
+                delta = distance(verts[i], verts[j])
+                iota = distance(m.table[verts[i]], m.table[verts[j]])
                 assert iota <= um * delta + ua
                 assert Fraction(delta, 1) / lm - la <= iota
 
@@ -550,7 +559,7 @@ def test_max_lca_depth_filter():
 def test_levelwise_permutation_is_isometry():
     for seed in range(5):
         m = tq.random_levelwise_permutation_map(D3, 6, seed)
-        rep = tq.verify_map(m)
+        rep = tq.finish_report(tq.measure_qi(m), m)
         assert rep.best_single_C == 1
         assert rep.coarse_surjectivity_radius == 0
         assert rep.order_preserving
@@ -558,12 +567,13 @@ def test_levelwise_permutation_is_isometry():
 
 def test_automorphism_is_isometry():
     m = tq.random_automorphism_map(D3, 6, 9)
-    rep = tq.verify_map(m)
+    rep = tq.finish_report(tq.measure_qi(m), m)
     assert rep.best_single_C == 1 and rep.coarse_surjectivity_radius == 0
 
 
 def test_report_render_round_trip_values():
-    rep = tq.verify_map(tq.constant_map(D3, 3), candidate_C=2, target_radius=2)
+    m = tq.constant_map(D3, 3)
+    rep = tq.finish_report(tq.measure_qi(m, candidate_C=2), m, 2)
     lines = rep.to_lines()
     assert "best_single_C=244949/100000" in lines
     assert "order_preserving=true" in lines  # everything lands in the root subtree

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 import treeqi as tq
+from reference import FiniteSubtree, boundary, lca
 from treeqi import MixedPolicy, PromiseWarning, TreeShape
 from treeqi.errors import PreconditionError, ValidationFailure
+from treeqi.tree_core import ball
 
 D3 = TreeShape(3)
 
@@ -184,13 +186,13 @@ def _spread_map():
     """The 24 depth-4 vertices map onto the boundary of the 22-vertex chain
     0, 0.0, ..., deepest first, so the intermediate vertex 0 spans images
     15 levels deep (and 0.0 spans 19) while its class image is the root."""
-    chain = tq.FiniteSubtree([(0,) * k for k in range(22)])
-    targets = sorted(tq.boundary(chain, D3), key=lambda a: (-len(a), a))
-    leaves = [v for v in tq.ball(D3, 4) if len(v) == 4]
+    chain = FiniteSubtree([(0,) * k for k in range(22)])
+    targets = sorted(boundary(chain, D3), key=lambda a: (-len(a), a))
+    leaves = [v for v in ball(D3, 4) if len(v) == 4]
     image = dict(zip(leaves, targets, strict=True))
 
     def spread(v):
-        return () if not v else tq.lca(a for b, a in image.items() if b[: len(v)] == v)
+        return () if not v else lca(a for b, a in image.items() if b[: len(v)] == v)
 
     return tq.map_from_function(D3, 4, spread)
 

