@@ -13,12 +13,14 @@ ball is past the depth cap or the vertex budget before it reads any line,
 rejects duplicate sources, sources outside the ball, labels out of range
 for the header degree, and reports the first missing domain vertex by name.
 
-Both directions go through the text of the ball's cached layout
-(`qi_map._ball`): canonical text of a vertex of the ball maps straight to
-its ball position and back, so only other text (images deeper than the
-radius, non-canonical spellings, bad labels) is parsed and checked label by
-label.  The parser gathers each image's label row from the ball's own label
-matrix by position; the writer emits text by position.
+Both directions go through the address text codec of the ball's cached
+layout (`qi_map._ball`), which trace files share: canonical text of a
+vertex of the ball maps straight to its ball position and back, and an
+image deeper than the radius is the text of its ancestor on the last level
+followed by the further labels.  Only other text (non-canonical spellings,
+bad labels) is parsed and checked label by label.  The parser gathers each
+image's label row from the ball's own label matrix by position; the writer
+emits text by position.
 """
 
 from __future__ import annotations
@@ -29,16 +31,21 @@ from typing import Iterator
 import numpy as np
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap, _ball, _budgeted_ball, _pack
-from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape
+from .qi_map import FiniteTreeMap, _ball, _budgeted_ball, _pack, _tail_text
+from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape, format_address
 
 _MAGIC = "tree-qi"
 _VERSION = "v1"
 
 
 def _map_lines(m: FiniteTreeMap) -> Iterator[str]:
-    texts = _ball(m.shape.degree, m.domain_radius).texts
-    images = m._images(inside=texts, deep=lambda labels: ".".join(map(str, labels)))
+    ball = _ball(m.shape.degree, m.domain_radius)
+    texts, r = ball.texts, ball.radius
+    images = [texts[p] for p in ball.positions(m.labels, np.minimum(m.depths, r)).tolist()]
+    deep = np.flatnonzero(m.depths > r)  # text of the ancestor at depth r, then the tail
+    for i, row, k in zip(deep.tolist(), m.labels[deep, r:].tolist(), m.depths[deep].tolist()):
+        tail = tuple(row[: k - r])
+        images[i] = images[i] + _tail_text(tail) if r else format_address(tail)
     yield f"{_MAGIC} {_VERSION} degree={m.shape.degree} radius={m.domain_radius}\n"
     for source, image in zip(texts, images):
         yield f"{source} {image}\n"

@@ -25,10 +25,10 @@ the deepest policy grow one leftmost chain, cached per (degree, root or
 not, size), and the result is translated to v once.  The block arrives
 member by member, so the assignment and its check take each member's
 children as one run of the block.  A replayed subtree is checked in one
-pass over its vertices.  In trace text, an address v.w below a class image
-is the image's text, a dot and the text of w, so writing and reading it
-needs no ball lookup; members and block vertices are ball vertices and take
-the ball's text.
+pass over its vertices.  Trace text goes through the address text codec of
+the ball the trace builds (`qi_map._Ball.format` and `locate`), as map
+files do: a ball vertex is its own text, and an address below the radius is
+the text of its ancestor on the last level followed by the further labels.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import groupby
 from typing import Iterable
 
@@ -81,16 +81,6 @@ class ClassTrace:
     rng_draws: int = 0
 
 
-@lru_cache(maxsize=4096)
-def _tail(text: str, bound: int) -> tuple | None:
-    """The labels of the text of an address relative to a vertex other than
-    the root, or None unless each is an ASCII number below `bound`."""
-    labels = text.split(".")
-    if text.isascii() and all(a.isdigit() and int(a) < bound for a in labels):
-        return tuple(map(int, labels))
-    return None
-
-
 @dataclass
 class BuildTrace:
     """Complete record of the choices of one construction run."""
@@ -111,38 +101,20 @@ class BuildTrace:
             return None
 
     def to_text(self) -> str:
-        """Members and block vertices take the ball's text; an address below
-        a class image other than the root is the image's text followed by
-        the text of the relative address, each relative text made once."""
-        ball = self._layout()
-        known = ball._text if ball else {}  # ball vertex -> its text
-        tails: dict = {}  # relative address -> '.a.b...'
-
-        def fmt(v: Vertex) -> str:
-            return known.get(v) or format_address(v)
-
+        """The trace as text, every address in its canonical text."""
+        fmt = ball.format if (ball := self._layout()) else format_address
         lines = [
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
             f" levels={self.levels} policy={self.policy}"
         ]
         for c in self.classes:
-            image, n, head = c.image, len(c.image), fmt(c.image)
-
-            def below(u: Vertex) -> str:
-                if not (n and u[:n] == image):
-                    return fmt(u)
-                w = u[n:]
-                return head + (tails.get(w) or tails.setdefault(w, "".join(f".{a}" for a in w)))
-
-            bd = list(map(below, c.boundary))
-            text = dict(zip(c.boundary, bd))
-            pairs = [f"{fmt(b)}:{text.get(a) or below(a)}" for b, a in c.assignment.items()]
+            pairs = [f"{fmt(b)}:{fmt(a)}" for b, a in c.assignment.items()]
             lines.append(
                 f"class level={c.level}"
-                f" image={head}"
+                f" image={fmt(c.image)}"
                 f" members={'|'.join(map(fmt, c.members))}"
-                f" subtree={'|'.join(map(below, c.subtree))}"
-                f" boundary={'|'.join(bd)}"
+                f" subtree={'|'.join(map(fmt, c.subtree))}"
+                f" boundary={'|'.join(map(fmt, c.boundary))}"
                 f" rng_draws={c.rng_draws}"
                 f" assign={','.join(pairs)}"
             )
@@ -150,9 +122,7 @@ class BuildTrace:
 
     @staticmethod
     def from_text(text: str) -> "BuildTrace":
-        """Ball vertices (members, block vertices) are read by their text's
-        ball position; an address below a class image other than the root
-        is read relative to the image, each relative text checked once."""
+        """Read a trace's text; each distinct address text is read once."""
         lines = text.splitlines()
         if not lines:
             raise MapFormatError("empty trace", 1)
@@ -173,13 +143,11 @@ class BuildTrace:
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
         ball, shape = trace._layout(), TreeShape(trace.degree)
-        position, verts = (ball._position, ball.verts) if ball else ({}, ())
-        seen: dict = {}  # text of an address below an image -> the address
-        known = seen.get
 
+        @cache  # each distinct text is read once
         def addr(t: str) -> Vertex:
-            p = position.get(t)
-            return verts[p] if p is not None else seen.get(t) or parse_address(t, shape)
+            v = ball.locate(t) if ball else parse_address(t, shape)
+            return ball.verts[v] if isinstance(v, int) else v
 
         for no, ln in enumerate(lines[1:], start=2):
             toks = ln.split()
@@ -189,31 +157,18 @@ class BuildTrace:
             for tok in toks[1:]:
                 k, _, v = tok.partition("=")
                 kv[k] = v
-            try:  # the image first, for the addresses below it; a bad one fails in its place
-                image = addr(kv["image"])
-            except (KeyError, TreeQIError):
-                image = None
-            prefix = f"{kv['image']}." if image else "\0"  # the root's text has no prefix
-
-            def below(t: str) -> Vertex:
-                w = _tail(t[len(prefix) :], shape.degree - 1) if t.startswith(prefix) else None
-                fits = w is not None and len(image) + len(w) <= MAX_DEPTH
-                u = seen[t] = image + w if fits else addr(t)
-                return u
-
             try:
                 assignment = {}
                 for pair in kv["assign"].split(","):
                     b, _, a = pair.partition(":")
-                    u, p = known(a) or below(a), position.get(b)
-                    assignment[verts[p] if p is not None else addr(b)] = u
+                    assignment[addr(b)] = addr(a)
                 trace.classes.append(
                     ClassTrace(
                         level=int(kv["level"]),
-                        image=addr(kv["image"]) if image is None else image,
+                        image=addr(kv["image"]),
                         members=tuple(map(addr, kv["members"].split("|"))),
-                        subtree=tuple([known(t) or below(t) for t in kv["subtree"].split("|")]),
-                        boundary=tuple([known(t) or below(t) for t in kv["boundary"].split("|")]),
+                        subtree=tuple(map(addr, kv["subtree"].split("|"))),
+                        boundary=tuple(map(addr, kv["boundary"].split("|"))),
                         assignment=assignment,
                         rng_draws=int(kv.get("rng_draws", "0")),
                     )
@@ -707,7 +662,7 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         add("root-anchor", 0, f"root maps to {format_address(m._images([0])[0])}")
 
     multiplicity = {0: 1}
-    steps: list[int] = []  # every D-parent/D-child image distance
+    steps = []  # per level, every D-parent/D-child image distance
     walk = _level_classes(ball, step, levels, m._images)
     for j, entries in groupby(walk, key=lambda e: e[0]):  # one level's classes
         i, lv = j + 1, (j + 1) * step
@@ -743,10 +698,10 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
                     i,
                     f"{format_address(a)} is an ancestor of {format_address(b)}",
                 )
-        for p, dist in zip(at.tolist(), moved[fill:].tolist()):
-            steps.append(dist)
-            if not 1 <= dist <= K2:
-                add("image-step", i, f"{ball.texts[p]} moved its image {dist}, outside [1, {K2}]")
+        dist = moved[fill:]
+        steps.append(dist)
+        for r in np.flatnonzero((dist < 1) | (dist > K2)).tolist():
+            add("image-step", i, f"{ball.texts[at[r]]} moved its image {dist[r]}, outside [1, {K2}]")
         for cls, block, _ in sorted((e[1:] for e in entries), key=lambda e: e[0].image):
             targets = {images[r] for r in np.searchsorted(at, block).tolist()}
             _, reason = recover_class_subtree(cls.image, targets, m.shape)
@@ -765,7 +720,7 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         witness_total=witness_total,
         multiplicity_by_level=multiplicity,
         multiplicity_bound=K,
-        image_step_min=min(steps, default=None),
-        image_step_max=max(steps, default=None),
+        image_step_min=min((int(s.min()) for s in steps), default=None),
+        image_step_max=max((int(s.max()) for s in steps), default=None),
         image_step_bound=K2,
     )

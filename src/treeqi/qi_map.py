@@ -4,12 +4,13 @@ A map is defined on the ball of a given radius about the root and holds its
 images as label arrays in ball (address) order; images may be any valid
 addresses, arbitrarily deep.  One cached `_Ball` per degree and radius owns
 that order: its label rows, the position arithmetic of children, parents
-and addresses, its vertex tuples and its canonical text, which the map
-files read too.  Whole-map operations (comparison, composition, sup
-distance, the ancestry check, coarse surjectivity) run on the arrays, and
-so do the mixed construction and its checks in `mixed_builder`; the dict
-view `FiniteTreeMap.table` serves `FiniteTreeMap.evaluate`, the independent
-oracle and callers that want tuples.
+and addresses, its vertex tuples and the text of every address, which map
+and trace files write and read through it.  Whole-map operations
+(comparison, composition, sup distance, the ancestry check, coarse
+surjectivity) run on the arrays, and so do the mixed construction and its
+checks in `mixed_builder`; the dict view `FiniteTreeMap.table` serves
+`FiniteTreeMap.evaluate`, the independent oracle and callers that want
+tuples.
 
 Verification measures the best single quasi-isometry constant exactly:
 every distance is an integer, the per-pair binding constant is solved in
@@ -110,6 +111,12 @@ class _Ball:
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
     (`positions`).  The vertex tuples, the prefix index, the ancestor table
     and the canonical text of every vertex are built on first use.
+
+    The ball is the one codec of address text for map and trace files:
+    `format` writes any address and `locate` reads it back.  An address
+    below the radius is the text of its ancestor on the last level followed
+    by the further labels, whose text (`_tail_text`) and reading (`_tail`)
+    are cached across balls.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -190,29 +197,55 @@ class _Ball:
     def _text(self) -> dict:
         return dict(zip(self.verts, self.texts))
 
+    def format(self, v: Vertex) -> str:
+        """The canonical text of any address: a ball vertex's own text, and
+        below the radius the text of its ancestor on the last level plus
+        the further labels."""
+        text = self._text.get(v)
+        if text is None:
+            r = self.radius
+            head = r and self._text.get(v[:r])  # at radius 0 no ancestor has a text to extend
+            text = head + _tail_text(v[r:]) if head else format_address(v)
+        return text
+
     def locate(self, text: str) -> int | Vertex:
         """The ball position of the address in any spelling, or the parsed
         address itself when it lies outside the ball.
 
-        Canonical text of a vertex is one dict lookup, and canonical text of
-        an address deeper than the radius is read as the text of a ball
-        vertex other than the root plus further labels (the root's text '.'
-        heads no address).  Other text (a spelling such as '01.1', a bad
-        label, '..0') goes through `parse_address` and its checks.
+        Canonical text of a vertex is one dict lookup, and text of an
+        address deeper than the radius is read as the text of a ball vertex
+        on the last level plus further labels (`_tail`).  Other text (a
+        spelling such as '01.1', a bad label, '..0', the root's '.' heading
+        further labels) goes through `parse_address` and its checks.
         """
         p = self._position.get(text)
         if p is not None:
             return p
         extra = text.count(".") + 1 - self.radius
         if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
-            head, *tail = text.rsplit(".", extra)
+            head = text.rsplit(".", extra)[0]
             p = self._position.get(head)
-            if p and text.isascii() and all(map(str.isdigit, tail)):
-                labels = tuple(map(int, tail))
-                if max(labels) < self.shape.degree - 1:
-                    return self.verts[p] + labels
+            w = p and _tail(text[len(head) + 1 :], self.shape.degree - 1)
+            if w:
+                return self.verts[p] + w
         v = parse_address(text, self.shape)
         return self._position[format_address(v)] if len(v) <= self.radius else v
+
+
+@lru_cache(maxsize=4096)
+def _tail(text: str, bound: int) -> tuple | None:
+    """The labels of the text of an address below a vertex other than the
+    root, or None unless each is an ASCII number below `bound`."""
+    labels = text.split(".")
+    if text.isascii() and all(a.isdigit() and int(a) < bound for a in labels):
+        return tuple(map(int, labels))
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _tail_text(w: tuple) -> str:
+    """The text of labels w below a vertex other than the root: '.a.b...'."""
+    return "".join(f".{a}" for a in w)
 
 
 @lru_cache(maxsize=32)
@@ -549,18 +582,16 @@ class FiniteTreeMap:
         """Domain vertices in address order."""
         return _ball(self.shape.degree, self.domain_radius).verts
 
-    def _images(self, at=slice(None), inside=None, deep=tuple) -> list:
+    def _images(self, at=slice(None)) -> list:
         """The images of the domain vertices at positions `at` (all of them,
-        in domain order, by default): inside[p] for the ball vertex at
-        position p (by default the ball's own vertex tuple), deep(labels)
-        for an image deeper than the radius."""
+        in domain order, by default) as tuples; an image in the ball is the
+        ball's own tuple."""
         ball = _ball(self.shape.degree, self.domain_radius)
-        inside = ball.verts if inside is None else inside
         labels, depths = self.labels[at], self.depths[at]
-        images = [inside[p] for p in ball.positions(labels, depths).tolist()]
+        images = list(map(ball.verts.__getitem__, ball.positions(labels, depths).tolist()))
         rows = np.flatnonzero(depths > ball.radius)
         for i, row, k in zip(rows.tolist(), labels[rows].tolist(), depths[rows].tolist()):
-            images[i] = deep(row[:k])
+            images[i] = tuple(row[:k])
         return images
 
     @cached_property

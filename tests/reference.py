@@ -630,3 +630,59 @@ def reference_trace_text(trace):
             f" assign={assign}"
         )
     return "\n".join(lines) + "\n"
+
+
+def reference_dump_map_text(m):
+    """The map writer before the ball's text codec: every image label by label."""
+    lines = [f"tree-qi v1 degree={m.shape.degree} radius={m.domain_radius}"]
+    lines += [f"{format_address(v)} {format_address(m.table[v])}" for v in m.domain]
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_trace_text(text):
+    """The trace reader with every address through parse_address, field by
+    field in the order the reader checks them."""
+    lines = text.splitlines()
+    if not lines:
+        raise MapFormatError("empty trace", 1)
+    head = lines[0].split()
+    if len(head) != 6 or head[0] != "tree-qi-trace" or head[1] != "v1":
+        raise MapFormatError("bad trace header", 1)
+    fields = dict(tok.partition("=")[::2] for tok in head[2:])
+    try:
+        trace = BuildTrace(
+            TreeShape(int(fields["degree"])).degree,
+            int(fields["D"]),
+            int(fields["levels"]),
+            fields["policy"],
+        )
+    except (KeyError, ValueError) as e:
+        raise MapFormatError(f"bad trace header: {e}", 1) from None
+    shape = TreeShape(trace.degree)
+
+    def addresses(value, sep):
+        return tuple(parse_address(t, shape) for t in value.split(sep))
+
+    for no, ln in enumerate(lines[1:], start=2):
+        toks = ln.split()
+        if not toks or toks[0] != "class":
+            raise MapFormatError("expected a class line", no)
+        kv = dict(tok.partition("=")[::2] for tok in toks[1:])
+        try:
+            assignment = {}
+            for pair in kv["assign"].split(","):
+                b, _, a = pair.partition(":")
+                a = parse_address(a, shape)
+                assignment[parse_address(b, shape)] = a
+            level = int(kv["level"])
+            image = parse_address(kv["image"], shape)
+            members = addresses(kv["members"], "|")
+            subtree = addresses(kv["subtree"], "|")
+            boundary = addresses(kv["boundary"], "|")
+            rng_draws = int(kv.get("rng_draws", "0"))
+        except (KeyError, ValueError, TreeQIError) as e:
+            raise MapFormatError(f"bad class line: {e}", no) from None
+        trace.classes.append(
+            ClassTrace(level, image, members, subtree, boundary, assignment, rng_draws)
+        )
+    return trace

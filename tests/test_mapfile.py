@@ -1,9 +1,15 @@
 import random
+import re
 
 import pytest
 
 import treeqi as tq
-from reference import reference_parse_map_text, reference_trace_text
+from reference import (
+    reference_dump_map_text,
+    reference_parse_map_text,
+    reference_parse_trace_text,
+    reference_trace_text,
+)
 from treeqi import MixedPolicy, TreeShape
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
@@ -180,23 +186,106 @@ def test_parser_matches_reference():
             assert dump_map_text(got) == dump_map_text(expected)
 
 
+def test_writer_matches_reference():
+    maps = []
+    for text in _parser_inputs():
+        try:
+            maps.append(parse_map_text(text))
+        except TreeQIError:
+            pass
+    radius0 = tq.constant_map(D3, 0, (0, 1))  # no ancestor text on the last level to extend
+    assert dump_map_text(radius0) == "tree-qi v1 degree=3 radius=0\n. 0.1\n"
+    maps += [
+        radius0,
+        tq.constant_map(D3, 2, (1,) + (0,) * 63),
+        tq.build_mixed(TreeShape(4), 2, 2, MixedPolicy.deepest_feasible())[0],
+    ]
+    for m in maps:
+        assert dump_map_text(m) == reference_dump_map_text(m)
+
+
 def test_parsed_map_shares_the_ball_tuples():
     m = parse_map_text(dump_map_text(tq.random_automorphism_map(D3, 3, 1)))
     ball_tuples = {id(v) for v in tq.qi_map._ball(3, 3).verts}
     assert all(id(v) in ball_tuples and id(w) in ball_tuples for v, w in m.table.items())
 
 
-def test_trace_text_matches_reference():
+def _traces():
     traces = []
     for shape, step, levels in ((D3, 2, 3), (TreeShape(4), 2, 2), (D3, 3, 2)):
         for policy in (MixedPolicy.minimal(), MixedPolicy.deepest_feasible(), MixedPolicy.random(4)):
             traces.append(tq.build_mixed(shape, step, levels, policy)[1])
     traces.append(tq.approximate_by_mixed(tq.random_automorphism_map(D3, 7, 2), 1)[2])
     traces.append(BuildTrace(3, 40, 2, "minimal"))  # no index past the depth cap
-    for trace in traces:
+    return traces
+
+
+def test_trace_text_matches_reference():
+    for trace in _traces():
         text = reference_trace_text(trace)
         assert trace.to_text() == text
         assert BuildTrace.from_text(text).to_text() == text
+
+
+_ADDRESS_FIELDS = ("image", "members", "subtree", "boundary", "assign")
+
+
+def _rewrite(line: str, change, fields=_ADDRESS_FIELDS) -> str:
+    """The class line with change(text) in place of each address of `fields`."""
+    toks = []
+    for tok in line.split():
+        k, eq, v = tok.partition("=")
+        if k in fields:
+            v = re.sub(r"[^|,:]+", lambda a: change(a.group()), v)
+        toks.append(k + eq + v)
+    return " ".join(toks)
+
+
+def _trace_reader_inputs():
+    """Trace texts that both readers must read alike: written traces, their
+    respellings, and texts with a bad address in each field or a header
+    past the vertex budget or the depth cap."""
+    texts = []
+    for trace in _traces():
+        text = trace.to_text()
+        head, *body = text.splitlines()
+        d, D = trace.degree, trace.step
+        texts.append(text)
+        respellings = (
+            lambda t: t if t == "." else ".".join("0" + a for a in t.split(".")),
+            lambda t: t if t == "." else "{0}{1}0{2}".format(*t.rpartition(".")),  # last label
+        )
+        for change in respellings:
+            texts.append("\n".join([head, *(_rewrite(ln, change) for ln in body)]) + "\n")
+        for levels in (30 // D, 70 // D):  # past the vertex budget, past the depth cap
+            header = head.replace(f"levels={trace.levels}", f"levels={levels}")
+            texts.append("\n".join([header, *body]) + "\n")
+        if not body:
+            continue
+        bad = (
+            lambda t: t + f".{d - 1}" if t != "." else str(d),  # a label past the degree
+            lambda t: "..0",
+            lambda t: "." + t,
+            lambda t: t + ".0" * 64,  # past the depth cap
+        )
+        for field in _ADDRESS_FIELDS:
+            for change in bad:
+                line = _rewrite(body[-1], change, (field,))
+                texts.append("\n".join([head, *body[:-1], line]) + "\n")
+    return texts
+
+
+def test_trace_reader_matches_reference():
+    for text in _trace_reader_inputs():
+        try:
+            expected = reference_parse_trace_text(text)
+        except TreeQIError as e:
+            with pytest.raises(type(e)) as err:
+                BuildTrace.from_text(text)
+            assert str(err.value) == str(e)
+            assert getattr(err.value, "line", None) == getattr(e, "line", None)
+        else:
+            assert BuildTrace.from_text(text) == expected
 
 
 def test_trace_reader_errors_carry_the_line():

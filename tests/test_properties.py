@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import treeqi as tq
 from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape
 from treeqi.mapfile import dump_map_text, parse_map_text
-from treeqi.tree_core import ball
+from treeqi.qi_map import _ball
+from treeqi.tree_core import ball, format_address
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -139,6 +140,26 @@ def test_dump_parse_round_trip(m):
     parsed = parse_map_text(text)
     assert parsed == m
     assert dump_map_text(parsed) == text
+
+
+@st.composite
+def ball_addresses(draw):
+    """(degree, radius, address) with the address in the ball or below it."""
+    degree, radius = draw(st.sampled_from([3, 4])), draw(st.integers(0, 4))
+    depth = draw(st.integers(0, radius + 8))
+    labels = [draw(st.integers(0, degree - 1 - (k > 0))) for k in range(depth)]
+    return degree, radius, tuple(labels)
+
+
+@PROPERTY
+@given(ball_addresses())
+def test_ball_text_codec_round_trips(case):
+    degree, radius, v = case
+    layout = _ball(degree, radius)
+    text = layout.format(v)
+    assert text == format_address(v)
+    p = layout.locate(text)
+    assert (layout.verts[p] if isinstance(p, int) else p) == v
 
 
 @PROPERTY

@@ -7,11 +7,12 @@ degrees 3-5, step depths 1-3 and every number of levels up to a small
 radius, each with the minimal, the deepest and 34 seeded random policies
 (1,152 builds).  Each line digests, in order: the map file text, the trace
 text, the map rebuilt by replaying the parsed trace, the `verify-mixed`
-report as text lines and as JSON, and `approximate_by_mixed` at the build's
-step D and at D+1 (the map and trace text, or the failure).  Two checkouts
+report as text lines and as JSON, `approximate_by_mixed` at the build's
+step D and at D+1 (the map and trace text, or the failure), and the map
+text and the trace text each written again after parsing it.  Two checkouts
 produce the same bytes exactly when every one of these outputs agrees, so a
-change to the construction is checked byte for byte with one `diff` of two
-sweeps.
+change to the construction or to either file format, in either direction,
+is checked byte for byte with one `diff` of two sweeps.
 """
 
 from __future__ import annotations
@@ -43,14 +44,17 @@ def build_outputs(shape, step: int, levels: int, policy) -> list[str]:
         shape, step, levels, tq.MixedPolicy.explicit(tq.BuildTrace.from_text(text))
     )
     rep = tq.verify_mixed_structure(m, step)
+    map_text = tq.dump_map_text(m)
     return [
-        tq.dump_map_text(m),
+        map_text,
         text,
         tq.dump_map_text(replayed),
         "\n".join(rep.to_lines()),
         json.dumps(rep.to_json_dict(), sort_keys=True),
         _approximation(m, step),
         _approximation(m, step + 1),
+        tq.dump_map_text(tq.parse_map_text(map_text)),
+        tq.BuildTrace.from_text(text).to_text(),
     ]
 
 
