@@ -143,10 +143,13 @@ class BuildTrace:
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
         ball, shape = trace._layout(), TreeShape(trace.degree)
+        position = ball._position if ball else {}
 
-        @cache  # each distinct text is read once
+        @cache  # each distinct text is read once; canonical ball text by one lookup
         def addr(t: str) -> Vertex:
-            v = ball.locate(t) if ball else parse_address(t, shape)
+            v = position.get(t)
+            if v is None:
+                v = ball.locate(t) if ball else parse_address(t, shape)
             return ball.verts[v] if isinstance(v, int) else v
 
         for no, ln in enumerate(lines[1:], start=2):

@@ -21,9 +21,13 @@ rationals.
 Pair sets may be scanned exhaustively or sampled without replacement from a
 seeded generator.  Either way pairs are processed in canonical (row-major
 over the address-sorted domain) order, so a sample that happens to cover all
-pairs reproduces the exhaustive result field for field.  Pairs stream
-through one common-prefix kernel in fixed-size blocks, so memory does not
+pairs reproduces the exhaustive result field for field.  One enumerator
+(`_pairs`) streams the pairs in fixed-size blocks together with their
+common-prefix lengths in the domain and in the image, so memory does not
 grow with the number of pairs, and both sources answer to a pair budget.
+An exhaustive scan reads each row's prefix lengths at once, as running
+minima along the LCP array of the address-sorted rows; a sample reads them
+pair by pair from a sparse table over the same array.
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -52,6 +56,7 @@ from .errors import (
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
+    MAX_LABEL_DIGITS,
     ROOT,
     TreeShape,
     Vertex,
@@ -116,7 +121,8 @@ class _Ball:
     `format` writes any address and `locate` reads it back.  An address
     below the radius is the text of its ancestor on the last level followed
     by the further labels, whose text (`_tail_text`) and reading (`_tail`)
-    are cached across balls.
+    are cached across balls.  The trace reader looks canonical vertex text
+    up in `_position` itself before it calls `locate`.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -235,9 +241,12 @@ class _Ball:
 @lru_cache(maxsize=4096)
 def _tail(text: str, bound: int) -> tuple | None:
     """The labels of the text of an address below a vertex other than the
-    root, or None unless each is an ASCII number below `bound`."""
+    root, or None unless each is an ASCII number below `bound` of at most
+    MAX_LABEL_DIGITS digits."""
     labels = text.split(".")
-    if text.isascii() and all(a.isdigit() and int(a) < bound for a in labels):
+    if text.isascii() and all(
+        a.isdigit() and len(a) <= MAX_LABEL_DIGITS and int(a) < bound for a in labels
+    ):
         return tuple(map(int, labels))
     return None
 
@@ -275,16 +284,22 @@ def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _PrefixIndex:
     """Common-prefix lengths between the rows of an address matrix.
 
-    Rows are ranked in address order.  The common prefix of two rows is the
-    minimum of the LCP array of rank-adjacent rows between their ranks
-    (Kasai et al., CPM 2001), read in O(1) from a sparse table of minima
-    (Bender & Farach-Colton, LATIN 2000).  Memory is n log n bytes.
+    Rows are ranked in address order, and the LCP array `table[0]` holds
+    the common prefix of the rows of ranks k and k + 1 (Kasai et al., CPM
+    2001); the common prefix of two rows is the minimum of the LCP array
+    between their ranks.  `row_prefix_len` reads one row against every
+    later row at once, as running minima of the LCP array outward from the
+    row's rank, in O(n).  `prefix_len` reads any pairs in O(1) each from
+    the sparse table of minima `table` (Bender & Farach-Colton, LATIN
+    2000).  Memory is n log n bytes; both widen the int8 entries before
+    they return them, since a depth-64 prefix doubled wraps in int8.
     """
 
     def __init__(self, labels: np.ndarray, depths: np.ndarray, presorted: bool = False):
         n = len(depths)
         order = np.arange(n) if presorted else np.lexsort(labels.T[::-1])
         self.n = n
+        self.presorted = presorted
         self.depths = depths.astype(np.int32)
         self.rank = np.empty(n, np.int32)
         self.rank[order] = np.arange(n, dtype=np.int32)
@@ -303,6 +318,19 @@ class _PrefixIndex:
             self.log2[1 << j :] += 1
         self.table = table
         self._flat = table.ravel()
+
+    def row_prefix_len(self, i: int) -> np.ndarray:
+        """Common-prefix length of row i with each of rows i + 1 .. n - 1.
+
+        By rank, these are the running minima of `lcp` from rank(i) up and
+        from rank(i) down, read back at the rows' ranks."""
+        r, lcp = int(self.rank[i]), self.table[0, : self.n - 1]
+        by_rank = np.empty(self.n, np.int32)  # wide enough to double a depth-64 prefix
+        np.minimum.accumulate(lcp[r:], out=by_rank[r + 1 :])
+        if self.presorted:  # rank is the row index, so every later row ranks above r
+            return by_rank[i + 1 :]
+        np.minimum.accumulate(lcp[:r][::-1], out=by_rank[:r][::-1])
+        return by_rank[self.rank[i + 1 :]]
 
     def prefix_len(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Common-prefix length of rows i[k] and j[k] (the full depth if equal)."""
@@ -339,39 +367,57 @@ class _PrefixIndex:
 _BLOCK = 1 << 16
 
 
-def _pair_blocks(n: int, ps: PairSource, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The source's index pairs (i < j) in canonical order, `size` at a
-    time, once their number is within DEFAULT_MAX_PAIRS.
+def _pairs(
+    dom: _PrefixIndex, img: _PrefixIndex, ps: PairSource, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The source's index pairs (i < j) in canonical order, at most `size`
+    at a time, once their number is within DEFAULT_MAX_PAIRS, as blocks
+    (iu, ju, domain prefix length, image prefix length).
 
-    Pairs are ranked row-major over the upper triangle; a block of sorted
-    ranks is unranked with one searchsorted over the row starts.
+    An exhaustive source runs row by row, each row's prefix lengths read
+    at once (`row_prefix_len`); a block may cut a row.  A sampled source's
+    pairs are ranked row-major over the upper triangle; a block of sorted
+    ranks is unranked with one searchsorted over the row starts, and its
+    prefix lengths are read pair by pair (`prefix_len`).
     """
+    n = dom.n
     total = n * (n - 1) // 2
-    sample = None
     if ps.mode == "exhaustive":
         if total > DEFAULT_MAX_PAIRS:
             raise BudgetExceededError(
                 f"{total} vertex pairs exceed the exhaustive budget {DEFAULT_MAX_PAIRS};"
                 " use a sampled pair source"
             )
-        count = total
-    else:
-        count = min(ps.count or 0, total)
-        if count > DEFAULT_MAX_PAIRS:
-            raise BudgetExceededError(
-                f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
-            )
-        picked = random.Random(ps.seed).sample(range(total), count)
-        sample = np.sort(np.fromiter(picked, np.int64, count))
+        idx = np.arange(n, dtype=np.int32)
+        block, at = np.empty((4, min(size, total)), np.int32), 0
+        for i in range(n - 1):
+            ju, dp, ip = idx[i + 1 :], dom.row_prefix_len(i), img.row_prefix_len(i)
+            j = 0  # the row's pairs before j are in earlier blocks
+            while j < len(ju):
+                take = min(len(ju) - j, block.shape[1] - at)
+                piece = slice(j, j + take)
+                block[0, at : at + take] = i
+                block[1:, at : at + take] = ju[piece], dp[piece], ip[piece]
+                at, j = at + take, j + take
+                if at == block.shape[1]:
+                    yield tuple(block)
+                    total -= at
+                    block, at = np.empty((4, min(size, total)), np.int32), 0
+        return
+    count = min(ps.count or 0, total)
+    if count > DEFAULT_MAX_PAIRS:
+        raise BudgetExceededError(
+            f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
+        )
+    picked = random.Random(ps.seed).sample(range(total), count)
+    sample = np.sort(np.fromiter(picked, np.int64, count))
     i = np.arange(max(n - 1, 0), dtype=np.int64)
     starts = i * (2 * n - i - 1) // 2
     for start in range(0, count, size):
-        if sample is None:
-            ranks = np.arange(start, min(start + size, count), dtype=np.int64)
-        else:
-            ranks = sample[start : start + size]
+        ranks = sample[start : start + size]
         iu = np.searchsorted(starts, ranks, side="right") - 1
-        yield iu.astype(np.int32), (ranks - starts[iu] + iu + 1).astype(np.int32)
+        iu, ju = iu.astype(np.int32), (ranks - starts[iu] + iu + 1).astype(np.int32)
+        yield iu, ju, dom.prefix_len(iu, ju), img.prefix_len(iu, ju)
 
 
 def sqrt_ceil_scaled(radicand: int) -> int:
@@ -866,6 +912,8 @@ def measure_qi(
     kinds = None
     if cand is not None:
         kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(img.depths.max()))
+    # a pair's key is the packed depths of both ends less twice its packed prefixes
+    packed = dom.depths * _KEY_BASE + img.depths
 
     best = Fraction(1)
     witness = None
@@ -873,16 +921,14 @@ def measure_qi(
     violations: list[Violation] = []
     violations_total = 0
     pairs_checked = 0
-    for iu, ju in _pair_blocks(len(verts), pair_source, _BLOCK):
-        dplen = dom.prefix_len(iu, ju)
+    for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, _BLOCK):
         if max_lca_depth is not None:
             keep = dplen <= max_lca_depth
-            iu, ju, dplen = iu[keep], ju[keep], dplen[keep]
+            iu, ju, dplen, iplen = iu[keep], ju[keep], dplen[keep], iplen[keep]
             if not len(iu):
                 continue
         pairs_checked += len(iu)
-        idist = img.distance(iu, ju)
-        key = (dom.depths[iu] + dom.depths[ju] - 2 * dplen) * _KEY_BASE + idist
+        key = packed[iu] + packed[ju] - 2 * (dplen * _KEY_BASE + iplen)
         present = np.flatnonzero(np.bincount(key, minlength=_KEYS)).tolist()
         for k in present:
             if k not in key_C:
@@ -899,7 +945,8 @@ def measure_qi(
             violations_total += len(bad)
             for t in bad[: max(DEFAULT_MAX_VIOLATIONS - len(violations), 0)].tolist():
                 kind = "upper" if kinds[key[t]] == 1 else "lower"
-                violations.append(Violation(verts[iu[t]], verts[ju[t]], kind, int(idist[t])))
+                iota = int(key[t]) % _KEY_BASE
+                violations.append(Violation(verts[iu[t]], verts[ju[t]], kind, iota))
 
     up_mult = Fraction(1)
     low_mult = Fraction(1)
@@ -974,10 +1021,9 @@ def check_geodesic_image(
     steps = np.arange(2 * R + 1, dtype=np.int32)
     width = 2 * max(R, int(img.depths.max())) + 1
     violations = ViolationList()
-    for iu, ju in _pair_blocks(len(verts), pair_source, max(1, _BLOCK // width)):
+    for iu, ju, lca, iplen in _pairs(dom, img, pair_source, max(1, _BLOCK // width)):
         # position s of the domain geodesic is u's ancestor at depth du - s
         # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
-        lca = dom.prefix_len(iu, ju)
         du = dom.depths[iu]
         rise = du - lca
         row, s = np.nonzero(steps <= (rise + dom.depths[ju] - lca)[:, None])
@@ -985,7 +1031,7 @@ def check_geodesic_image(
         fu, fv = iu[row], ju[row]
         b = anc[np.where(on_u, fu, fv), np.where(on_u, du[row] - s, s - rise[row] + lca[row])]
         # projection of f(b) onto the image geodesic f(u) .. f(v)
-        mlen = img.distance(iu, ju)
+        mlen = img.depths[iu] + img.depths[ju] - 2 * iplen
         d0 = img.distance(b, fu)
         d1 = img.distance(b, fv)
         span = int(mlen.max()) + 1
@@ -1003,7 +1049,7 @@ def check_geodesic_image(
         # position t of the image geodesic is f(u) cut to depth du - t while
         # t <= rise = du - lca, then f(v) cut to depth lca + t - rise
         fu, fv = iu[r], ju[r]
-        lca, du = img.prefix_len(fu, fv), img.depths[fu]
+        lca, du = iplen[r], img.depths[fu]
         rise = du - lca
         on_u = t <= rise
         cut = zip(np.where(on_u, fu, fv).tolist(), np.where(on_u, du - t, lca + t - rise).tolist())

@@ -30,6 +30,10 @@ ROOT: Vertex = ()
 MAX_DEPTH = 64
 DEFAULT_VERTEX_BUDGET = 10_000_000
 
+# A label with more digits than this, leading zeros aside, is refused before
+# int() reads it: 640 is the lowest digit limit Python's int() can be set to.
+MAX_LABEL_DIGITS = 640
+
 
 @dataclass(frozen=True)
 class TreeShape:
@@ -88,7 +92,10 @@ def parse_address(text: str, shape: TreeShape | None = None) -> Vertex:
     for p in parts:
         if not (p.isascii() and p.isdigit()):
             raise InvalidAddressError(f"bad address {text!r}: label {p!r} is not a number")
-        labels.append(int(p))
+        digits = p.lstrip("0") or "0"
+        if len(digits) > MAX_LABEL_DIGITS:
+            raise InvalidAddressError(f"bad address: a label of {len(p)} digits is too long")
+        labels.append(int(digits))
     v = tuple(labels)
     if len(v) > MAX_DEPTH:
         raise DepthLimitError(f"address {text!r} exceeds the depth cap {MAX_DEPTH}")

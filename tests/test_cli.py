@@ -399,6 +399,16 @@ def test_parse_error_exit(tmp_path, capsys):
     assert code == 1 and "missing domain vertex 2" in err
 
 
+def test_over_long_label_exit(tmp_path, capsys):
+    bad = tmp_path / "long.qi"
+    bad.write_text("tree-qi v1 degree=3 radius=0\n. " + "1" * 5000 + "\n")
+    code, out, err = run_cli(["verify", "--in", str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: line 2: bad image address: bad address: a label of 5000 digits is too long\n"
+    )
+
+
 def _run_subprocess(args, hashseed="0"):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed

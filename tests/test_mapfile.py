@@ -101,6 +101,34 @@ def test_non_ascii_digit_label():
         assert err.value.line == 2 and "image" in str(err.value)
 
 
+def test_over_long_label_is_an_address_error():
+    long = "1" * 5000  # past the digits Python's int() reads by default
+    for text, field, line in (
+        (f"tree-qi v1 degree=3 radius=0\n. {long}\n", "image", 2),
+        (f"tree-qi v1 degree=3 radius=0\n{long} .\n", "source", 2),
+        (f"tree-qi v1 degree=3 radius=1\n. .\n0 0.{long}\n1 1\n2 2\n", "image", 3),
+    ):
+        with pytest.raises(MapFormatError) as err:
+            parse_map_text(text)
+        assert err.value.line == line
+        message = f"bad {field} address: bad address: a label of 5000 digits is too long"
+        assert message in str(err.value)
+    zeros = "0" * 5000  # leading zeros stay legal, however many
+    m = parse_map_text(f"tree-qi v1 degree=3 radius=1\n. .\n{zeros} {zeros}1.{zeros}1\n1 1\n2 2\n")
+    assert dict(m.table) == {(): (), (0,): (1, 1), (1,): (1,), (2,): (2,)}
+
+
+def test_over_long_label_in_a_trace_class_line():
+    trace = tq.build_mixed(D3, 2, 2, MixedPolicy.minimal())[1]
+    head, first, *rest = trace.to_text().splitlines()
+    image = first.split(" image=", 1)[1].split()[0]
+    line = first.replace(f" image={image} ", f" image={'1' * 5000} ", 1)
+    with pytest.raises(MapFormatError) as err:
+        BuildTrace.from_text("\n".join([head, line, *rest]) + "\n")
+    assert err.value.line == 2
+    assert "bad class line: bad address: a label of 5000 digits is too long" in str(err.value)
+
+
 def test_budget_checked_before_any_line():
     misses = _ball.cache_info().misses
     with pytest.raises(BudgetExceededError) as err:
@@ -267,6 +295,7 @@ def _trace_reader_inputs():
             lambda t: "..0",
             lambda t: "." + t,
             lambda t: t + ".0" * 64,  # past the depth cap
+            lambda t: t + "." + "1" * 5000 if t != "." else "1" * 5000,  # an over-long label
         )
         for field in _ADDRESS_FIELDS:
             for change in bad:

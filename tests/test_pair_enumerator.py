@@ -1,0 +1,102 @@
+"""One pair enumerator.
+
+`qi_map._pairs` is the only code in the package that draws or unranks
+vertex pairs, and the checks that walk pairs read each block's
+common-prefix lengths from it: neither `measure_qi` nor
+`check_geodesic_image` looks up a prefix length or a distance between the
+two ends of a block's pairs (`iu`, `ju`, or entries picked from them).
+"""
+
+import ast
+from pathlib import Path
+
+import treeqi
+
+SRC = Path(treeqi.__file__).parent
+ENUMERATOR = "_pairs"
+CHECKS = ("measure_qi", "check_geodesic_image")
+PAIR_ENDS = {"iu", "ju"}
+
+
+def _functions() -> dict:
+    """Every function of the package by name (module-level and nested)."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                out.setdefault(node.name, []).append(node)
+    return out
+
+
+def _assignments(fn) -> list:
+    """(target, value) of every plain assignment in fn, tuples unpacked."""
+    out = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    out += zip(target.elts, node.value.elts)
+                else:
+                    out.append((target, node.value))
+    return out
+
+
+def _picked(node, names) -> bool:
+    """Whether node is one of `names` or entries picked from one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _pair_names(fn) -> set:
+    """iu, ju and every name fn binds to entries picked from them."""
+    names = set(PAIR_ENDS)
+    grown = True
+    while grown:
+        grown = False
+        for target, value in _assignments(fn):
+            if isinstance(target, ast.Name) and target.id not in names and _picked(value, names):
+                names.add(target.id)
+                grown = True
+    return names
+
+
+def _is_enumerator_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == ENUMERATOR
+
+
+def _bound_by_for(node) -> set:
+    return {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+
+
+def test_only_the_enumerator_draws_or_makes_pairs():
+    functions = _functions()
+    assert len(functions[ENUMERATOR]) == 1
+    for name, nodes in functions.items():
+        if name == ENUMERATOR:
+            continue
+        for fn in nodes:
+            for node in ast.walk(fn):
+                # a pair sample is drawn only by the enumerator
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    assert node.func.attr != "sample", (name, node.lineno)
+                # pair ends come from the enumerator, or are picked from its blocks
+                if isinstance(node, ast.For) and _bound_by_for(node) & PAIR_ENDS:
+                    assert _is_enumerator_call(node.iter), (name, node.lineno)
+            for target, value in _assignments(fn):
+                if isinstance(target, ast.Name) and target.id in PAIR_ENDS:
+                    assert _picked(value, PAIR_ENDS), (name, target.lineno)
+
+
+def test_checks_read_block_prefixes_from_the_enumerator():
+    functions = _functions()
+    for name in CHECKS:
+        (fn,) = functions[name]
+        loops = [n for n in ast.walk(fn) if isinstance(n, ast.For) and _is_enumerator_call(n.iter)]
+        assert len(loops) == 1 and PAIR_ENDS <= _bound_by_for(loops[0]), name
+        ends = _pair_names(fn)
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr in ("prefix_len", "distance"):
+                assert not all(_picked(a, ends) for a in node.args), (name, node.lineno)

@@ -366,6 +366,53 @@ def test_prefix_kernel_matches_column_loop():
                 assert sorted(index.rank[extends[i]]) == list(range(lo[i], hi[i] + 1))
 
 
+@st.composite
+def prefix_indexes(draw):
+    """A domain and an image prefix index over the same number of rows:
+    the ball and the images of a small map (`small_maps()`, images up to
+    MAX_DEPTH deep), or two unsorted sets of addresses whose labels need a
+    degree past int16, cut from a few MAX_DEPTH-deep ones so that rows
+    share long prefixes."""
+    if draw(st.booleans()):
+        m = draw(small_maps())
+        return tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index, m._image_index
+    n = draw(st.integers(1, 12))
+    labels = st.sampled_from([0, 1, 32767, 32768, 39999])
+    depths = st.one_of(st.integers(0, 3), st.integers(tq.MAX_DEPTH - 1, tq.MAX_DEPTH))
+
+    def index():
+        pool = [[draw(labels) for _ in range(tq.MAX_DEPTH)] for _ in range(draw(st.integers(1, 3)))]
+        rows = [tuple(pool[draw(st.integers(0, len(pool) - 1))][: draw(depths)]) for _ in range(n)]
+        lengths = np.array([len(v) for v in rows])
+        return tq.qi_map._PrefixIndex(_label_matrix(rows).astype(np.int32), lengths)
+
+    return index(), index()
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_indexes(), st.integers(0, 80), st.integers(0, 3))
+def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
+    """Exhaustive blocks (prefix lengths by running minima along each row,
+    rows cut between blocks) and sampled blocks carry the canonical pairs
+    and, element for element, the prefix lengths `prefix_len` gives them."""
+    dom, img = indexes
+    n = dom.n
+    iu, ju = (a.astype(np.int32) for a in np.triu_indices(n, 1))
+    picked = sorted(random.Random(seed).sample(range(len(iu)), min(count, len(iu))))
+    for source, at in ((EXHAUSTIVE, slice(None)), (PairSource.sampled(count, seed), picked)):
+        want = [iu[at], ju[at]]
+        want += [dom.prefix_len(*want), img.prefix_len(*want)]
+        for size in {s for s in (1, 7, n - 2, n - 1, n, tq.qi_map._BLOCK) if s >= 1}:
+            blocks = list(tq.qi_map._pairs(dom, img, source, size))
+            assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert all(0 < len(b[0]) <= size for b in blocks)
+            got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0)] * 4
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            # the checks double prefix lengths: a depth-64 prefix must not wrap
+            assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
+
+
 def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     maps = [tq.random_map(D3, 3, 900 + s) for s in range(3)] + [tq.constant_map(D3, 3)]
     sources = [EXHAUSTIVE, PairSource.sampled(120, 4)]
