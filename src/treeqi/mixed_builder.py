@@ -10,12 +10,15 @@ size, how the subtree grows, who absorbs the assignment surplus) and a
 replayable trace records every choice made.
 
 The class walk runs on the positions of the cached ball layout
-(`qi_map._ball`): each level is one array of positions in preorder, and
-blocks and fill come from the layout's child arithmetic.  The builder, the
-approximation in `transforms` and the structural verifier all drive it,
-reading and writing images by position.  The structural verifier re-derives
-the classes from a finished map and checks the construction invariants
-exhaustively on the stored ball.
+(`qi_map._ball`): each level is one array of positions in preorder, and the
+descendants at depth t of row r of a shallower level are the r-th of the
+equal runs of level t.  Blocks, fill, and the member that owns each block
+vertex all come from these runs.  The builder and the approximation in
+`transforms` drive the walk, reading and writing images by position.  The
+structural verifier reads and groups each level's images once and checks
+the construction invariants exhaustively on the stored ball; a level's
+grouping, carried to the next level, also gives the class-subtree check of
+its classes.
 
 Each class choice costs time linear in the class and works relative to the
 class image v: below v, a subtree's shape and boundary depend on v only
@@ -37,7 +40,6 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -48,6 +50,7 @@ from .qi_map import FiniteTreeMap, _Ball, _ball, _budgeted_ball, _label_dtype, _
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
+    MAX_LABEL_DIGITS,
     ROOT,
     TreeShape,
     Vertex,
@@ -135,9 +138,9 @@ class BuildTrace:
             fields[k] = v
         try:
             trace = BuildTrace(
-                TreeShape(int(fields["degree"])).degree,
-                int(fields["D"]),
-                int(fields["levels"]),
+                TreeShape(_number(fields["degree"], "degree")).degree,
+                _number(fields["D"], "D"),
+                _number(fields["levels"], "levels"),
                 fields["policy"],
             )
         except (KeyError, ValueError) as e:
@@ -167,13 +170,13 @@ class BuildTrace:
                     assignment[addr(b)] = addr(a)
                 trace.classes.append(
                     ClassTrace(
-                        level=int(kv["level"]),
+                        level=_number(kv["level"], "level"),
                         image=addr(kv["image"]),
                         members=tuple(map(addr, kv["members"].split("|"))),
                         subtree=tuple(map(addr, kv["subtree"].split("|"))),
                         boundary=tuple(map(addr, kv["boundary"].split("|"))),
                         assignment=assignment,
-                        rng_draws=int(kv.get("rng_draws", "0")),
+                        rng_draws=_number(kv.get("rng_draws", "0"), "rng_draws"),
                     )
                 )
             except (KeyError, ValueError, TreeQIError) as e:
@@ -182,6 +185,16 @@ class BuildTrace:
 
     def by_class(self) -> dict:
         return {(c.level, c.image): c for c in self.classes}
+
+
+def _number(text: str, name: str) -> int:
+    """The value `text` of the trace field `name`: like an address label, a
+    number of at most MAX_LABEL_DIGITS ASCII digits, leading zeros aside."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"a {name}= value {text!r} is not a number")
+    if len(text.lstrip("0")) > MAX_LABEL_DIGITS:
+        raise ValueError(f"a {name}= value of {len(text)} digits is too long")
+    return int(text.lstrip("0") or "0")
 
 
 @dataclass(frozen=True)
@@ -337,6 +350,17 @@ def _subtree_at(v: Vertex, target: int, d: int, rng: _CountingRandom | None) -> 
     return tuple([v + w for w in members]), tuple([v + w for w in bd])
 
 
+def _shared_images(images: list, k: int) -> set:
+    """The images that children of more than one member share, where each
+    member owns one run of k of `images` in turn."""
+    seen, shared = set(), set()
+    for j in range(0, len(images), k):
+        run = set(images[j : j + k])
+        shared |= seen & run
+        seen |= run
+    return shared
+
+
 def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices) -> None:
     """Raise PolicyError unless the assignment covers the whole boundary and
     only children of the same class member share an image.
@@ -349,13 +373,10 @@ def check_assignment(cls: LevelClass, assignment: dict, boundary_vertices) -> No
     if len(assignment) != len(block) or not all(map(assignment.__contains__, block)):
         raise PolicyError("assignment is not total on the class block", image=cls.image)
     images = list(map(assignment.__getitem__, block))
-    used = set(images)
-    if used != set(boundary_vertices):
+    if set(images) != set(boundary_vertices):
         raise PolicyError("assignment image differs from the subtree boundary", image=cls.image)
-    k = len(block) // len(cls.members)
-    groups = [set(images[j : j + k]) for j in range(0, len(images), k)]
-    if sum(map(len, groups)) != len(used):
-        a = next(a for a in images if sum(a in g for g in groups) > 1)
+    if shared := _shared_images(images, len(block) // len(cls.members)):
+        a = next(a for a in images if a in shared)
         raise PolicyError(
             f"children of different class members share the image {format_address(a)}",
             image=cls.image,
@@ -413,27 +434,34 @@ def _level_classes(ball: _Ball, step: int, levels: int, image):
 
     Level i groups the positions of depth i*step by `image(positions)`, one
     image per position; positions are in preorder, which is address order,
-    so the classes come in order of least member.  `block` holds the
+    so the classes come in order of least member.  The depth-t descendants
+    of the member in row r are the run r*k .. r*k+k-1 of `ball.levels[t]`,
+    for the k such descendants of every member.  `block` holds the
     positions of LevelClass.block, and `fill` the positions strictly between
     the members and the block, member by member, depth by depth, in address
     order.  The blocks make up the next level, whose images are read only
-    after the consumer has taken every class of this one.
+    after the consumer has taken every class of this one.  The walk serves
+    the builder and the approximation (`_build_levels`); the structural
+    verifier reads the same runs itself.
     """
     for i in range(levels):
         at = ball.levels[i * step]
-        groups: dict[Vertex, list[int]] = {}
-        for r, w in enumerate(image(at)):
-            groups.setdefault(w, []).append(r)
-        walk = [at[:, None]]  # walk[s][r]: the descendants at distance s of member at[r]
-        for t in range(i * step, (i + 1) * step):
-            walk.append(ball.children(walk[-1].ravel(), t).reshape(len(at), -1))
         # heads[r]: member at[r], then its fill; blocks[r]: its D-children
+        walk = [ball.levels[t].reshape(len(at), -1) for t in range(i * step, (i + 1) * step + 1)]
         heads, blocks = np.hstack(walk[:-1]).tolist(), walk[-1].tolist()
-        for w, rows in groups.items():
+        for w, rows in _grouped(image(at)).items():
             block = [p for r in rows for p in blocks[r]]
             members = tuple(ball.verts[heads[r][0]] for r in rows)
             cls = LevelClass(w, members, tuple(map(ball.verts.__getitem__, block)))
             yield i, cls, block, [p for r in rows for p in heads[r][1:]]
+
+
+def _grouped(images: list) -> dict:
+    """The rows of each image, in order of first row."""
+    groups: dict[Vertex, list[int]] = {}
+    for r, w in enumerate(images):
+        groups.setdefault(w, []).append(r)
+    return groups
 
 
 def _build_levels(ball: _Ball, trace: BuildTrace, choose) -> FiniteTreeMap:
@@ -513,6 +541,8 @@ def build_mixed(
             entry = recorded.get((i, cls.image))
             if entry is None:
                 raise PolicyError("trace has no entry for this class", level=i, image=cls.image)
+            if entry.members != cls.members:
+                raise PolicyError("trace lists other class members", level=i, image=cls.image)
             subtree, bd = _replayed_subtree(i, cls.image, entry, shape.degree)
             check_assignment(cls, entry.assignment, bd)
             assignment = {b: entry.assignment[b] for b in cls.block}
@@ -661,37 +691,39 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         if len(witnesses) < MAX_WITNESSES:
             witnesses.append(StructureWitness(kind, level, detail))
 
+    # the rows of the level above by image; at first the root's image alone
+    classes = _grouped(m._images(ball.levels[0]))
     if m.depths[0]:
-        add("root-anchor", 0, f"root maps to {format_address(m._images([0])[0])}")
+        add("root-anchor", 0, f"root maps to {format_address(next(iter(classes)))}")
 
     multiplicity = {0: 1}
     steps = []  # per level, every D-parent/D-child image distance
-    walk = _level_classes(ball, step, levels, m._images)
-    for j, entries in groupby(walk, key=lambda e: e[0]):  # one level's classes
-        i, lv = j + 1, (j + 1) * step
-        # every vertex below the members down to this level, in depth order,
-        # then address order; the first `fill` lie strictly between the two
-        below = np.concatenate(ball.levels[lv - step + 1 : lv + 1])
-        up = ball.ancestors[below, lv - step]  # the member above, the D-parent on this level
+    for i in range(1, levels + 1):
+        # every vertex below the level above, `top`, down to this level, in
+        # depth order, then address order, and its ancestor on `top`, which
+        # owns the r-th run of each level; the first `fill` lie strictly
+        # between the two levels
+        top = ball.levels[(i - 1) * step]
+        runs = ball.levels[(i - 1) * step + 1 : i * step + 1]
+        below = np.concatenate(runs)
+        up = np.concatenate([np.repeat(top, len(b) // len(top)) for b in runs])
         moved = m.depths[below] + m.depths[up] - 2 * _prefix_len(m.labels[below], m.labels[up])
-        at, fill = ball.levels[lv], len(below) - len(ball.levels[lv])
+        at, fill = runs[-1], len(below) - len(runs[-1])
+        k = len(at) // len(top)  # row r of `top` is the D-parent of rows r*k .. r*k+k-1
         images = m._images(at)
-        classes: dict[Vertex, list[int]] = {}
-        for r, w in enumerate(images):
-            classes.setdefault(w, []).append(r)
+        above, classes = classes, _grouped(images)
         multiplicity[i] = max(len(g) for g in classes.values())
         if multiplicity[i] > K:
             add("multiplicity", i, f"{multiplicity[i]} same-image vertices exceed {K}")
-        parent_of = up[fill:].tolist()
         for w, rows in sorted(classes.items()):
-            parents = {parent_of[r] for r in rows}
+            parents = {r // k for r in rows}
             if len(parents) > 1:
                 two = sorted(parents)[:2]
                 add(
                     "shared-image-parent",
                     i,
                     f"image {format_address(w)} shared across"
-                    f" {ball.texts[two[0]]} and {ball.texts[two[1]]}",
+                    f" {ball.texts[top[two[0]]]} and {ball.texts[top[two[1]]]}",
                 )
         ordered = sorted(classes)
         for a, b in zip(ordered, ordered[1:]):
@@ -705,11 +737,11 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         steps.append(dist)
         for r in np.flatnonzero((dist < 1) | (dist > K2)).tolist():
             add("image-step", i, f"{ball.texts[at[r]]} moved its image {dist[r]}, outside [1, {K2}]")
-        for cls, block, _ in sorted((e[1:] for e in entries), key=lambda e: e[0].image):
-            targets = {images[r] for r in np.searchsorted(at, block).tolist()}
-            _, reason = recover_class_subtree(cls.image, targets, m.shape)
+        for w, rows in sorted(above.items()):
+            targets = {a for r in rows for a in images[r * k : r * k + k]}
+            _, reason = recover_class_subtree(w, targets, m.shape)
             if reason is not None:
-                add("class-subtree", j, reason)
+                add("class-subtree", i - 1, reason)
         for w in below[:fill][moved[:fill] != 0].tolist():
             add("intermediate-fill", i, f"{ball.texts[w]} does not collapse onto its class image")
 

@@ -34,6 +34,7 @@ from .mixed_builder import (
     ClassTrace,
     LevelClass,
     _build_levels,
+    _shared_images,
     recover_class_subtree,
 )
 from .qi_map import (
@@ -46,7 +47,7 @@ from .qi_map import (
     measure_qi,
     sup_distance,
 )
-from .tree_core import Vertex, format_address
+from .tree_core import format_address
 
 # Promise checks fall back to a fixed-seed sample above this many pairs so
 # they stay affordable on large balls; the warning is best-effort anyway.
@@ -88,12 +89,6 @@ class ConstantsBundle:
             ("D_used", self.D_used, report.JSON),
             ("final_bound", self.final_bound, report.JSON),
         ]
-
-    def to_line(self) -> str:
-        return report.line(self.report_fields())
-
-    def to_json_dict(self) -> dict:
-        return report.to_dict(self.report_fields())
 
 
 def constants(C, D_override: int | None = None) -> ConstantsBundle:
@@ -248,19 +243,15 @@ def approximate_by_mixed(
             )
 
         # g's own images, kept once they form the boundary of a subtree
-        assignment = dict(zip(cls.block, g._images(block)))
-        subtree, reason = recover_class_subtree(cls.image, assignment.values(), g.shape)
+        images = g._images(block)
+        subtree, reason = recover_class_subtree(cls.image, images, g.shape)
         if reason is not None:
             raise failure("subtree-boundary", reason)
-        by_image: dict[Vertex, list[Vertex]] = {}
-        for b, a in assignment.items():
-            by_image.setdefault(a, []).append(b)
-        for a, srcs in sorted(by_image.items()):
-            if len({b[: len(b) - step] for b in srcs}) > 1:
-                raise failure(
-                    "shared-parent",
-                    f"image {format_address(a)} drawn from children of two class members",
-                )
+        if shared := _shared_images(images, len(block) // len(cls.members)):
+            raise failure(
+                "shared-parent",
+                f"image {format_address(min(shared))} drawn from children of two class members",
+            )
         # g is order-preserving and each fill vertex descends from a member,
         # whose g-image is the class image: the distance is a depth difference,
         # and an integer exceeds the bound iff it exceeds the bound's floor
@@ -278,8 +269,8 @@ def approximate_by_mixed(
             image=cls.image,
             members=cls.members,
             subtree=tuple(sorted(subtree)),
-            boundary=tuple(sorted(by_image)),
-            assignment=assignment,
+            boundary=tuple(sorted(set(images))),
+            assignment=dict(zip(cls.block, images)),
         )
 
     trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")

@@ -129,6 +129,27 @@ def test_over_long_label_in_a_trace_class_line():
     assert "bad class line: bad address: a label of 5000 digits is too long" in str(err.value)
 
 
+def test_trace_number_fields_are_read_as_labels():
+    """A number field of more than 4,300 digits (Python's int() limit) or
+    with a sign fails naming the field and the line; leading zeros stay
+    legal, however many."""
+    text = tq.build_mixed(D3, 2, 2, MixedPolicy.minimal())[1].to_text()
+
+    def edited(field, line, value):
+        lines = text.splitlines()
+        lines[line - 1] = re.sub(f" {field}=(\\S+)", f" {field}={value}", lines[line - 1], count=1)
+        return BuildTrace.from_text("\n".join(lines) + "\n")
+
+    bad = (("1" * 5000, "of 5000 digits is too long"), ("-1", "'-1' is not a number"))
+    for field, line in (("degree", 1), ("D", 1), ("levels", 1), ("level", 2), ("rng_draws", 2)):
+        for value, message in bad:
+            with pytest.raises(MapFormatError) as err:
+                edited(field, line, value)
+            assert err.value.line == line and f"a {field}= value {message}" in str(err.value)
+        zeros = "0" * 5000 + "\\1"  # the written value behind 5000 zeros
+        assert edited(field, line, zeros).to_text() == text
+
+
 def test_budget_checked_before_any_line():
     misses = _ball.cache_info().misses
     with pytest.raises(BudgetExceededError) as err:

@@ -4,7 +4,13 @@ import itertools
 import pytest
 
 import treeqi as tq
-from reference import FiniteSubtree, boundary, d_children, grow_subtree
+from reference import (
+    FiniteSubtree,
+    boundary,
+    d_children,
+    grow_subtree,
+    reference_verify_mixed_structure,
+)
 from treeqi import ROOT, BuildTrace, LevelClass, MixedPolicy, TreeShape
 from treeqi.errors import PolicyError
 
@@ -206,6 +212,17 @@ def test_explicit_policy_rejects_unused_trace_lines():
         tq.build_mixed(D3, 2, 2, MixedPolicy.explicit(extra))
 
 
+def test_explicit_policy_rejects_other_members():
+    _, trace = tq.build_mixed(D3, 2, 2, MixedPolicy.minimal())
+    head, first, *rest = trace.to_text().splitlines()
+    other = first.replace(" members=. ", " members=2.1.1 ", 1)
+    assert other != first
+    replay = BuildTrace.from_text("\n".join([head, other, *rest]) + "\n")
+    with pytest.raises(PolicyError, match="^trace lists other class members$") as err:
+        tq.build_mixed(D3, 2, 2, MixedPolicy.explicit(replay))
+    assert (err.value.level, err.value.image) == (0, ROOT)
+
+
 def test_explicit_policy_rejects_corrupted_assignment():
     _, trace = tq.build_mixed(D3, 2, 2, MixedPolicy.random(6))
     corrupted = BuildTrace.from_text(trace.to_text())
@@ -246,6 +263,19 @@ def test_structure_detects_mutation():
     assert not report.passed
     kinds = {w.kind for w in report.witnesses}
     assert kinds & {"class-subtree", "image-step", "shared-image-parent", "image-ancestry"}
+
+
+def test_structure_reports_multiplicity():
+    # every depth-2 vertex maps to the root: 6 same-image vertices, bound 3**1
+    m = tq.constant_map(D3, 2)
+    report = tq.verify_mixed_structure(m, 1)
+    assert report.multiplicity_by_level == {0: 1, 1: 3, 2: 6}
+    assert report.multiplicity_bound == 3
+    witness = next(w for w in report.witnesses if w.kind == "multiplicity")
+    assert (witness.level, witness.detail) == (2, "6 same-image vertices exceed 3")
+    reference = reference_verify_mixed_structure(m, 1)
+    assert report.to_lines() == reference.to_lines()
+    assert report.to_json_dict() == reference.to_json_dict()
 
 
 def test_structure_per_level_bounds_small():

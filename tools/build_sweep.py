@@ -9,16 +9,21 @@ radius, each with the minimal, the deepest and 34 seeded random policies
 text, the map rebuilt by replaying the parsed trace, the `verify-mixed`
 report as text lines and as JSON, `approximate_by_mixed` at the build's
 step D and at D+1 (the map and trace text, or the failure), and the map
-text and the trace text each written again after parsing it.  Two checkouts
-produce the same bytes exactly when every one of these outputs agrees, so a
-change to the construction or to either file format, in either direction,
-is checked byte for byte with one `diff` of two sweeps.
+text and the trace text each written again after parsing it, and the
+`verify-mixed` report as text lines and as JSON of a mutated copy of the map
+(1-4 image swaps and one image one label deeper, seeded from the build's
+label), which covers failing reports and the order of their witnesses.  Two
+checkouts produce the same bytes exactly when every one of these outputs
+agrees, so a change to the construction, to its structural check or to
+either file format, in either direction, is checked byte for byte with one
+`diff` of two sweeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import warnings
 
@@ -37,24 +42,41 @@ def _approximation(m, step: int) -> str:
     return tq.dump_map_text(f) + trace.to_text()
 
 
-def build_outputs(shape, step: int, levels: int, policy) -> list[str]:
+def _mutated(m, rnd: random.Random):
+    """m with 1-4 image swaps (the root's included), then one image below
+    the depth cap one label deeper."""
+    table = dict(m.table)
+    verts = list(m.domain)
+    for _ in range(rnd.randint(1, 4)):
+        a, b = rnd.sample(verts, 2)
+        table[a], table[b] = table[b], table[a]
+    v = rnd.choice([v for v in verts if len(table[v]) < tq.MAX_DEPTH])
+    table[v] += (rnd.randrange(m.shape.child_label_count(table[v])),)
+    return tq.FiniteTreeMap(m.shape, m.domain_radius, table)
+
+
+def _verified(m, step: int) -> list[str]:
+    rep = tq.verify_mixed_structure(m, step)
+    return ["\n".join(rep.to_lines()), json.dumps(rep.to_json_dict(), sort_keys=True)]
+
+
+def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str]:
     m, trace = tq.build_mixed(shape, step, levels, policy)
     text = trace.to_text()
     replayed, _ = tq.build_mixed(
         shape, step, levels, tq.MixedPolicy.explicit(tq.BuildTrace.from_text(text))
     )
-    rep = tq.verify_mixed_structure(m, step)
     map_text = tq.dump_map_text(m)
     return [
         map_text,
         text,
         tq.dump_map_text(replayed),
-        "\n".join(rep.to_lines()),
-        json.dumps(rep.to_json_dict(), sort_keys=True),
+        *_verified(m, step),
         _approximation(m, step),
         _approximation(m, step + 1),
         tq.dump_map_text(tq.parse_map_text(map_text)),
         tq.BuildTrace.from_text(text).to_text(),
+        *_verified(_mutated(m, random.Random(label)), step),
     ]
 
 
@@ -75,7 +97,7 @@ def main() -> int:
     warnings.simplefilter("ignore")
     for label, shape, step, levels, policy in sweep():
         digest = hashlib.sha256()
-        for part in build_outputs(shape, step, levels, policy):
+        for part in build_outputs(label, shape, step, levels, policy):
             digest.update(part.encode() + b"\0")
         print(f"{digest.hexdigest()} {label}")
     return 0
