@@ -25,9 +25,12 @@ pairs reproduces the exhaustive result field for field.  One enumerator
 (`_pairs`) streams the pairs in fixed-size blocks together with their
 common-prefix lengths in the domain and in the image, so memory does not
 grow with the number of pairs, and both sources answer to a pair budget.
-An exhaustive scan reads each row's prefix lengths at once, as running
-minima along the LCP array of the address-sorted rows; a sample reads them
-pair by pair from a sparse table over the same array.
+An exhaustive scan reads each row's prefix lengths at once (`_row`), as
+running minima along the LCP array of the address-sorted rows; a sample
+reads them pair by pair from a sparse table over the same array.  The
+exhaustive constant measurement enumerates no pairs: it counts their keys
+by group (`pair_counts._Groups`) and reads only the rows that hold its
+witness and its listed violations.
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -46,6 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import report
+from .pair_counts import _Groups
 from .errors import (
     BudgetExceededError,
     DepthLimitError,
@@ -367,6 +371,31 @@ class _PrefixIndex:
 _BLOCK = 1 << 16
 
 
+def _pair_total(n: int, ps: PairSource) -> int:
+    """The number of pairs the source checks among n vertices, once it is
+    within DEFAULT_MAX_PAIRS: the one budget check, before any work."""
+    total = n * (n - 1) // 2
+    if ps.mode == "exhaustive":
+        if total > DEFAULT_MAX_PAIRS:
+            raise BudgetExceededError(
+                f"{total} vertex pairs exceed the exhaustive budget {DEFAULT_MAX_PAIRS};"
+                " use a sampled pair source"
+            )
+        return total
+    count = min(ps.count or 0, total)
+    if count > DEFAULT_MAX_PAIRS:
+        raise BudgetExceededError(
+            f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
+        )
+    return count
+
+
+def _row(dom: _PrefixIndex, img: _PrefixIndex, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of the canonical order: the domain and the image prefix length
+    of the pair (i, j) for each j = i + 1 .. n - 1."""
+    return dom.row_prefix_len(i), img.row_prefix_len(i)
+
+
 def _pairs(
     dom: _PrefixIndex, img: _PrefixIndex, ps: PairSource, size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -375,23 +404,18 @@ def _pairs(
     (iu, ju, domain prefix length, image prefix length).
 
     An exhaustive source runs row by row, each row's prefix lengths read
-    at once (`row_prefix_len`); a block may cut a row.  A sampled source's
-    pairs are ranked row-major over the upper triangle; a block of sorted
-    ranks is unranked with one searchsorted over the row starts, and its
-    prefix lengths are read pair by pair (`prefix_len`).
+    at once (`_row`); a block may cut a row.  A sampled source's pairs are
+    ranked row-major over the upper triangle; a block of sorted ranks is
+    unranked with one searchsorted over the row starts, and its prefix
+    lengths are read pair by pair (`prefix_len`).
     """
     n = dom.n
-    total = n * (n - 1) // 2
+    count = _pair_total(n, ps)
     if ps.mode == "exhaustive":
-        if total > DEFAULT_MAX_PAIRS:
-            raise BudgetExceededError(
-                f"{total} vertex pairs exceed the exhaustive budget {DEFAULT_MAX_PAIRS};"
-                " use a sampled pair source"
-            )
         idx = np.arange(n, dtype=np.int32)
-        block, at = np.empty((4, min(size, total)), np.int32), 0
+        block, at = np.empty((4, min(size, count)), np.int32), 0
         for i in range(n - 1):
-            ju, dp, ip = idx[i + 1 :], dom.row_prefix_len(i), img.row_prefix_len(i)
+            ju, (dp, ip) = idx[i + 1 :], _row(dom, img, i)
             j = 0  # the row's pairs before j are in earlier blocks
             while j < len(ju):
                 take = min(len(ju) - j, block.shape[1] - at)
@@ -401,15 +425,10 @@ def _pairs(
                 at, j = at + take, j + take
                 if at == block.shape[1]:
                     yield tuple(block)
-                    total -= at
-                    block, at = np.empty((4, min(size, total)), np.int32), 0
+                    count -= at
+                    block, at = np.empty((4, min(size, count)), np.int32), 0
         return
-    count = min(ps.count or 0, total)
-    if count > DEFAULT_MAX_PAIRS:
-        raise BudgetExceededError(
-            f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
-        )
-    picked = random.Random(ps.seed).sample(range(total), count)
+    picked = random.Random(ps.seed).sample(range(n * (n - 1) // 2), count)
     sample = np.sort(np.fromiter(picked, np.int64, count))
     i = np.arange(max(n - 1, 0), dtype=np.int64)
     starts = i * (2 * n - i - 1) // 2
@@ -885,6 +904,66 @@ def _candidate_kinds(cand: Fraction, max_delta: int, max_iota: int) -> np.ndarra
     return kinds
 
 
+def _listed(verts: tuple, kinds: np.ndarray, i, j: np.ndarray, key: np.ndarray, room: int) -> list:
+    """The first `room` pairs (i[t], j[t]) whose keys fail the candidate,
+    as violations; i may be one vertex for all of them."""
+    bad = np.flatnonzero(kinds[key])[: max(room, 0)]
+    i = np.broadcast_to(i, key.shape)
+    return [
+        Violation(verts[x], verts[y], "upper" if kinds[k] == 1 else "lower", k % _KEY_BASE)
+        for x, y, k in zip(i[bad].tolist(), j[bad].tolist(), key[bad].tolist())
+    ]
+
+
+def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
+    """`measure_qi` over every pair: (pairs, {key: constant}, witness,
+    listed violations, violation count), from the counts of `_Groups`.
+
+    The witness is the first pair in canonical order with a best key.  No
+    best partner of the least vertex that has one comes before it, so that
+    vertex's row holds the witness.  The violations are read from the rows
+    of the vertices that have a violating partner, in order, until the cap
+    is filled: a row either lists one, or all its partners come before it,
+    in pairs that are listed already; so at most twice the cap are read.
+    """
+    n = dom.n
+    _pair_total(n, EXHAUSTIVE)
+    radius = m.domain_radius
+    top = radius if max_lca_depth is None else min(max_lca_depth, radius)
+    groups = _Groups(_ball(m.shape.degree, radius), img)
+    records = groups.exact_counts(top)
+    a, b, s, count = records
+    keys = (s // groups.base - 2 * a) * _KEY_BASE + s % groups.base - 2 * b
+    key_C = {k: pair_min_C(*divmod(k, _KEY_BASE)) for k in np.unique(keys).tolist()}
+    verts = m.domain
+
+    def row(i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The checked pairs (i, j) of row i: each j and the pair's key."""
+        dp, ip = _row(dom, img, i)
+        key = packed[i] + packed[i + 1 :] - 2 * (dp * _KEY_BASE + ip)
+        keep = slice(None) if max_lca_depth is None else dp <= max_lca_depth
+        return np.arange(i + 1, n)[keep], key[keep]
+
+    witness = None
+    if key_C:
+        best = max(key_C.values())
+        hit = np.zeros(_KEYS, dtype=bool)
+        hit[[k for k, c in key_C.items() if c == best]] = True
+        i = int(np.argmax(groups.partners(records[:, hit[keys]]) > 0))
+        later, key = row(i)
+        witness = (verts[i], verts[later[np.argmax(hit[key])]])
+    violations, total = [], 0
+    if kinds is not None:
+        bad = kinds[keys] != 0
+        total = int(count[bad].sum())
+        for i in np.flatnonzero(groups.partners(records[:, bad]) > 0).tolist():
+            room = DEFAULT_MAX_VIOLATIONS - len(violations)
+            if room <= 0:
+                break
+            violations += _listed(verts, kinds, i, *row(i), room)
+    return int(count.sum()), key_C, witness, violations, total
+
+
 def measure_qi(
     m: FiniteTreeMap,
     pair_source: PairSource = EXHAUSTIVE,
@@ -900,8 +979,13 @@ def measure_qi(
     With candidate_C given, every checked pair is also tested against that
     constant and failures are listed in canonical order, at most
     DEFAULT_MAX_VIOLATIONS of them.
-    Pairs are folded block by block: the union of their (delta, iota) keys,
-    the first pair attaining the best constant, violations concatenated.
+    An exhaustive source's pairs are never enumerated: their (delta, iota)
+    keys are counted by group (`_Groups`), at a cost in vertices times
+    (LCA depth, image prefix) thresholds, not in pairs, and only the rows
+    that hold the witness and the listed violations are read.  The pair
+    budget still refuses more than DEFAULT_MAX_PAIRS of them.  Sampled
+    pairs are folded block by block: the union of their keys, the first
+    pair attaining the best constant, violations concatenated.
     """
     cand = None if candidate_C is None else Fraction(candidate_C)
     if cand is not None and cand < 1:
@@ -915,38 +999,40 @@ def measure_qi(
     # a pair's key is the packed depths of both ends less twice its packed prefixes
     packed = dom.depths * _KEY_BASE + img.depths
 
-    best = Fraction(1)
-    witness = None
-    key_C: dict[int, Fraction] = {}  # every (delta, iota) key seen so far
-    violations: list[Violation] = []
-    violations_total = 0
-    pairs_checked = 0
-    for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, _BLOCK):
-        if max_lca_depth is not None:
-            keep = dplen <= max_lca_depth
-            iu, ju, dplen, iplen = iu[keep], ju[keep], dplen[keep], iplen[keep]
-            if not len(iu):
-                continue
-        pairs_checked += len(iu)
-        key = packed[iu] + packed[ju] - 2 * (dplen * _KEY_BASE + iplen)
-        present = np.flatnonzero(np.bincount(key, minlength=_KEYS)).tolist()
-        for k in present:
-            if k not in key_C:
-                key_C[k] = pair_min_C(k // _KEY_BASE, k % _KEY_BASE)
-        block_best = max(key_C[k] for k in present)
-        if witness is None or block_best > best:
-            best = block_best
-            hit = np.zeros(_KEYS, dtype=bool)
-            hit[[k for k in present if key_C[k] == best]] = True
-            first = int(np.argmax(hit[key]))
-            witness = (verts[iu[first]], verts[ju[first]])
-        if kinds is not None:
-            bad = np.flatnonzero(kinds[key])
-            violations_total += len(bad)
-            for t in bad[: max(DEFAULT_MAX_VIOLATIONS - len(violations), 0)].tolist():
-                kind = "upper" if kinds[key[t]] == 1 else "lower"
-                iota = int(key[t]) % _KEY_BASE
-                violations.append(Violation(verts[iu[t]], verts[ju[t]], kind, iota))
+    if pair_source.mode == "exhaustive":
+        found = _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth)
+        pairs_checked, key_C, witness, violations, violations_total = found
+    else:
+        best = Fraction(1)
+        witness = None
+        key_C: dict[int, Fraction] = {}  # every (delta, iota) key seen so far
+        violations: list[Violation] = []
+        violations_total = 0
+        pairs_checked = 0
+        for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, _BLOCK):
+            if max_lca_depth is not None:
+                keep = dplen <= max_lca_depth
+                iu, ju, dplen, iplen = iu[keep], ju[keep], dplen[keep], iplen[keep]
+                if not len(iu):
+                    continue
+            pairs_checked += len(iu)
+            key = packed[iu] + packed[ju] - 2 * (dplen * _KEY_BASE + iplen)
+            present = np.flatnonzero(np.bincount(key, minlength=_KEYS)).tolist()
+            for k in present:
+                if k not in key_C:
+                    key_C[k] = pair_min_C(k // _KEY_BASE, k % _KEY_BASE)
+            block_best = max(key_C[k] for k in present)
+            if witness is None or block_best > best:
+                best = block_best
+                hit = np.zeros(_KEYS, dtype=bool)
+                hit[[k for k in present if key_C[k] == best]] = True
+                first = int(np.argmax(hit[key]))
+                witness = (verts[iu[first]], verts[ju[first]])
+            if kinds is not None:
+                violations_total += int(np.count_nonzero(kinds[key]))
+                room = DEFAULT_MAX_VIOLATIONS - len(violations)
+                violations += _listed(verts, kinds, iu, ju, key, room)
+    best = max(key_C.values(), default=Fraction(1))
 
     up_mult = Fraction(1)
     low_mult = Fraction(1)
@@ -1035,14 +1121,19 @@ def check_geodesic_image(
         d0 = img.distance(b, fu)
         d1 = img.distance(b, fv)
         span = int(mlen.max()) + 1
-        cover = np.full((len(iu), span), _FAR, dtype=np.int32)
+        cover = np.full((span, len(iu)), _FAR, dtype=np.int32)  # by position, then pair
         np.minimum.at(
-            cover.reshape(-1), row * span + (d0 + mlen[row] - d1) // 2, (d0 + d1 - mlen[row]) // 2
+            cover.reshape(-1), (d0 + mlen[row] - d1) // 2 * len(iu) + row, (d0 + d1 - mlen[row]) // 2
         )
-        for t in range(1, span):
-            np.minimum(cover[:, t], cover[:, t - 1] + 1, out=cover[:, t])
-        for t in range(span - 2, -1, -1):
-            np.minimum(cover[:, t], cover[:, t + 1] + 1, out=cover[:, t])
+        # cover[t] = min over s of cover[s] + |t - s|: prefix minima of
+        # cover[s] - s down the positions, then of cover[s] + s up them
+        ramp = np.arange(span, dtype=np.int32)[:, None]
+        cover -= ramp
+        np.minimum.accumulate(cover, out=cover)
+        cover += 2 * ramp
+        np.minimum.accumulate(cover[::-1], out=cover[::-1])
+        cover -= ramp
+        cover = cover.T
         bad = np.argwhere((cover > thr) & (np.arange(span) <= mlen[:, None]))
         violations.total += len(bad)
         r, t = bad[: max(DEFAULT_MAX_VIOLATIONS - len(violations), 0)].T

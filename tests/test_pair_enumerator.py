@@ -5,6 +5,12 @@ vertex pairs, and the checks that walk pairs read each block's
 common-prefix lengths from it: neither `measure_qi` nor
 `check_geodesic_image` looks up a prefix length or a distance between the
 two ends of a block's pairs (`iu`, `ju`, or entries picked from them).
+
+An exhaustive row's prefix lengths are read in one place, `_row`, the only
+caller of `row_prefix_len`, and only `_pairs` and the exhaustive
+measurement (`_measure_exhaustive`) call it.  The exhaustive measurement's
+counting pass (`_Groups`) reads no pair's prefix length at all: it calls
+none of the prefix-length readers and no enumerator.
 """
 
 import ast
@@ -16,6 +22,10 @@ SRC = Path(treeqi.__file__).parent
 ENUMERATOR = "_pairs"
 CHECKS = ("measure_qi", "check_geodesic_image")
 PAIR_ENDS = {"iu", "ju"}
+ROW_READ = "_row"
+ROW_READERS = {ENUMERATOR, "_measure_exhaustive"}
+COUNTING = "_Groups"
+PREFIX_READERS = {"prefix_len", "row_prefix_len", "distance", ROW_READ, ENUMERATOR}
 
 
 def _functions() -> dict:
@@ -26,6 +36,22 @@ def _functions() -> dict:
             if isinstance(node, ast.FunctionDef):
                 out.setdefault(node.name, []).append(node)
     return out
+
+
+def _definitions() -> list:
+    """(name, node) of every module-level function and class of the package."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((node.name, node))
+    return out
+
+
+def _called(node) -> set:
+    """The names of the functions and methods called anywhere inside node."""
+    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+    return {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
 
 
 def _assignments(fn) -> list:
@@ -100,3 +126,12 @@ def test_checks_read_block_prefixes_from_the_enumerator():
                 continue
             if node.func.attr in ("prefix_len", "distance"):
                 assert not all(_picked(a, ends) for a in node.args), (name, node.lineno)
+
+
+def test_one_row_read_and_a_counting_pass_without_prefixes():
+    definitions = _definitions()
+    assert len(_functions()[ROW_READ]) == 1
+    assert {name for name, node in definitions if "row_prefix_len" in _called(node)} == {ROW_READ}
+    assert {name for name, node in definitions if ROW_READ in _called(node)} == ROW_READERS
+    (counting,) = [node for name, node in definitions if name == COUNTING]
+    assert not _called(counting) & PREFIX_READERS

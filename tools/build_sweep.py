@@ -9,14 +9,16 @@ radius, each with the minimal, the deepest and 34 seeded random policies
 text, the map rebuilt by replaying the parsed trace, the `verify-mixed`
 report as text lines and as JSON, `approximate_by_mixed` at the build's
 step D and at D+1 (the map and trace text, or the failure), and the map
-text and the trace text each written again after parsing it, and the
-`verify-mixed` report as text lines and as JSON of a mutated copy of the map
-(1-4 image swaps and one image one label deeper, seeded from the build's
-label), which covers failing reports and the order of their witnesses.  Two
-checkouts produce the same bytes exactly when every one of these outputs
-agrees, so a change to the construction, to its structural check or to
-either file format, in either direction, is checked byte for byte with one
-`diff` of two sweeps.
+text and the trace text each written again after parsing it, the
+exhaustive `measure_qi` measurement fields without and with candidate C = 1,
+and the `verify-mixed` report as text lines and as JSON and the same two
+measurements of a mutated copy of the map (1-4 image swaps and one image
+one label deeper, seeded from the build's label), which covers failing
+reports and the order of their witnesses and violations.  Two checkouts
+produce the same bytes exactly when every one of these outputs agrees, so a
+change to the construction, to its structural check, to the exhaustive
+measurement or to either file format, in either direction, is checked byte
+for byte with one `diff` of two sweeps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import treeqi as tq
 RADIUS = {3: 8, 4: 6, 5: 4}  # the largest radius swept per degree
 RANDOM_SEEDS = 34
 APPROXIMATION_C = 1
+MEASURE_CANDIDATES = (None, 1)
 
 
 def _approximation(m, step: int) -> str:
@@ -60,6 +63,10 @@ def _verified(m, step: int) -> list[str]:
     return ["\n".join(rep.to_lines()), json.dumps(rep.to_json_dict(), sort_keys=True)]
 
 
+def _measured(m) -> list[str]:
+    return [repr(tq.measure_qi(m, candidate_C=C).measurement_fields()) for C in MEASURE_CANDIDATES]
+
+
 def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str]:
     m, trace = tq.build_mixed(shape, step, levels, policy)
     text = trace.to_text()
@@ -67,6 +74,7 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
         shape, step, levels, tq.MixedPolicy.explicit(tq.BuildTrace.from_text(text))
     )
     map_text = tq.dump_map_text(m)
+    mutated = _mutated(m, random.Random(label))
     return [
         map_text,
         text,
@@ -76,7 +84,9 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
         _approximation(m, step + 1),
         tq.dump_map_text(tq.parse_map_text(map_text)),
         tq.BuildTrace.from_text(text).to_text(),
-        *_verified(_mutated(m, random.Random(label)), step),
+        *_measured(m),
+        *_verified(mutated, step),
+        *_measured(mutated),
     ]
 
 
