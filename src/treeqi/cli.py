@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import mapfile, report
 from .errors import BudgetExceededError, TreeQIError, ValidationFailure
-from .mixed_builder import MixedPolicy, build_mixed, verify_mixed_structure
+from .mixed_builder import MixedPolicy, _number, build_mixed, verify_mixed_structure
 from .oracle import oracle_measure
 from .qi_map import (
     DEFAULT_MAX_VIOLATIONS,
@@ -68,11 +68,12 @@ def _parse_pairs(text: str, seed: int) -> PairSource:
     if text == "exhaustive":
         return PairSource.exhaustive()
     if text.startswith("sampled:"):
-        try:
-            count = int(text.removeprefix("sampled:"))
+        count = text.removeprefix("sampled:")
+        try:  # an optional '-' and ASCII digits, read like a trace field
+            n = _number(count.removeprefix("-"), "sampled")
         except ValueError:
             raise UsageError(f"bad --pairs value {text!r}") from None
-        return PairSource.sampled(count, seed)
+        return PairSource.sampled(-n if count.startswith("-") else n, seed)
     raise UsageError(f"--pairs must be 'exhaustive' or 'sampled:<n>', got {text!r}")
 
 

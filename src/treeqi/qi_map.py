@@ -21,16 +21,17 @@ rationals.
 Pair sets may be scanned exhaustively or sampled without replacement from a
 seeded generator.  Either way pairs are processed in canonical (row-major
 over the address-sorted domain) order, so a sample that happens to cover all
-pairs reproduces the exhaustive result field for field.  One enumerator
-(`_pairs`) streams the pairs in fixed-size blocks together with their
-common-prefix lengths in the domain and in the image, so memory does not
-grow with the number of pairs, and both sources answer to a pair budget.
-An exhaustive scan reads each row's prefix lengths at once (`_row`), as
-running minima along the LCP array of the address-sorted rows; a sample
-reads them pair by pair from a sparse table over the same array.  The
-exhaustive constant measurement enumerates no pairs: it counts their keys
-by group (`pair_counts._Groups`) and reads only the rows that hold its
-witness and its listed violations.
+pairs reproduces the exhaustive result field for field.  Every pair source
+is a run of ranks in that order: all of them, or the sorted ranks of a
+seeded sample.  One enumerator (`_pairs`) unranks them (`_ranked`, which
+also lays out the nested pairs of the same-depth check) and streams them in
+fixed-size blocks together with their common-prefix lengths in the domain
+and in the image, read from a sparse table over the LCP array of the
+address-sorted rows, so memory does not grow with the number of pairs, and
+both sources answer to a pair budget.  The exhaustive constant measurement
+enumerates no pairs: it counts their keys by group (`pair_counts._Groups`)
+and reads only the rows that hold its witness and its listed violations,
+each row at once as running minima along the LCP array (`row_prefix_len`).
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -382,7 +383,7 @@ def _pair_total(n: int, ps: PairSource) -> int:
                 " use a sampled pair source"
             )
         return total
-    count = min(ps.count or 0, total)
+    count = min(ps.count, total)
     if count > DEFAULT_MAX_PAIRS:
         raise BudgetExceededError(
             f"{count} sampled vertex pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
@@ -390,10 +391,19 @@ def _pair_total(n: int, ps: PairSource) -> int:
     return count
 
 
-def _row(dom: _PrefixIndex, img: _PrefixIndex, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of the canonical order: the domain and the image prefix length
-    of the pair (i, j) for each j = i + 1 .. n - 1."""
-    return dom.row_prefix_len(i), img.row_prefix_len(i)
+def _ranked(
+    counts: np.ndarray, size: int, sample: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pairs laid out row by row, counts[k] of them in row k, at most `size`
+    at a time: every rank in turn, or the sorted ranks `sample`, as blocks
+    (row, offset in row).  A rank's row is the last row start at or below
+    it, so rows with no pairs are skipped; a block may cut a row."""
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum()) if sample is None else len(sample)
+    for at in range(0, total, size):
+        ranks = np.arange(at, min(at + size, total)) if sample is None else sample[at : at + size]
+        row = np.searchsorted(starts, ranks, side="right") - 1
+        yield row, ranks - starts[row]
 
 
 def _pairs(
@@ -403,39 +413,20 @@ def _pairs(
     at a time, once their number is within DEFAULT_MAX_PAIRS, as blocks
     (iu, ju, domain prefix length, image prefix length).
 
-    An exhaustive source runs row by row, each row's prefix lengths read
-    at once (`_row`); a block may cut a row.  A sampled source's pairs are
-    ranked row-major over the upper triangle; a block of sorted ranks is
-    unranked with one searchsorted over the row starts, and its prefix
-    lengths are read pair by pair (`prefix_len`).
+    Every source is a run of ranks over the upper triangle, row i holding
+    the pairs (i, i + 1) .. (i, n - 1): an exhaustive source takes every
+    rank, a sampled one the sorted ranks of its seeded draw.  `_ranked`
+    unranks them, and the prefix lengths are read pair by pair from the
+    sparse table (`prefix_len`).
     """
     n = dom.n
     count = _pair_total(n, ps)
-    if ps.mode == "exhaustive":
-        idx = np.arange(n, dtype=np.int32)
-        block, at = np.empty((4, min(size, count)), np.int32), 0
-        for i in range(n - 1):
-            ju, (dp, ip) = idx[i + 1 :], _row(dom, img, i)
-            j = 0  # the row's pairs before j are in earlier blocks
-            while j < len(ju):
-                take = min(len(ju) - j, block.shape[1] - at)
-                piece = slice(j, j + take)
-                block[0, at : at + take] = i
-                block[1:, at : at + take] = ju[piece], dp[piece], ip[piece]
-                at, j = at + take, j + take
-                if at == block.shape[1]:
-                    yield tuple(block)
-                    count -= at
-                    block, at = np.empty((4, min(size, count)), np.int32), 0
-        return
-    picked = random.Random(ps.seed).sample(range(n * (n - 1) // 2), count)
-    sample = np.sort(np.fromiter(picked, np.int64, count))
-    i = np.arange(max(n - 1, 0), dtype=np.int64)
-    starts = i * (2 * n - i - 1) // 2
-    for start in range(0, count, size):
-        ranks = sample[start : start + size]
-        iu = np.searchsorted(starts, ranks, side="right") - 1
-        iu, ju = iu.astype(np.int32), (ranks - starts[iu] + iu + 1).astype(np.int32)
+    sample = None
+    if ps.mode == "sampled":
+        picked = random.Random(ps.seed).sample(range(n * (n - 1) // 2), count)
+        sample = np.sort(np.fromiter(picked, np.int64, count))
+    for row, k in _ranked(np.arange(n - 1, 0, -1), size, sample):
+        iu, ju = row.astype(np.int32), (row + 1 + k).astype(np.int32)
         yield iu, ju, dom.prefix_len(iu, ju), img.prefix_len(iu, ju)
 
 
@@ -467,11 +458,24 @@ def pair_min_C(delta: int, iota: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PairSource:
-    """How measure_qi picks vertex pairs: everything, or a seeded sample."""
+    """How measure_qi picks vertex pairs: everything, or a seeded sample.
+
+    A sampled source needs an int count >= 0 and an int seed, so every
+    sample is drawn the same way each time."""
 
     mode: str
     count: int | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("exhaustive", "sampled"):
+            raise ValueError(f"pair mode must be 'exhaustive' or 'sampled', got {self.mode!r}")
+        sampled = self.mode == "sampled"
+        if sampled and not all(type(v) is int for v in (self.count, self.seed)):
+            got = f"{self.count!r}, {self.seed!r}"
+            raise ValueError(f"a sampled pair source needs an int count and an int seed, got {got}")
+        if sampled and self.count < 0:
+            raise ValueError("sample count must be >= 0")
 
     @staticmethod
     def exhaustive() -> "PairSource":
@@ -479,8 +483,6 @@ class PairSource:
 
     @staticmethod
     def sampled(count: int, seed: int) -> "PairSource":
-        if count < 0:
-            raise ValueError("sample count must be >= 0")
         return PairSource("sampled", count, seed)
 
     def describe(self) -> str:
@@ -939,7 +941,7 @@ def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
 
     def row(i: int) -> tuple[np.ndarray, np.ndarray]:
         """The checked pairs (i, j) of row i: each j and the pair's key."""
-        dp, ip = _row(dom, img, i)
+        dp, ip = dom.row_prefix_len(i), img.row_prefix_len(i)
         key = packed[i] + packed[i + 1 :] - 2 * (dp * _KEY_BASE + ip)
         keep = slice(None) if max_lca_depth is None else dp <= max_lca_depth
         return np.arange(i + 1, n)[keep], key[keep]
@@ -1183,21 +1185,14 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
     key = level + img.rank[order]
     first = np.searchsorted(key, level + ext_lo[order], side="left")
     counts = np.searchsorted(key, level + ext_hi[order], side="right") - first
-    ends = np.cumsum(counts)
     if counts.sum() > DEFAULT_MAX_PAIRS:
         raise BudgetExceededError(
             f"{counts.sum()} nested same-depth pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
         )
     violations = ViolationList()
     found = np.empty(0, np.int64)  # keys (depth * n + u) * n + v of failing pairs
-    start = 0
-    while start < len(order):
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
-        c = counts[start:stop]
-        v = np.repeat(order[start:stop], c)
-        q = np.repeat(first[start:stop] - (ends[start:stop] - c - done), c)
-        u = order[q + np.arange(len(q))]
+    for row, k in _ranked(counts, _BLOCK):
+        v, u = order[row], order[first[row] + k]
         ddom = 2 * (dom.depths[u] - dom.prefix_len(u, v))
         dimg = img.depths[u] - img.depths[v]
         fail = (u != v) & ((ddom > thr) | (dimg > thr))
@@ -1206,7 +1201,6 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
         found = np.concatenate([found, (dom.depths[u].astype(np.int64) * n + u) * n + v])
         if len(found) > DEFAULT_MAX_VIOLATIONS:
             found = np.sort(found)[:DEFAULT_MAX_VIOLATIONS]
-        start = stop
     for key in np.sort(found).tolist():
         a, b = divmod(key % (n * n), n)
         dd = 2 * (int(dom.depths[a]) - int(dom.prefix_len(a, b)))

@@ -306,6 +306,11 @@ def test_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "x.qi").exists()
     code, stdout, err = run_cli(["verify", "--in", str(m4), "--pairs", "sampled:-1"], capsys)
     assert (code, stdout, err) == (1, "", "error: sample count must be >= 0\n")
+    # a sample count is an optional '-' and ASCII digits, nothing int() also takes
+    for n in ("1_0", "+5", " 7", "\u0663", "", "--1"):
+        pairs = f"sampled:{n}"
+        code, stdout, err = run_cli(["verify", "--in", str(m4), "--pairs", pairs], capsys)
+        assert (code, stdout, err) == (1, "", f"error: bad --pairs value {pairs!r}\n"), pairs
 
 
 def test_budget_exit(tmp_path, capsys):

@@ -1,16 +1,18 @@
-"""One pair enumerator.
+"""One pair enumerator and one unranking.
 
-`qi_map._pairs` is the only code in the package that draws or unranks
-vertex pairs, and the checks that walk pairs read each block's
-common-prefix lengths from it: neither `measure_qi` nor
-`check_geodesic_image` looks up a prefix length or a distance between the
-two ends of a block's pairs (`iu`, `ju`, or entries picked from them).
+`qi_map._pairs` is the only code in the package that draws vertex pairs,
+and the checks that walk pairs read each block's common-prefix lengths
+from it: neither `measure_qi` nor `check_geodesic_image` looks up a prefix
+length or a distance between the two ends of a block's pairs (`iu`, `ju`,
+or entries picked from them).
 
-An exhaustive row's prefix lengths are read in one place, `_row`, the only
-caller of `row_prefix_len`, and only `_pairs` and the exhaustive
-measurement (`_measure_exhaustive`) call it.  The exhaustive measurement's
-counting pass (`_Groups`) reads no pair's prefix length at all: it calls
-none of the prefix-length readers and no enumerator.
+Pairs laid out row by row are unranked in one place, `_ranked`, and only
+`_pairs` and the nested pairs of `check_same_depth` go through it; neither
+lays out blocks of its own.  An exhaustive row's prefix lengths at once
+(`row_prefix_len`) are read only by the exhaustive measurement
+(`_measure_exhaustive`), whose counting pass (`_Groups`) reads no pair's
+prefix length at all: it calls none of the prefix-length readers, no
+enumerator and no unranking.
 """
 
 import ast
@@ -22,10 +24,12 @@ SRC = Path(treeqi.__file__).parent
 ENUMERATOR = "_pairs"
 CHECKS = ("measure_qi", "check_geodesic_image")
 PAIR_ENDS = {"iu", "ju"}
-ROW_READ = "_row"
-ROW_READERS = {ENUMERATOR, "_measure_exhaustive"}
+UNRANK = "_ranked"
+UNRANK_CALLERS = {ENUMERATOR, "check_same_depth"}
+ROW_READ = "row_prefix_len"
+ROW_READERS = {"_measure_exhaustive"}
 COUNTING = "_Groups"
-PREFIX_READERS = {"prefix_len", "row_prefix_len", "distance", ROW_READ, ENUMERATOR}
+PREFIX_READERS = {"prefix_len", ROW_READ, "distance", ENUMERATOR, UNRANK}
 
 
 def _functions() -> dict:
@@ -128,10 +132,33 @@ def test_checks_read_block_prefixes_from_the_enumerator():
                 assert not all(_picked(a, ends) for a in node.args), (name, node.lineno)
 
 
+def _unranks(fn) -> bool:
+    """Whether fn finds the rows of ranks: `searchsorted(...) - 1`, the last
+    row start at or below each rank."""
+    return any(
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "attr", None) == "searchsorted"
+        and getattr(node.right, "value", None) == 1
+        for node in ast.walk(fn)
+    )
+
+
+def test_one_unranking_for_every_pair_walk():
+    functions = _functions()
+    assert len(functions[UNRANK]) == 1
+    assert {name for name, nodes in functions.items() if any(map(_unranks, nodes))} == {UNRANK}
+    definitions = _definitions()
+    assert {name for name, node in definitions if UNRANK in _called(node)} == UNRANK_CALLERS
+    # the callers cut no blocks and lay out no rows of their own
+    for name, node in definitions:
+        if name in UNRANK_CALLERS:
+            assert not _called(node) & {"cumsum", "repeat"}, name
+
+
 def test_one_row_read_and_a_counting_pass_without_prefixes():
     definitions = _definitions()
-    assert len(_functions()[ROW_READ]) == 1
-    assert {name for name, node in definitions if "row_prefix_len" in _called(node)} == {ROW_READ}
     assert {name for name, node in definitions if ROW_READ in _called(node)} == ROW_READERS
     (counting,) = [node for name, node in definitions if name == COUNTING]
     assert not _called(counting) & PREFIX_READERS

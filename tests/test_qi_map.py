@@ -392,9 +392,10 @@ def prefix_indexes(draw):
 @settings(max_examples=60, deadline=None)
 @given(prefix_indexes(), st.integers(0, 80), st.integers(0, 3))
 def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
-    """Exhaustive blocks (prefix lengths by running minima along each row,
-    rows cut between blocks) and sampled blocks carry the canonical pairs
-    and, element for element, the prefix lengths `prefix_len` gives them."""
+    """Exhaustive and sampled blocks, rows cut between blocks, carry the
+    canonical pairs and, element for element, their prefix lengths; each
+    row read at once (`row_prefix_len`, running minima along the LCP array)
+    equals the per-pair lookup `prefix_len`."""
     dom, img = indexes
     n = dom.n
     iu, ju = (a.astype(np.int32) for a in np.triu_indices(n, 1))
@@ -411,6 +412,34 @@ def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
                 assert np.array_equal(g, w)
             # the checks double prefix lengths: a depth-64 prefix must not wrap
             assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
+    for index in (dom, img):
+        for i in range(n):
+            later = np.arange(i + 1, n)
+            want = index.prefix_len(np.full_like(later, i), later).astype(np.int64)
+            assert np.array_equal(2 * index.row_prefix_len(i), 2 * want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=12), st.data())
+def test_ranked_equals_the_repeat_layout(counts, data):
+    """`_ranked` lays out counts[k] pairs in row k, skipping rows with none,
+    as `np.repeat` does: every rank, or a sorted sample of them, in blocks
+    of exactly `size` pairs but the last."""
+    counts = np.array(counts, np.int64)
+    total = int(counts.sum())
+    rows = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    size = data.draw(st.integers(1, total + 1))
+    sample = None
+    if data.draw(st.booleans()):
+        picked = data.draw(st.sets(st.integers(0, max(total - 1, 0)), max_size=total))
+        sample = np.array(sorted(picked), np.int64)
+    ranks = np.arange(total) if sample is None else sample
+    blocks = list(tq.qi_map._ranked(counts, size, sample))
+    sizes = [min(size, len(ranks) - at) for at in range(0, len(ranks), size)]
+    assert [len(r) for r, _ in blocks] == sizes
+    got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 2
+    assert np.array_equal(got[0], rows[ranks]) and np.array_equal(got[1], offsets[ranks])
 
 
 def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
@@ -436,6 +465,23 @@ def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     monkeypatch.setattr(tq.qi_map, "_BLOCK", 7)
     assert witness_rank >= 7  # the witness lies beyond the first block
     assert run() == whole
+
+
+def test_pair_sources_check_themselves():
+    """A sampled source needs an int count >= 0 and an int seed: an
+    unseeded one would draw from OS entropy, and differ run to run."""
+    for args in (("sampled", 50, None), ("sampled", None, 0), ("sampled", 2.0, 0),
+                 ("sampled", 5, "0"), ("sampled", True, 0), ("bogus",), ("Exhaustive",)):
+        with pytest.raises(ValueError):
+            PairSource(*args)
+    with pytest.raises(ValueError, match="needs an int count and an int seed"):
+        PairSource.sampled(50, None)
+    with pytest.raises(ValueError, match="^sample count must be >= 0$"):
+        PairSource.sampled(-1, 0)
+    m = tq.random_map(D3, 3, 1)
+    reps = [tq.measure_qi(m, PairSource.sampled(50, 5)) for _ in range(2)]
+    assert reps[0].measurement_fields() == reps[1].measurement_fields()
+    assert reps[0].sampling_seed == 5
 
 
 def test_sampled_sources_answer_to_the_pair_budget(monkeypatch):

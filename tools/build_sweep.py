@@ -11,14 +11,17 @@ report as text lines and as JSON, `approximate_by_mixed` at the build's
 step D and at D+1 (the map and trace text, or the failure), and the map
 text and the trace text each written again after parsing it, the
 exhaustive `measure_qi` measurement fields without and with candidate C = 1,
-and the `verify-mixed` report as text lines and as JSON and the same two
-measurements of a mutated copy of the map (1-4 image swaps and one image
-one label deeper, seeded from the build's label), which covers failing
-reports and the order of their witnesses and violations.  Two checkouts
-produce the same bytes exactly when every one of these outputs agrees, so a
-change to the construction, to its structural check, to the exhaustive
-measurement or to either file format, in either direction, is checked byte
-for byte with one `diff` of two sweeps.
+the geodesic-image check at C = 1 (exhaustive up to 2,000 pairs, else
+2,000 pairs sampled with seed 0) and the same-depth check at C = 1 (or the
+error that refuses it), and the `verify-mixed` report as text lines and as
+JSON and the same four outputs of a mutated copy of the map (1-4 image
+swaps and one image one label deeper, seeded from the build's label), which
+covers failing reports and the order of their witnesses and violations.
+Two checkouts produce the same bytes exactly when every one of these
+outputs agrees, so a change to the construction, to its structural check,
+to the exhaustive measurement, to the pair walks of the two checks or to
+either file format, in either direction, is checked byte for byte with one
+`diff` of two sweeps.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ RADIUS = {3: 8, 4: 6, 5: 4}  # the largest radius swept per degree
 RANDOM_SEEDS = 34
 APPROXIMATION_C = 1
 MEASURE_CANDIDATES = (None, 1)
+CHECK_C = 1
+GEODESIC_PAIRS = 2000  # exhaustive up to this many pairs, else a sample of this many
 
 
 def _approximation(m, step: int) -> str:
@@ -64,7 +69,22 @@ def _verified(m, step: int) -> list[str]:
 
 
 def _measured(m) -> list[str]:
-    return [repr(tq.measure_qi(m, candidate_C=C).measurement_fields()) for C in MEASURE_CANDIDATES]
+    """The measurements and both checks of m."""
+    out = [repr(tq.measure_qi(m, candidate_C=C).measurement_fields()) for C in MEASURE_CANDIDATES]
+    n = len(m.domain)
+    source = tq.EXHAUSTIVE
+    if n * (n - 1) // 2 > GEODESIC_PAIRS:
+        source = tq.PairSource.sampled(GEODESIC_PAIRS, 0)
+    out.append(_violations(tq.check_geodesic_image(m, CHECK_C, source)))
+    try:
+        out.append(_violations(tq.check_same_depth(m, CHECK_C)))
+    except tq.TreeQIError as e:
+        out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def _violations(found) -> str:
+    return repr((found.total, [(v.x, v.y, v.kind, v.value, v.at) for v in found]))
 
 
 def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str]:
