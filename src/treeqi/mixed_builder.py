@@ -29,9 +29,10 @@ not, size), and the result is translated to v once.  The block arrives
 member by member, so the assignment and its check take each member's
 children as one run of the block.  A replayed subtree is checked in one
 pass over its vertices.  Trace text goes through the address text codec of
-the ball the trace builds (`qi_map._Ball.format` and `locate`), as map
-files do: a ball vertex is its own text, and an address below the radius is
-the text of its ancestor on the last level followed by the further labels.
+the ball the trace builds (`qi_map._Ball.format` and `locate`), as the map
+reader's line loop does: a ball vertex is its own text, and an address below
+the radius is the text of its ancestor on the last level followed by the
+further labels.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ A map is defined on the ball of a given radius about the root and holds its
 images as label arrays in ball (address) order; images may be any valid
 addresses, arbitrarily deep.  One cached `_Ball` per degree and radius owns
 that order: its label rows, the position arithmetic of children, parents
-and addresses, its vertex tuples and the text of every address, which map
-and trace files write and read through it.  Whole-map operations
+and addresses, its vertex tuples and the text of every address, which
+trace files write and read through it.  Map files are written and read as
+byte arrays from the label rows (`mapfile`).  Whole-map operations
 (comparison, composition, sup distance, the ancestry check, coarse
 surjectivity) run on the arrays, and so do the mixed construction and its
 checks in `mixed_builder`; the dict view `FiniteTreeMap.table` serves
@@ -120,14 +121,15 @@ class _Ball:
     p + 1 + a * sizes[k] for label a (`children`), and an address
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
     (`positions`).  The vertex tuples, the prefix index, the ancestor table
-    and the canonical text of every vertex are built on first use.
+    and the canonical text of every vertex are built on first use, the
+    tuples and texts one level at a time.
 
-    The ball is the one codec of address text for map and trace files:
-    `format` writes any address and `locate` reads it back.  An address
-    below the radius is the text of its ancestor on the last level followed
-    by the further labels, whose text (`_tail_text`) and reading (`_tail`)
-    are cached across balls.  The trace reader looks canonical vertex text
-    up in `_position` itself before it calls `locate`.
+    The ball is the one codec of address text for trace files and for the
+    map reader's line loop: `format` writes any address and `locate` reads
+    it back.  An address below the radius is the text of its ancestor on
+    the last level followed by the further labels, whose text (`_tail_text`)
+    and reading (`_tail`) are cached across balls.  The trace reader looks
+    canonical vertex text up in `_position` itself before it calls `locate`.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -166,18 +168,20 @@ class _Ball:
         """Positions of the ball of radius r <= radius, in its own order."""
         return slice(None) if r == self.radius else np.flatnonzero(self.depths <= r)
 
-    def _down(self, root, extend) -> list:
-        """`root` at position 0, then extend(entry of the parent, own last
-        label) at each later position; preorder puts every parent first."""
-        out = [root] * len(self.depths)
-        last = self.labels[np.arange(len(out)), self.depths - 1].tolist()
-        for p, q in enumerate(self.parents[1:].tolist(), 1):
-            out[p] = extend(out[q], last[p])
-        return out
+    def _by_level(self, root, level) -> list:
+        """`root` at position 0, then each level's entries at once:
+        level(entries of the level above, child label count) lists them
+        parent by parent, each in label order, as `levels` lays them out."""
+        out = np.empty(len(self.depths), object)
+        out[0] = root
+        for t, kids in enumerate(self.levels[1:]):
+            entries = level(out[self.levels[t]].tolist(), self.shape.degree - (t > 0))
+            out[kids] = np.fromiter(entries, object, len(kids))
+        return out.tolist()
 
     @cached_property
     def verts(self) -> tuple:
-        return tuple(self._down(ROOT, lambda v, a: v + (a,)))
+        return tuple(self._by_level(ROOT, lambda vs, k: [v + (a,) for v in vs for a in range(k)]))
 
     @cached_property
     def prefix_index(self) -> _PrefixIndex:
@@ -198,7 +202,14 @@ class _Ball:
     @cached_property
     def texts(self) -> list[str]:
         """The canonical dotted text of each vertex."""
-        return self._down(".", lambda t, a: f"{t}.{a}" if t != "." else str(a))
+        tails = [f".{a}" for a in range(self.shape.degree)]
+
+        def level(heads: list, k: int) -> list:
+            if heads == ["."]:
+                return [a[1:] for a in tails]
+            return [h + a for h in heads for a in tails[:k]]
+
+        return self._by_level(".", level)
 
     @cached_property
     def _position(self) -> dict[str, int]:

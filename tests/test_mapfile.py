@@ -1,7 +1,11 @@
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeqi as tq
 from reference import (
@@ -11,10 +15,12 @@ from reference import (
     reference_trace_text,
 )
 from treeqi import MixedPolicy, TreeShape
+from treeqi import mapfile
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
 from treeqi.mixed_builder import BuildTrace
 from treeqi.qi_map import _ball
+from treeqi.tree_core import ball_size
 
 D3 = TreeShape(3)
 
@@ -207,6 +213,9 @@ def _parser_inputs():
         "tree-qi v1 degree=3 radius=0\n\u0661 .\n",
         "tree-qi v1 degree=3 radius=0\n. " + ".".join(["0"] * 65) + "\n",
         "tree-qi v1 degree=3 radius=1\n. 0.0.0.0.0.0.0.0\n0 1\n1 0.1\n2 2\n",
+        "tree-qi v1 degree=3 radius=0",  # a header alone, without its newline
+        "tree-qi v1 degree=11 radius=0\n. :\n",  # the byte after '9' is no label
+        "tree-qi v1 degree=12 radius=0\n. 0.;\n",
     ]
     # images deeper than the radius: a ball vertex's text, then further labels
     for image in ("0.0.2", "0.01.1", "0.\u00b2", "0..1", "0.1.x", "00.1.1", "2.1.0",
@@ -220,19 +229,161 @@ def _parser_inputs():
     return texts
 
 
+def _reads_like_reference(text: str) -> None:
+    """parse_map_text gives the reference parser's map, or its error type,
+    message and line."""
+    try:
+        expected = reference_parse_map_text(text)
+    except TreeQIError as e:
+        with pytest.raises(TreeQIError) as err:
+            parse_map_text(text)
+        assert type(err.value) is type(e)
+        assert str(err.value) == str(e)
+        assert getattr(err.value, "line", None) == getattr(e, "line", None)
+    else:
+        got = parse_map_text(text)
+        assert got == expected
+        assert dump_map_text(got) == dump_map_text(expected)
+
+
 def test_parser_matches_reference():
     for text in _parser_inputs():
-        try:
-            expected = reference_parse_map_text(text)
-        except TreeQIError as e:
-            with pytest.raises(type(e)) as err:
-                parse_map_text(text)
-            assert str(err.value) == str(e)
-            assert getattr(err.value, "line", None) == getattr(e, "line", None)
-        else:
-            got = parse_map_text(text)
-            assert got == expected
-            assert dump_map_text(got) == dump_map_text(expected)
+        _reads_like_reference(text)
+
+
+CODEC = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def codec_maps(draw, max_image_depth):
+    """Maps of degree 3-12 (labels of one and two digits) on balls of
+    radius 0-4 with at most 2,000 vertices; images from the root down to
+    two levels below the radius, and some down to max_image_depth."""
+    shape = TreeShape(draw(st.integers(3, 12)))
+    radius = draw(st.integers(0, 4).filter(lambda r: ball_size(shape, r) <= 2000))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def address():
+        depth = rnd.randint(0, radius + 2)
+        if rnd.random() < 0.05:
+            depth = rnd.randint(0, max_image_depth)
+        return tuple(rnd.randrange(shape.degree - (k > 0)) for k in range(depth))
+
+    return tq.FiniteTreeMap(shape, radius, {v: address() for v in _ball(shape.degree, radius).verts})
+
+
+def _edited(text: str, rnd: random.Random, degree: int) -> str:
+    """The map text with at most one edit: a respelled label, a swapped,
+    dropped or duplicated line, a carriage return, tab or second space in
+    or in place of a character of a line, a vertical tab in the header, no
+    final newline or a stray byte after it, a label past the degree, a
+    source or image one label deeper, a doubled, leading or trailing dot,
+    a dot replaced by a carriage return, a tab or a digit, or a line break
+    replaced by a tab, a carriage return or a vertical tab."""
+    head, *body = text.splitlines()
+    i, j = rnd.randrange(len(body)), rnd.randrange(len(body))
+    line, end = body[i], "\n"
+    at = rnd.randrange(len(line))
+    tokens = line.split(" ")
+    side = rnd.randrange(2)
+    labels = [] if tokens[side] == "." else tokens[side].split(".")
+    k = rnd.randrange(len(labels)) if labels else 0
+    dots = [p for p, c in enumerate(line) if c == "."]
+    kind = rnd.randrange(16)
+    if kind == 1 and labels:
+        labels[k] = "0" + labels[k]
+    elif kind == 2:
+        body[i], body[j] = body[j], body[i]
+    elif kind == 3:
+        del body[i]
+    elif kind == 4:
+        body.insert(j, line)
+    elif kind == 5:
+        body[j] = line
+    elif kind == 6:
+        body[i] = line[:at] + rnd.choice("\r\t ") + line[at + rnd.randrange(2) :]
+    elif kind == 7:
+        at = rnd.randrange(len(head) + 1)
+        head = head[:at] + "\x0b" + head[at:]
+    elif kind == 8:
+        end = rnd.choice(["", "\n\r", "\n0", "\n."])
+    elif kind == 9 and labels:
+        labels[k] = str(degree - (k > 0) + rnd.randrange(2))
+    elif kind == 10:
+        labels.append(str(rnd.randrange(degree - 1)))
+    elif kind == 11:
+        tokens[side] = rnd.choice(["." + tokens[side], tokens[side] + "."])
+    elif kind == 12:
+        tokens[side] = tokens[side].replace(".", "..", 1) if labels else ".."
+    elif kind == 13 and dots:
+        at = rnd.choice(dots)
+        body[i] = line[:at] + rnd.choice("\r\t0") + line[at + 1 :]
+    elif kind == 14 and i + 1 < len(body):
+        body[i : i + 2] = [line + rnd.choice("\t\r\x0b") + body[i + 1]]
+    if kind in (1, 9, 10) and labels:
+        tokens[side] = ".".join(labels)
+    if kind in (1, 9, 10, 11, 12):
+        body[i] = " ".join(tokens)
+    return "\n".join([head, *body]) + end
+
+
+@CODEC
+@given(codec_maps(max_image_depth=8), st.integers(0, 2**32))
+def test_parser_matches_reference_on_edited_dumps(m, seed):
+    _reads_like_reference(_edited(dump_map_text(m), random.Random(seed), m.shape.degree))
+
+
+@CODEC
+@given(codec_maps(max_image_depth=tq.MAX_DEPTH))
+def test_writer_matches_reference_on_two_digit_labels(m):
+    assert dump_map_text(m) == reference_dump_map_text(m)
+
+
+def test_block_paths_build_no_text_tables(monkeypatch):
+    """Canonical one-digit text is read without the line loop, and neither
+    direction builds the ball's vertex tuples or texts; two-digit labels
+    go to the line loop."""
+    maps = [tq.perturb_map_in_subtree(tq.random_automorphism_map(TreeShape(d), 3, 1), 2) for d in (3, 10, 11)]
+    texts = [dump_map_text(m) for m in maps]
+    _ball.cache_clear()
+
+    def refused(lines, budget):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(mapfile, "_read_lines", refused)
+    for m, text in zip(maps[:2], texts):
+        assert parse_map_text(text) == m
+        assert dump_map_text(m) == text
+        assert not {"verts", "texts", "_position", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
+    with pytest.raises(AssertionError, match="the line loop ran"):
+        parse_map_text(texts[2])
+    monkeypatch.undo()
+    assert parse_map_text(texts[2]) == maps[2]
+
+
+def test_codec_memory_is_bounded_by_the_text():
+    """Reading and writing a radius-14 map with images below the radius,
+    some of them at the depth cap, peak at most 8x the text size: both
+    directions work block by block."""
+    m = tq.perturb_map_in_subtree(tq.random_automorphism_map(D3, 14, 1), 2, max_step=3)
+    labels = np.pad(m.labels, ((0, 0), (0, tq.MAX_DEPTH - m.labels.shape[1])), constant_values=-1)
+    depths = m.depths.copy()
+    for i in range(0, len(depths), 5000):  # a few images at the depth cap
+        labels[i, depths[i] :] = 1
+        depths[i] = tq.MAX_DEPTH
+    m = tq.FiniteTreeMap._from_arrays(D3, 14, labels, depths)
+    text = dump_map_text(m)
+    assert parse_map_text(text) == m  # the ball is cached before measuring
+    tracemalloc.start()
+    try:
+        parse_map_text(text)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dump_map_text(m)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(read_peak, write_peak) <= 8 * len(text)
 
 
 def test_writer_matches_reference():

@@ -3,20 +3,23 @@
     python tools/build_sweep.py > sweep.txt
 
 Run with treeqi importable (for example PYTHONPATH=src).  The sweep covers
-degrees 3-5, step depths 1-3 and every number of levels up to a small
-radius, each with the minimal, the deepest and 34 seeded random policies
-(1,152 builds).  Each line digests, in order: the map file text, the trace
-text, the map rebuilt by replaying the parsed trace, the `verify-mixed`
-report as text lines and as JSON, `approximate_by_mixed` at the build's
-step D and at D+1 (the map and trace text, or the failure), and the map
-text and the trace text each written again after parsing it, the
-exhaustive `measure_qi` measurement fields without and with candidate C = 1,
-the geodesic-image check at C = 1 (exhaustive up to 2,000 pairs, else
-2,000 pairs sampled with seed 0) and the same-depth check at C = 1 (or the
-error that refuses it), and the `verify-mixed` report as text lines and as
-JSON and the same four outputs of a mutated copy of the map (1-4 image
-swaps and one image one label deeper, seeded from the build's label), which
-covers failing reports and the order of their witnesses and violations.
+degrees 3-5 and 11 (two-digit labels), step depths 1-3 and every number of
+levels up to a small radius, each with the minimal, the deepest and 34
+seeded random policies (1,260 builds).  Each line digests, in order: the
+map file text, the trace text, the map rebuilt by replaying the parsed
+trace, the `verify-mixed` report as text lines and as JSON,
+`approximate_by_mixed` at the build's step D and at D+1 (the map and trace
+text, or the failure), the map text written again after parsing it and
+after parsing it respelled with a leading zero on every label (which the
+map reader's line loop reads), the trace text written again after parsing
+it, the exhaustive `measure_qi` measurement fields without and with
+candidate C = 1, the geodesic-image check at C = 1 (exhaustive up to 2,000
+pairs, else 2,000 pairs sampled with seed 0) and the same-depth check at
+C = 1 (or the error that refuses it), and the `verify-mixed` report as
+text lines and as JSON and the same four outputs of a mutated copy of the
+map (1-4 image swaps and one image one label deeper, seeded from the
+build's label), which covers failing reports and the order of their
+witnesses and violations.
 Two checkouts produce the same bytes exactly when every one of these
 outputs agrees, so a change to the construction, to its structural check,
 to the exhaustive measurement, to the pair walks of the two checks or to
@@ -34,7 +37,7 @@ import warnings
 
 import treeqi as tq
 
-RADIUS = {3: 8, 4: 6, 5: 4}  # the largest radius swept per degree
+RADIUS = {3: 8, 4: 6, 5: 4, 11: 2}  # the largest radius swept per degree
 RANDOM_SEEDS = 34
 APPROXIMATION_C = 1
 MEASURE_CANDIDATES = (None, 1)
@@ -48,6 +51,14 @@ def _approximation(m, step: int) -> str:
     except tq.TreeQIError as e:
         return f"{type(e).__name__}: {e}"
     return tq.dump_map_text(f) + trace.to_text()
+
+
+def _respelled(map_text: str) -> str:
+    """The map text with a leading zero on every label: '0.1' -> '00.01'."""
+    head, *body = map_text.splitlines()
+    for k, line in enumerate(body):
+        body[k] = " ".join(a if a == "." else ".".join("0" + p for p in a.split(".")) for a in line.split())
+    return "\n".join([head, *body]) + "\n"
 
 
 def _mutated(m, rnd: random.Random):
@@ -103,6 +114,7 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
         _approximation(m, step),
         _approximation(m, step + 1),
         tq.dump_map_text(tq.parse_map_text(map_text)),
+        tq.dump_map_text(tq.parse_map_text(_respelled(map_text))),
         tq.BuildTrace.from_text(text).to_text(),
         *_measured(m),
         *_verified(mutated, step),
