@@ -107,7 +107,7 @@ def cmd_gen_mixed(args) -> int:
         ("levels", args.levels),
         ("radius", m.domain_radius),
         ("policy", trace.policy),
-        ("vertices", len(m.domain)),
+        ("vertices", len(m.depths)),
     ]
     report.emit(fields, args.json)
     return EXIT_OK

@@ -255,7 +255,8 @@ def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
 
 
 def write_trace_file(trace, path) -> None:
-    Path(path).write_text(trace.to_text(), encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(trace.lines())
 
 
 def parse_trace_file(path):

@@ -41,13 +41,14 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
-from .qi_map import FiniteTreeMap, _Ball, _ball, _budgeted_ball, _label_dtype, _pack, _prefix_len
+from .prefix import _prefix_len
+from .qi_map import FiniteTreeMap, _Ball, _ball, _budgeted_ball, _label_dtype, _pack
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
@@ -104,25 +105,30 @@ class BuildTrace:
         except (BudgetExceededError, ValueError):  # ValueError: negative radius
             return None
 
-    def to_text(self) -> str:
-        """The trace as text, every address in its canonical text."""
+    def lines(self) -> Iterator[str]:
+        """The trace's text a line at a time, each with its newline, every
+        address in its canonical text: trace files are written from these
+        lines without joining them."""
         fmt = ball.format if (ball := self._layout()) else format_address
-        lines = [
+        yield (
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
-            f" levels={self.levels} policy={self.policy}"
-        ]
+            f" levels={self.levels} policy={self.policy}\n"
+        )
         for c in self.classes:
             pairs = [f"{fmt(b)}:{fmt(a)}" for b, a in c.assignment.items()]
-            lines.append(
+            yield (
                 f"class level={c.level}"
                 f" image={fmt(c.image)}"
                 f" members={'|'.join(map(fmt, c.members))}"
                 f" subtree={'|'.join(map(fmt, c.subtree))}"
                 f" boundary={'|'.join(map(fmt, c.boundary))}"
                 f" rng_draws={c.rng_draws}"
-                f" assign={','.join(pairs)}"
+                f" assign={','.join(pairs)}\n"
             )
-        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        """The trace as text: its `lines` joined."""
+        return "".join(self.lines())
 
     @staticmethod
     def from_text(text: str) -> "BuildTrace":

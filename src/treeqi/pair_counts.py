@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .qi_map import _Ball, _PrefixIndex
+    from .prefix import _PrefixIndex
+    from .qi_map import _Ball
 
 
 class _Groups:

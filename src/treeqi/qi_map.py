@@ -28,11 +28,13 @@ seeded sample.  One enumerator (`_pairs`) unranks them (`_ranked`, which
 also lays out the nested pairs of the same-depth check) and streams them in
 fixed-size blocks together with their common-prefix lengths in the domain
 and in the image, read from a sparse table over the LCP array of the
-address-sorted rows, so memory does not grow with the number of pairs, and
-both sources answer to a pair budget.  The exhaustive constant measurement
-enumerates no pairs: it counts their keys by group (`pair_counts._Groups`)
-and reads only the rows that hold its witness and its listed violations,
-each row at once as running minima along the LCP array (`row_prefix_len`).
+address-sorted rows (`prefix`; a sampled measurement reads its few pairs
+from the label rows instead), so memory does not grow with the number of
+pairs, and both sources answer to a pair budget.  The exhaustive constant
+measurement enumerates no pairs: it counts their keys by group
+(`pair_counts._Groups`) and reads only the rows that hold its witness and
+its listed violations, each row at once as running minima along the LCP
+array (`row_prefix_len`).
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -52,6 +54,7 @@ import numpy as np
 
 from . import report
 from .pair_counts import _Groups
+from .prefix import _LabelRows, _PrefixIndex, _prefix_len
 from .errors import (
     BudgetExceededError,
     DepthLimitError,
@@ -81,6 +84,7 @@ DEFAULT_MAX_PAIRS = 10_000_000
 DEFAULT_MAX_VIOLATIONS = 1000
 
 _FAR = 1 << 20  # beyond any distance in the tree's depth cap
+_POSITION_ROWS = 1 << 12  # address rows widened at once by `_Ball.positions`
 
 
 def _label_dtype(degree: int) -> np.dtype:
@@ -101,11 +105,14 @@ def _pack(images, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_rows(shape: TreeShape, labels: np.ndarray, depths: np.ndarray, image) -> None:
     """One bound check per depth column, plus the depth cap; on a failure,
-    `validate_address` raises for the first bad row, `image(row)`."""
-    bound = np.full(labels.shape[1], shape.degree - 1)
-    bound[0] = shape.degree
-    live = np.arange(labels.shape[1]) < depths[:, None]
-    bad = (depths > MAX_DEPTH) | (live & ((labels < 0) | (labels >= bound))).any(axis=1)
+    `validate_address` raises for the first bad row, `image(row)`.  The
+    columns are checked one at a time, so no temporary is as large as the
+    label matrix."""
+    bad = depths > MAX_DEPTH
+    for k in range(labels.shape[1]):
+        column = labels[:, k]
+        bound = shape.degree if k == 0 else shape.degree - 1
+        bad |= (depths > k) & ((column < 0) | (column >= bound))
     if bad.any():
         validate_address(image(int(bad.argmax())), shape)
 
@@ -122,7 +129,12 @@ class _Ball:
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
     (`positions`).  The vertex tuples, the prefix index, the ancestor table
     and the canonical text of every vertex are built on first use, the
-    tuples and texts one level at a time.
+    tuples and texts one level at a time.  They are whole-ball tables, so
+    only work that visits most of the ball asks for them: the class walk
+    and the dict view share the tuples, the trace codec reads the texts,
+    and the exhaustive pair checks read the prefix index.  Work that names a
+    few vertices (a witness, listed violations) builds each one's tuple
+    from its label row (`vertex`).
 
     The ball is the one codec of address text for trace files and for the
     map reader's line loop: `format` writes any address and `locate` reads
@@ -159,10 +171,25 @@ class _Ball:
 
     def positions(self, labels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Position of each address row (its first depths[i] labels); -1 for
-        rows deeper than the radius."""
+        rows deeper than the radius.  Rows are read a block at a time, so
+        the widened labels of only one block are held at once."""
         w = min(labels.shape[1], self.radius)
-        offsets = np.maximum(labels[:, :w], 0).astype(np.int64) @ self.sizes[:w]
-        return np.where(depths <= self.radius, depths + offsets, -1)
+        out = depths.astype(np.int64)
+        for s in range(0, len(out), _POSITION_ROWS):
+            rows = slice(s, s + _POSITION_ROWS)
+            out[rows] += np.maximum(labels[rows, :w], 0).astype(np.int64) @ self.sizes[:w]
+        out[depths > self.radius] = -1
+        return out
+
+    def vertex(self, p: int) -> Vertex:
+        """The address at position p, read from its label row."""
+        return tuple(self.labels[p, : self.depths[p]].tolist())
+
+    def shared(self, vs: list) -> tuple:
+        """The addresses vs, each one inside the ball as the ball's own
+        tuple (`verts`), so that a record of them holds no copies."""
+        at = self.positions(*_pack(vs, self.labels.dtype)).tolist()
+        return tuple(v if p < 0 else self.verts[p] for v, p in zip(vs, at))
 
     def rows(self, r: int) -> np.ndarray | slice:
         """Positions of the ball of radius r <= radius, in its own order."""
@@ -290,97 +317,12 @@ def _budgeted_ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_B
     return _ball(shape.degree, radius)
 
 
-def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common-prefix length of the address rows a[..., :] and b[..., :]."""
-    w = min(a.shape[-1], b.shape[-1])
-    a, b = a[..., :w], b[..., :w]
-    return np.logical_and.accumulate((a == b) & (a >= 0), axis=-1).sum(axis=-1)
-
-
-class _PrefixIndex:
-    """Common-prefix lengths between the rows of an address matrix.
-
-    Rows are ranked in address order, and the LCP array `table[0]` holds
-    the common prefix of the rows of ranks k and k + 1 (Kasai et al., CPM
-    2001); the common prefix of two rows is the minimum of the LCP array
-    between their ranks.  `row_prefix_len` reads one row against every
-    later row at once, as running minima of the LCP array outward from the
-    row's rank, in O(n).  `prefix_len` reads any pairs in O(1) each from
-    the sparse table of minima `table` (Bender & Farach-Colton, LATIN
-    2000).  Memory is n log n bytes; both widen the int8 entries before
-    they return them, since a depth-64 prefix doubled wraps in int8.
-    """
-
-    def __init__(self, labels: np.ndarray, depths: np.ndarray, presorted: bool = False):
-        n = len(depths)
-        order = np.arange(n) if presorted else np.lexsort(labels.T[::-1])
-        self.n = n
-        self.presorted = presorted
-        self.depths = depths.astype(np.int32)
-        self.rank = np.empty(n, np.int32)
-        self.rank[order] = np.arange(n, dtype=np.int32)
-        rows = labels[order]
-        levels = max(1, (n - 1).bit_length())
-        table = np.zeros((levels, n), np.int8)  # table[j, k] = min(lcp[k : k + 2**j])
-        alive = np.ones(n - 1, dtype=bool)
-        for k in range(labels.shape[1]):
-            np.logical_and(alive, rows[:-1, k] == rows[1:, k], out=alive)
-            np.logical_and(alive, rows[:-1, k] >= 0, out=alive)
-            table[0, : n - 1] += alive
-        self.log2 = np.zeros(n, np.int32)
-        for j in range(1, levels):
-            h, width = 1 << (j - 1), n - (1 << j)
-            np.minimum(table[j - 1, :width], table[j - 1, h : h + width], out=table[j, :width])
-            self.log2[1 << j :] += 1
-        self.table = table
-        self._flat = table.ravel()
-
-    def row_prefix_len(self, i: int) -> np.ndarray:
-        """Common-prefix length of row i with each of rows i + 1 .. n - 1.
-
-        By rank, these are the running minima of `lcp` from rank(i) up and
-        from rank(i) down, read back at the rows' ranks."""
-        r, lcp = int(self.rank[i]), self.table[0, : self.n - 1]
-        by_rank = np.empty(self.n, np.int32)  # wide enough to double a depth-64 prefix
-        np.minimum.accumulate(lcp[r:], out=by_rank[r + 1 :])
-        if self.presorted:  # rank is the row index, so every later row ranks above r
-            return by_rank[i + 1 :]
-        np.minimum.accumulate(lcp[:r][::-1], out=by_rank[:r][::-1])
-        return by_rank[self.rank[i + 1 :]]
-
-    def prefix_len(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Common-prefix length of rows i[k] and j[k] (the full depth if equal)."""
-        ri, rj = self.rank[i], self.rank[j]
-        lo = np.minimum(ri, rj)
-        hi = np.maximum(ri, rj)
-        span = hi - lo
-        lvl = self.log2[span]
-        base = lvl * self.n
-        out = np.minimum(self._flat[base + lo], self._flat[base + hi - (1 << lvl)])
-        return np.where(span == 0, self.depths[i], out)
-
-    def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.depths[i] + self.depths[j] - 2 * self.prefix_len(i, j)
-
-    def extension_ranks(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rank interval [lo, hi] of the rows that have row i[k] as a prefix."""
-        d = self.depths[i]
-        lo = self.rank[i].astype(np.int64)
-        hi = lo.copy()
-        last = self.n - 1
-        for j in range(self.table.shape[0] - 1, -1, -1):
-            w = 1 << j
-            row = self.table[j]
-            up = (hi + w <= last) & (row[np.minimum(hi, last)] >= d)
-            hi += w * up
-            down = (lo >= w) & (row[np.maximum(lo - w, 0)] >= d)
-            lo -= w * down
-        return lo, hi
-
-
 # Pairs are evaluated in blocks of at most this many items (pairs, or pair
-# and geodesic position), so peak memory does not grow with the pair count.
+# and geodesic position), so peak memory does not grow with the pair count;
+# pairs read from their label rows, at most _LABEL_BLOCK labels of each end.
 _BLOCK = 1 << 16
+_LABEL_BLOCK = 1 << 18
+_SAMPLE_WORDS = 1 << 20  # words of the generator's stream read at once by `_set_sample`
 
 
 def _pair_total(n: int, ps: PairSource) -> int:
@@ -417,8 +359,46 @@ def _ranked(
         yield row, ranks - starts[row]
 
 
+def _set_sample(rng: random.Random, total: int, k: int) -> np.ndarray:
+    """sorted(rng.sample(range(total), k)) for a population that `sample`
+    draws into a set and whose size has at most 32 bits, from the words
+    of the generator's stream.
+
+    There `sample` picks `_randbelow(total)` until it has k distinct
+    values: each candidate is one 32-bit word cut to its top
+    `total.bit_length()` bits, drawn again while it is total or more.  So
+    the picks are the first k distinct candidates of the word stream.  The
+    words are read a chunk at a time (`getrandbits` of 32m bits holds the
+    next m words, the first lowest), until there are as many candidates as
+    k distinct values take on average, and more if the first k distinct
+    values are not among them yet.
+    """
+    bits = total.bit_length()
+    chunks, have = [], 0
+    need = math.ceil(-total * math.log1p(-k / total)) + 64
+    while True:
+        while have < need:
+            words = min(_SAMPLE_WORDS, ((need - have) << bits) // total + 64)
+            stream = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            picks = np.frombuffer(stream, "<u4") >> (32 - bits)
+            chunks.append(picks[picks < total])
+            have += len(chunks[-1])
+        # each candidate above its place in the stream, sorted: the first
+        # key of each value holds the place where it was first drawn
+        keys = np.concatenate(chunks).astype(np.uint64) << 32
+        keys |= np.arange(have, dtype=np.uint64)
+        keys.sort()
+        keys = keys[np.r_[True, np.diff(keys >> 32) != 0]]
+        if len(keys) >= k:  # the values first drawn no later than the k-th distinct one
+            place = keys & 0xFFFFFFFF
+            picked = keys[place <= np.partition(place, k - 1)[k - 1]]
+            picked >>= 32
+            return picked.view(np.int64)
+        need = have + 2 * (k - len(keys)) + 64
+
+
 def _pairs(
-    dom: _PrefixIndex, img: _PrefixIndex, ps: PairSource, size: int
+    dom: _PrefixIndex | _LabelRows, img: _PrefixIndex | _LabelRows, ps: PairSource, size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The source's index pairs (i < j) in canonical order, at most `size`
     at a time, once their number is within DEFAULT_MAX_PAIRS, as blocks
@@ -426,16 +406,27 @@ def _pairs(
 
     Every source is a run of ranks over the upper triangle, row i holding
     the pairs (i, i + 1) .. (i, n - 1): an exhaustive source takes every
-    rank, a sampled one the sorted ranks of its seeded draw.  `_ranked`
-    unranks them, and the prefix lengths are read pair by pair from the
-    sparse table (`prefix_len`).
+    rank, a sampled one the sorted ranks of its seeded draw,
+    `random.Random(seed).sample(range(total), count)`.  Where `sample`
+    draws into a set, and the total has at most 32 bits, the same ranks
+    are read from the generator's words (`_set_sample`).  `_ranked`
+    unranks them, and the prefix lengths are read pair by pair through
+    `prefix_len` of `dom` and `img`: the sparse tables of `_PrefixIndex`,
+    or the label rows themselves (`_LabelRows`), which the sampled
+    measurement passes.
     """
     n = dom.n
     count = _pair_total(n, ps)
     sample = None
     if ps.mode == "sampled":
-        picked = random.Random(ps.seed).sample(range(n * (n - 1) // 2), count)
-        sample = np.sort(np.fromiter(picked, np.int64, count))
+        total = n * (n - 1) // 2
+        rng = random.Random(ps.seed)
+        # `sample` draws into a list up to this population size, else into a set
+        pool = 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0)
+        if count and pool < total < 1 << 32:
+            sample = _set_sample(rng, total, count)
+        else:
+            sample = np.sort(np.fromiter(rng.sample(range(total), count), np.int64, count))
     for row, k in _ranked(np.arange(n - 1, 0, -1), size, sample):
         iu, ju = row.astype(np.int32), (row + 1 + k).astype(np.int32)
         yield iu, ju, dom.prefix_len(iu, ju), img.prefix_len(iu, ju)
@@ -830,7 +821,7 @@ def is_order_preserving(m: FiniteTreeMap) -> tuple[bool, Vertex | None]:
     if ok.all():
         return True, None
     bad = np.flatnonzero(~ok) + 1
-    return False, b.verts[bad[np.argmin(b.depths[bad])]]
+    return False, b.vertex(bad[np.argmin(b.depths[bad])])
 
 
 def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
@@ -917,13 +908,14 @@ def _candidate_kinds(cand: Fraction, max_delta: int, max_iota: int) -> np.ndarra
     return kinds
 
 
-def _listed(verts: tuple, kinds: np.ndarray, i, j: np.ndarray, key: np.ndarray, room: int) -> list:
+def _listed(vertex, kinds: np.ndarray, i, j: np.ndarray, key: np.ndarray, room: int) -> list:
     """The first `room` pairs (i[t], j[t]) whose keys fail the candidate,
-    as violations; i may be one vertex for all of them."""
+    as violations of the vertices `vertex(i[t])` and `vertex(j[t])`; i may
+    be one vertex for all of them."""
     bad = np.flatnonzero(kinds[key])[: max(room, 0)]
     i = np.broadcast_to(i, key.shape)
     return [
-        Violation(verts[x], verts[y], "upper" if kinds[k] == 1 else "lower", k % _KEY_BASE)
+        Violation(vertex(x), vertex(y), "upper" if kinds[k] == 1 else "lower", k % _KEY_BASE)
         for x, y, k in zip(i[bad].tolist(), j[bad].tolist(), key[bad].tolist())
     ]
 
@@ -943,12 +935,12 @@ def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
     _pair_total(n, EXHAUSTIVE)
     radius = m.domain_radius
     top = radius if max_lca_depth is None else min(max_lca_depth, radius)
-    groups = _Groups(_ball(m.shape.degree, radius), img)
+    ball = _ball(m.shape.degree, radius)
+    groups = _Groups(ball, img)
     records = groups.exact_counts(top)
     a, b, s, count = records
     keys = (s // groups.base - 2 * a) * _KEY_BASE + s % groups.base - 2 * b
     key_C = {k: pair_min_C(*divmod(k, _KEY_BASE)) for k in np.unique(keys).tolist()}
-    verts = m.domain
 
     def row(i: int) -> tuple[np.ndarray, np.ndarray]:
         """The checked pairs (i, j) of row i: each j and the pair's key."""
@@ -964,7 +956,7 @@ def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
         hit[[k for k, c in key_C.items() if c == best]] = True
         i = int(np.argmax(groups.partners(records[:, hit[keys]]) > 0))
         later, key = row(i)
-        witness = (verts[i], verts[later[np.argmax(hit[key])]])
+        witness = (ball.vertex(i), ball.vertex(later[np.argmax(hit[key])]))
     violations, total = [], 0
     if kinds is not None:
         bad = kinds[keys] != 0
@@ -973,7 +965,7 @@ def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
             room = DEFAULT_MAX_VIOLATIONS - len(violations)
             if room <= 0:
                 break
-            violations += _listed(verts, kinds, i, *row(i), room)
+            violations += _listed(ball.vertex, kinds, i, *row(i), room)
     return int(count.sum()), key_C, witness, violations, total
 
 
@@ -998,14 +990,20 @@ def measure_qi(
     that hold the witness and the listed violations are read.  The pair
     budget still refuses more than DEFAULT_MAX_PAIRS of them.  Sampled
     pairs are folded block by block: the union of their keys, the first
-    pair attaining the best constant, violations concatenated.
+    pair attaining the best constant, violations concatenated.  Their
+    prefix lengths are read from the two label rows of each pair
+    (`_LabelRows`), so a sample builds neither the ball's prefix index nor
+    the map's.  Either way the vertex tuples of only the witness and the
+    listed violations are made, from their label rows.
     """
     cand = None if candidate_C is None else Fraction(candidate_C)
     if cand is not None and cand < 1:
         raise ValueError("candidate C must be >= 1")
-    verts = m.domain
-    dom = _ball(m.shape.degree, m.domain_radius).prefix_index
-    img = m._image_index
+    ball = _ball(m.shape.degree, m.domain_radius)
+    if pair_source.mode == "exhaustive":
+        dom, img = ball.prefix_index, m._image_index
+    else:
+        dom, img = _LabelRows(ball.labels, ball.depths), _LabelRows(m.labels, m.depths)
     kinds = None
     if cand is not None:
         kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(img.depths.max()))
@@ -1022,7 +1020,8 @@ def measure_qi(
         violations: list[Violation] = []
         violations_total = 0
         pairs_checked = 0
-        for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, _BLOCK):
+        size = max(1, _LABEL_BLOCK // max(dom.labels.shape[1], img.labels.shape[1]))
+        for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, size):
             if max_lca_depth is not None:
                 keep = dplen <= max_lca_depth
                 iu, ju, dplen, iplen = iu[keep], ju[keep], dplen[keep], iplen[keep]
@@ -1040,11 +1039,11 @@ def measure_qi(
                 hit = np.zeros(_KEYS, dtype=bool)
                 hit[[k for k in present if key_C[k] == best]] = True
                 first = int(np.argmax(hit[key]))
-                witness = (verts[iu[first]], verts[ju[first]])
+                witness = (ball.vertex(iu[first]), ball.vertex(ju[first]))
             if kinds is not None:
                 violations_total += int(np.count_nonzero(kinds[key]))
                 room = DEFAULT_MAX_VIOLATIONS - len(violations)
-                violations += _listed(verts, kinds, iu, ju, key, room)
+                violations += _listed(ball.vertex, kinds, iu, ju, key, room)
     best = max(key_C.values(), default=Fraction(1))
 
     up_mult = Fraction(1)
@@ -1112,10 +1111,9 @@ def check_geodesic_image(
     """
     Cf = Fraction(C)
     thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
-    verts = m.domain
     R = m.domain_radius
-    b = _ball(m.shape.degree, R)
-    dom, anc = b.prefix_index, b.ancestors
+    ball = _ball(m.shape.degree, R)
+    dom, anc = ball.prefix_index, ball.ancestors
     img = m._image_index
     steps = np.arange(2 * R + 1, dtype=np.int32)
     width = 2 * max(R, int(img.depths.max())) + 1
@@ -1159,7 +1157,7 @@ def check_geodesic_image(
         cut = zip(np.where(on_u, fu, fv).tolist(), np.where(on_u, du - t, lca + t - rise).tolist())
         for x, y, h, (w, k) in zip(fu.tolist(), fv.tolist(), cover[r, t].tolist(), cut):
             at = tuple(m.labels[w, :k].tolist())
-            violations.append(Violation(verts[x], verts[y], "geodesic", h, at=at))
+            violations.append(Violation(ball.vertex(x), ball.vertex(y), "geodesic", h, at=at))
     return violations
 
 
@@ -1184,9 +1182,9 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
     if K >= 4 * MAX_DEPTH:  # no stored distance can reach the bound
         return ViolationList()
     thr = K.numerator // K.denominator  # an integer distance exceeds K iff > thr
-    verts = m.domain
-    n = len(verts)
-    dom = _ball(m.shape.degree, m.domain_radius).prefix_index
+    n = len(m.depths)
+    ball = _ball(m.shape.degree, m.domain_radius)
+    dom = ball.prefix_index
     img = m._image_index
     ext_lo, ext_hi = img.extension_ranks(np.arange(n))
     # every vertex but the root, by depth, then image rank: the same-depth
@@ -1216,5 +1214,6 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
         a, b = divmod(key % (n * n), n)
         dd = 2 * (int(dom.depths[a]) - int(dom.prefix_len(a, b)))
         di = int(img.depths[a] - img.depths[b])
-        violations.append(Violation(verts[a], verts[b], "samedepth", di if di > thr else dd))
+        value = di if di > thr else dd
+        violations.append(Violation(ball.vertex(a), ball.vertex(b), "samedepth", value))
     return violations

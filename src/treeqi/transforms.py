@@ -37,12 +37,12 @@ from .mixed_builder import (
     _shared_images,
     recover_class_subtree,
 )
+from .prefix import _prefix_len
 from .qi_map import (
     EXHAUSTIVE,
     FiniteTreeMap,
     PairSource,
     _ball,
-    _prefix_len,
     is_order_preserving,
     measure_qi,
     sup_distance,
@@ -117,7 +117,7 @@ def constants(C, D_override: int | None = None) -> ConstantsBundle:
 def measure_promise(m: FiniteTreeMap, promised) -> tuple[Fraction, bool, str]:
     """Measured ball constant, whether it honors the promise, and how it was
     measured (exhaustively, or sampled on large balls)."""
-    n = len(m.domain)
+    n = len(m.depths)
     total = n * (n - 1) // 2
     if total <= PROMISE_EXHAUSTIVE_PAIRS:
         source = EXHAUSTIVE
@@ -268,7 +268,7 @@ def approximate_by_mixed(
             level=i,
             image=cls.image,
             members=cls.members,
-            subtree=tuple(sorted(subtree)),
+            subtree=ball.shared(sorted(subtree)),
             boundary=tuple(sorted(set(images))),
             assignment=dict(zip(cls.block, images)),
         )

@@ -507,6 +507,7 @@ def test_trace_file_round_trip_and_errors(tmp_path):
     trace = tq.build_mixed(D3, 2, 2, MixedPolicy.random(3))[1]
     path = tmp_path / "m.trace"
     tq.write_trace_file(trace, path)
+    assert path.read_bytes() == trace.to_text().encode()  # streamed line by line
     assert tq.parse_trace_file(path).to_text() == trace.to_text()
     with pytest.raises(MapFormatError, match="no such file"):
         tq.parse_trace_file(tmp_path / "absent.trace")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeqi as tq
@@ -368,14 +368,18 @@ def test_prefix_kernel_matches_column_loop():
 
 @st.composite
 def prefix_indexes(draw):
-    """A domain and an image prefix index over the same number of rows:
-    the ball and the images of a small map (`small_maps()`, images up to
-    MAX_DEPTH deep), or two unsorted sets of addresses whose labels need a
-    degree past int16, cut from a few MAX_DEPTH-deep ones so that rows
-    share long prefixes."""
+    """A domain and an image prefix index over the same number of rows,
+    each with the label-row reader of the same rows: the ball and the
+    images of a small map (`small_maps()`, images up to MAX_DEPTH deep), or
+    two unsorted sets of addresses whose labels need a degree past int16,
+    cut from a few MAX_DEPTH-deep ones so that rows share long prefixes."""
     if draw(st.booleans()):
         m = draw(small_maps())
-        return tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index, m._image_index
+        ball = tq.qi_map._ball(m.shape.degree, m.domain_radius)
+        return (
+            (ball.prefix_index, tq.qi_map._LabelRows(ball.labels, ball.depths)),
+            (m._image_index, tq.qi_map._LabelRows(m.labels, m.depths)),
+        )
     n = draw(st.integers(1, 12))
     labels = st.sampled_from([0, 1, 32767, 32768, 39999])
     depths = st.one_of(st.integers(0, 3), st.integers(tq.MAX_DEPTH - 1, tq.MAX_DEPTH))
@@ -384,7 +388,8 @@ def prefix_indexes(draw):
         pool = [[draw(labels) for _ in range(tq.MAX_DEPTH)] for _ in range(draw(st.integers(1, 3)))]
         rows = [tuple(pool[draw(st.integers(0, len(pool) - 1))][: draw(depths)]) for _ in range(n)]
         lengths = np.array([len(v) for v in rows])
-        return tq.qi_map._PrefixIndex(_label_matrix(rows).astype(np.int32), lengths)
+        matrix = _label_matrix(rows).astype(np.int32)
+        return tq.qi_map._PrefixIndex(matrix, lengths), tq.qi_map._LabelRows(matrix, lengths)
 
     return index(), index()
 
@@ -393,10 +398,11 @@ def prefix_indexes(draw):
 @given(prefix_indexes(), st.integers(0, 80), st.integers(0, 3))
 def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
     """Exhaustive and sampled blocks, rows cut between blocks, carry the
-    canonical pairs and, element for element, their prefix lengths; each
-    row read at once (`row_prefix_len`, running minima along the LCP array)
+    canonical pairs and, element for element, their prefix lengths, read
+    from the sparse tables or from the label rows (`_LabelRows`); each row
+    read at once (`row_prefix_len`, running minima along the LCP array)
     equals the per-pair lookup `prefix_len`."""
-    dom, img = indexes
+    (dom, dom_rows), (img, img_rows) = indexes
     n = dom.n
     iu, ju = (a.astype(np.int32) for a in np.triu_indices(n, 1))
     picked = sorted(random.Random(seed).sample(range(len(iu)), min(count, len(iu))))
@@ -404,14 +410,15 @@ def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
         want = [iu[at], ju[at]]
         want += [dom.prefix_len(*want), img.prefix_len(*want)]
         for size in {s for s in (1, 7, n - 2, n - 1, n, tq.qi_map._BLOCK) if s >= 1}:
-            blocks = list(tq.qi_map._pairs(dom, img, source, size))
-            assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-            assert all(0 < len(b[0]) <= size for b in blocks)
-            got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0)] * 4
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-            # the checks double prefix lengths: a depth-64 prefix must not wrap
-            assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
+            for readers in ((dom, img), (dom_rows, img_rows)):
+                blocks = list(tq.qi_map._pairs(*readers, source, size))
+                assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+                assert all(0 < len(b[0]) <= size for b in blocks)
+                got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0)] * 4
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                # the checks double prefix lengths: a depth-64 prefix must not wrap
+                assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
     for index in (dom, img):
         for i in range(n):
             later = np.arange(i + 1, n)
@@ -442,6 +449,44 @@ def test_ranked_equals_the_repeat_layout(counts, data):
     assert np.array_equal(got[0], rows[ranks]) and np.array_equal(got[1], offsets[ranks])
 
 
+class _Unread:
+    """A prefix reader over n rows for `_pairs` whose pairs are only
+    counted, not measured."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def prefix_len(self, i, j):
+        return i
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(1, 400), st.integers(92_600, 92_760)),
+    st.integers(0, 700),
+    st.integers(0, 2**40),
+)
+@example(n=10, count=10, seed=1)  # into a list
+@example(n=400, count=700, seed=2)  # into a set
+@example(n=400, count=20_000, seed=0)  # into a set, with more words read after the estimate
+@example(n=92_682, count=50, seed=3)  # the last total of 32 bits
+@example(n=92_683, count=50, seed=4)  # 33 bits
+def test_sampled_ranks_equal_random_sample(n, count, seed):
+    """A sampled source's pairs are the ranks that
+    `random.Random(seed).sample(range(total), count)` draws in this
+    interpreter, whether `sample` draws into a list (small populations) or
+    into a set, where `_pairs` reads the same draws from the word stream of
+    the generator, and whether the total has fewer than 32 bits, exactly
+    32 (n up to 92,682) or more, where `sample` itself draws."""
+    total = n * (n - 1) // 2
+    count = min(count, total)
+    source, ranks = PairSource.sampled(count, seed), []
+    for iu, ju, _, _ in tq.qi_map._pairs(_Unread(n), _Unread(n), source, 97):
+        i, j = iu.astype(np.int64), ju.astype(np.int64)
+        ranks += (i * (2 * n - i - 1) // 2 + j - i - 1).tolist()  # rows before i hold i(2n-i-1)/2
+    assert ranks == sorted(random.Random(seed).sample(range(total), count))
+
+
 def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     maps = [tq.random_map(D3, 3, 900 + s) for s in range(3)] + [tq.constant_map(D3, 3)]
     sources = [EXHAUSTIVE, PairSource.sampled(120, 4)]
@@ -463,6 +508,7 @@ def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     pairs = [(verts[i], verts[j]) for i in range(len(verts) - 1) for j in range(i + 1, len(verts))]
     witness_rank = pairs.index(tq.measure_qi(maps[0]).witness)
     monkeypatch.setattr(tq.qi_map, "_BLOCK", 7)
+    monkeypatch.setattr(tq.qi_map, "_LABEL_BLOCK", 7)  # sampled blocks of 7 // 3 pairs
     assert witness_rank >= 7  # the witness lies beyond the first block
     assert run() == whole
 

@@ -247,3 +247,19 @@ def test_trace_records_classes():
     assert all(c.boundary and c.assignment for c in trace.classes)
     parsed = tq.BuildTrace.from_text(trace.to_text())
     assert parsed.to_text() == trace.to_text()
+    # subtree vertices inside the ball are the ball's own tuples, not copies
+    verts = tq.qi_map._ball(3, 4).verts
+    inside = [v for c in trace.classes for v in c.subtree if len(v) <= 4]
+    assert inside and all(v is verts[verts.index(v)] for v in inside)
+
+
+def test_radius_14_promise_check_builds_no_whole_ball_tables():
+    """A sampled promise check reads each pair's two label rows and names
+    its witness from label rows: it builds neither the ball's vertex
+    tuples nor the ball's or the map's prefix index."""
+    tq.qi_map._ball.cache_clear()  # a ball that no earlier test has filled
+    m = tq.random_automorphism_map(D3, 14, 5)
+    measured, honest, mode = tq.measure_promise(m, 1)
+    assert (measured, honest, mode) == (1, True, "sampled:50000")
+    assert not {"verts", "prefix_index"} & set(vars(tq.qi_map._ball(3, 14)))
+    assert "_image_index" not in vars(m)

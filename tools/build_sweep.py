@@ -13,18 +13,20 @@ text, or the failure), the map text written again after parsing it and
 after parsing it respelled with a leading zero on every label (which the
 map reader's line loop reads), the trace text written again after parsing
 it, the exhaustive `measure_qi` measurement fields without and with
-candidate C = 1, the geodesic-image check at C = 1 (exhaustive up to 2,000
-pairs, else 2,000 pairs sampled with seed 0) and the same-depth check at
-C = 1 (or the error that refuses it), and the `verify-mixed` report as
-text lines and as JSON and the same four outputs of a mutated copy of the
-map (1-4 image swaps and one image one label deeper, seeded from the
-build's label), which covers failing reports and the order of their
-witnesses and violations.
+candidate C = 1, the same fields over 500 pairs sampled with a seed taken
+from the build's label (drawn into a list on the smallest balls and into
+a set on the others), the geodesic-image check at C = 1 (exhaustive up to
+2,000 pairs, else 2,000 pairs sampled with seed 0) and the same-depth
+check at C = 1 (or the error that refuses it), and the `verify-mixed`
+report as text lines and as JSON and the same six measurements and checks
+of a mutated copy of the map (1-4 image swaps and one image one label
+deeper, seeded from the build's label), which covers failing reports and
+the order of their witnesses and violations.
 Two checkouts produce the same bytes exactly when every one of these
 outputs agrees, so a change to the construction, to its structural check,
-to the exhaustive measurement, to the pair walks of the two checks or to
-either file format, in either direction, is checked byte for byte with one
-`diff` of two sweeps.
+to the measurement, to the pair draw, to the pair walks of the two checks
+or to either file format, in either direction, is checked byte for byte
+with one `diff` of two sweeps.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ APPROXIMATION_C = 1
 MEASURE_CANDIDATES = (None, 1)
 CHECK_C = 1
 GEODESIC_PAIRS = 2000  # exhaustive up to this many pairs, else a sample of this many
+SAMPLED_PAIRS = 500
 
 
 def _approximation(m, step: int) -> str:
@@ -79,9 +82,14 @@ def _verified(m, step: int) -> list[str]:
     return ["\n".join(rep.to_lines()), json.dumps(rep.to_json_dict(), sort_keys=True)]
 
 
-def _measured(m) -> list[str]:
-    """The measurements and both checks of m."""
-    out = [repr(tq.measure_qi(m, candidate_C=C).measurement_fields()) for C in MEASURE_CANDIDATES]
+def _measured(m, seed: int) -> list[str]:
+    """The measurements, exhaustive and sampled with `seed`, and both checks of m."""
+    sampled = tq.PairSource.sampled(SAMPLED_PAIRS, seed)
+    out = [
+        repr(tq.measure_qi(m, source, candidate_C=C).measurement_fields())
+        for source in (tq.EXHAUSTIVE, sampled)
+        for C in MEASURE_CANDIDATES
+    ]
     n = len(m.domain)
     source = tq.EXHAUSTIVE
     if n * (n - 1) // 2 > GEODESIC_PAIRS:
@@ -106,6 +114,7 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
     )
     map_text = tq.dump_map_text(m)
     mutated = _mutated(m, random.Random(label))
+    seed = int.from_bytes(hashlib.sha256(label.encode()).digest()[:4], "big")
     return [
         map_text,
         text,
@@ -116,9 +125,9 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
         tq.dump_map_text(tq.parse_map_text(map_text)),
         tq.dump_map_text(tq.parse_map_text(_respelled(map_text))),
         tq.BuildTrace.from_text(text).to_text(),
-        *_measured(m),
+        *_measured(m, seed),
         *_verified(mutated, step),
-        *_measured(mutated),
+        *_measured(mutated, seed),
     ]
 
 
