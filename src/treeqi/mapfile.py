@@ -244,14 +244,18 @@ def _gather(ball, images: list) -> tuple[np.ndarray, np.ndarray]:
     return labels, depths
 
 
-def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
+def _read_text(path, kind: str) -> str:
+    """The ASCII text of the `kind` file at path."""
     try:
-        text = Path(path).read_text(encoding="ascii")
+        return Path(path).read_text(encoding="ascii")
     except FileNotFoundError:
         raise MapFormatError(f"no such file: {path}") from None
     except UnicodeDecodeError:
-        raise MapFormatError(f"{path} is not a text map file") from None
-    return parse_map_text(text, budget)
+        raise MapFormatError(f"{path} is not a text {kind} file") from None
+
+
+def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
+    return parse_map_text(_read_text(path, "map"), budget)
 
 
 def write_trace_file(trace, path) -> None:
@@ -262,10 +266,4 @@ def write_trace_file(trace, path) -> None:
 def parse_trace_file(path):
     from .mixed_builder import BuildTrace
 
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except FileNotFoundError:
-        raise MapFormatError(f"no such file: {path}") from None
-    except UnicodeDecodeError:
-        raise MapFormatError(f"{path} is not a text trace file") from None
-    return BuildTrace.from_text(text)
+    return BuildTrace.from_text(_read_text(path, "trace"))

@@ -1,10 +1,13 @@
 """Common-prefix lengths between the rows of address matrices.
 
-Rows are addresses padded with -1.  `_prefix_len` and `_LabelRows` compare
-two rows label by label; `_PrefixIndex` ranks the rows once and answers
-from the LCP array and its sparse table of minima.  Kept apart from the
-large `qi_map`: a process that finds no bytecode cache compiles each
-module, and the memory a compile takes grows with the module.
+Rows are addresses padded with -1.  `_prefix_len` compares two rows label
+by label, with no table to build; the pair enumerator reads every block's
+prefix lengths this way.  `_PrefixIndex` ranks the rows once and answers
+from the LCP array and its sparse table of minima, for the readers that
+want a whole row at once, the rows extending a row, or many lookups.
+Kept apart from the large `qi_map`: a process that finds no bytecode cache
+compiles each module, and the memory a compile takes grows with the
+module.
 """
 
 from __future__ import annotations
@@ -13,32 +16,19 @@ import numpy as np
 
 
 def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common-prefix length of the address rows a[..., :] and b[..., :]."""
+    """Common-prefix length of the address rows a[..., :] and b[..., :], as
+    int32: the first column where they differ or a row has ended."""
     w = min(a.shape[-1], b.shape[-1])
     a, b = a[..., :w], b[..., :w]
-    return np.logical_and.accumulate((a == b) & (a >= 0), axis=-1).sum(axis=-1)
-
-
-class _LabelRows:
-    """Common-prefix lengths read straight from the rows of an address
-    matrix: `prefix_len` as `_PrefixIndex` gives it, compared label by
-    label, with no table to build.  A sampled pair source reads its pairs
-    this way, since its few pairs cost less than the tables."""
-
-    def __init__(self, labels: np.ndarray, depths: np.ndarray):
-        self.n = len(depths)
-        self.labels = labels
-        self.depths = depths.astype(np.int32)
-
-    def prefix_len(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Common-prefix length of rows i[k] and j[k] (the full depth if equal)."""
-        return _prefix_len(self.labels[i], self.labels[j])
+    differ = (a != b) | (a < 0)
+    return np.where(differ.any(-1), differ.argmax(-1), w).astype(np.int32)
 
 
 class _PrefixIndex:
     """Common-prefix lengths between the rows of an address matrix.
 
-    Rows are ranked in address order, and the LCP array `table[0]` holds
+    Rows are ranked in address order by one lexsort, so rows already in
+    that order (the ball's) rank in place.  The LCP array `table[0]` holds
     the common prefix of the rows of ranks k and k + 1 (Kasai et al., CPM
     2001); the common prefix of two rows is the minimum of the LCP array
     between their ranks.  `row_prefix_len` reads one row against every
@@ -49,11 +39,10 @@ class _PrefixIndex:
     they return them, since a depth-64 prefix doubled wraps in int8.
     """
 
-    def __init__(self, labels: np.ndarray, depths: np.ndarray, presorted: bool = False):
+    def __init__(self, labels: np.ndarray, depths: np.ndarray):
         n = len(depths)
-        order = np.arange(n) if presorted else np.lexsort(labels.T[::-1])
+        order = np.lexsort(labels.T[::-1])
         self.n = n
-        self.presorted = presorted
         self.depths = depths.astype(np.int32)
         self.rank = np.empty(n, np.int32)
         self.rank[order] = np.arange(n, dtype=np.int32)
@@ -81,8 +70,6 @@ class _PrefixIndex:
         r, lcp = int(self.rank[i]), self.table[0, : self.n - 1]
         by_rank = np.empty(self.n, np.int32)  # wide enough to double a depth-64 prefix
         np.minimum.accumulate(lcp[r:], out=by_rank[r + 1 :])
-        if self.presorted:  # rank is the row index, so every later row ranks above r
-            return by_rank[i + 1 :]
         np.minimum.accumulate(lcp[:r][::-1], out=by_rank[:r][::-1])
         return by_rank[self.rank[i + 1 :]]
 

@@ -27,14 +27,13 @@ is a run of ranks in that order: all of them, or the sorted ranks of a
 seeded sample.  One enumerator (`_pairs`) unranks them (`_ranked`, which
 also lays out the nested pairs of the same-depth check) and streams them in
 fixed-size blocks together with their common-prefix lengths in the domain
-and in the image, read from a sparse table over the LCP array of the
-address-sorted rows (`prefix`; a sampled measurement reads its few pairs
-from the label rows instead), so memory does not grow with the number of
-pairs, and both sources answer to a pair budget.  The exhaustive constant
-measurement enumerates no pairs: it counts their keys by group
-(`pair_counts._Groups`) and reads only the rows that hold its witness and
-its listed violations, each row at once as running minima along the LCP
-array (`row_prefix_len`).
+and in the image, read from the two label rows of each pair
+(`prefix._prefix_len`), so memory does not grow with the number of pairs
+and no table is built for them; both sources answer to a pair budget.
+The exhaustive constant measurement enumerates no pairs: it counts their
+keys by group (`pair_counts._Groups`) and reads only the rows that hold
+its witness and its listed violations, each row at once as running minima
+along the LCP array of the address-sorted rows (`row_prefix_len`).
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -54,7 +53,7 @@ import numpy as np
 
 from . import report
 from .pair_counts import _Groups
-from .prefix import _LabelRows, _PrefixIndex, _prefix_len
+from .prefix import _PrefixIndex, _prefix_len
 from .errors import (
     BudgetExceededError,
     DepthLimitError,
@@ -132,9 +131,9 @@ class _Ball:
     tuples and texts one level at a time.  They are whole-ball tables, so
     only work that visits most of the ball asks for them: the class walk
     and the dict view share the tuples, the trace codec reads the texts,
-    and the exhaustive pair checks read the prefix index.  Work that names a
-    few vertices (a witness, listed violations) builds each one's tuple
-    from its label row (`vertex`).
+    and the exhaustive measurement and the same-depth check read the prefix
+    index.  Work that names a few vertices (a witness, listed violations)
+    builds each one's tuple from its label row (`vertex`).
 
     The ball is the one codec of address text for trace files and for the
     map reader's line loop: `format` writes any address and `locate` reads
@@ -212,7 +211,7 @@ class _Ball:
 
     @cached_property
     def prefix_index(self) -> _PrefixIndex:
-        return _PrefixIndex(self.labels, self.depths, presorted=True)
+        return _PrefixIndex(self.labels, self.depths)
 
     @cached_property
     def ancestors(self) -> np.ndarray:
@@ -397,9 +396,7 @@ def _set_sample(rng: random.Random, total: int, k: int) -> np.ndarray:
         need = have + 2 * (k - len(keys)) + 64
 
 
-def _pairs(
-    dom: _PrefixIndex | _LabelRows, img: _PrefixIndex | _LabelRows, ps: PairSource, size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _pairs(dom: np.ndarray, img: np.ndarray, ps: PairSource, size: int) -> Iterator[tuple]:
     """The source's index pairs (i < j) in canonical order, at most `size`
     at a time, once their number is within DEFAULT_MAX_PAIRS, as blocks
     (iu, ju, domain prefix length, image prefix length).
@@ -410,12 +407,10 @@ def _pairs(
     `random.Random(seed).sample(range(total), count)`.  Where `sample`
     draws into a set, and the total has at most 32 bits, the same ranks
     are read from the generator's words (`_set_sample`).  `_ranked`
-    unranks them, and the prefix lengths are read pair by pair through
-    `prefix_len` of `dom` and `img`: the sparse tables of `_PrefixIndex`,
-    or the label rows themselves (`_LabelRows`), which the sampled
-    measurement passes.
+    unranks them, and the prefix lengths (int32) are read from the rows of
+    each pair in the label matrices `dom` and `img` (`_prefix_len`).
     """
-    n = dom.n
+    n = len(dom)
     count = _pair_total(n, ps)
     sample = None
     if ps.mode == "sampled":
@@ -429,7 +424,7 @@ def _pairs(
             sample = np.sort(np.fromiter(rng.sample(range(total), count), np.int64, count))
     for row, k in _ranked(np.arange(n - 1, 0, -1), size, sample):
         iu, ju = row.astype(np.int32), (row + 1 + k).astype(np.int32)
-        yield iu, ju, dom.prefix_len(iu, ju), img.prefix_len(iu, ju)
+        yield iu, ju, _prefix_len(dom[iu], dom[ju]), _prefix_len(img[iu], img[ju])
 
 
 def sqrt_ceil_scaled(radicand: int) -> int:
@@ -692,9 +687,6 @@ class FiniteTreeMap:
             and np.array_equal(self.labels[:, :w], other.labels[:, :w])
         )
 
-    def __hash__(self):  # maps are compared, never hashed
-        raise TypeError("FiniteTreeMap is not hashable")
-
     def __repr__(self) -> str:
         return (
             f"FiniteTreeMap(shape={self.shape!r}, domain_radius={self.domain_radius},"
@@ -920,7 +912,7 @@ def _listed(vertex, kinds: np.ndarray, i, j: np.ndarray, key: np.ndarray, room: 
     ]
 
 
-def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
+def _measure_exhaustive(m, packed, kinds, max_lca_depth) -> tuple:
     """`measure_qi` over every pair: (pairs, {key: constant}, witness,
     listed violations, violation count), from the counts of `_Groups`.
 
@@ -931,11 +923,12 @@ def _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth) -> tuple:
     is filled: a row either lists one, or all its partners come before it,
     in pairs that are listed already; so at most twice the cap are read.
     """
-    n = dom.n
+    n = len(m.depths)
     _pair_total(n, EXHAUSTIVE)
     radius = m.domain_radius
     top = radius if max_lca_depth is None else min(max_lca_depth, radius)
     ball = _ball(m.shape.degree, radius)
+    dom, img = ball.prefix_index, m._image_index
     groups = _Groups(ball, img)
     records = groups.exact_counts(top)
     a, b, s, count = records
@@ -991,27 +984,23 @@ def measure_qi(
     budget still refuses more than DEFAULT_MAX_PAIRS of them.  Sampled
     pairs are folded block by block: the union of their keys, the first
     pair attaining the best constant, violations concatenated.  Their
-    prefix lengths are read from the two label rows of each pair
-    (`_LabelRows`), so a sample builds neither the ball's prefix index nor
-    the map's.  Either way the vertex tuples of only the witness and the
-    listed violations are made, from their label rows.
+    prefix lengths are read from the two label rows of each pair (`_pairs`),
+    so a sample builds neither the ball's prefix index nor the map's.
+    Either way the vertex tuples of only the witness and the listed
+    violations are made, from their label rows.
     """
     cand = None if candidate_C is None else Fraction(candidate_C)
     if cand is not None and cand < 1:
         raise ValueError("candidate C must be >= 1")
     ball = _ball(m.shape.degree, m.domain_radius)
-    if pair_source.mode == "exhaustive":
-        dom, img = ball.prefix_index, m._image_index
-    else:
-        dom, img = _LabelRows(ball.labels, ball.depths), _LabelRows(m.labels, m.depths)
     kinds = None
     if cand is not None:
-        kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(img.depths.max()))
+        kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(m.depths.max()))
     # a pair's key is the packed depths of both ends less twice its packed prefixes
-    packed = dom.depths * _KEY_BASE + img.depths
+    packed = ball.depths.astype(np.int64) * _KEY_BASE + m.depths
 
     if pair_source.mode == "exhaustive":
-        found = _measure_exhaustive(m, dom, img, packed, kinds, max_lca_depth)
+        found = _measure_exhaustive(m, packed, kinds, max_lca_depth)
         pairs_checked, key_C, witness, violations, violations_total = found
     else:
         best = Fraction(1)
@@ -1020,8 +1009,8 @@ def measure_qi(
         violations: list[Violation] = []
         violations_total = 0
         pairs_checked = 0
-        size = max(1, _LABEL_BLOCK // max(dom.labels.shape[1], img.labels.shape[1]))
-        for iu, ju, dplen, iplen in _pairs(dom, img, pair_source, size):
+        size = max(1, _LABEL_BLOCK // max(ball.labels.shape[1], m.labels.shape[1]))
+        for iu, ju, dplen, iplen in _pairs(ball.labels, m.labels, pair_source, size):
             if max_lca_depth is not None:
                 keep = dplen <= max_lca_depth
                 iu, ju, dplen, iplen = iu[keep], ju[keep], dplen[keep], iplen[keep]
@@ -1113,17 +1102,16 @@ def check_geodesic_image(
     thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
     R = m.domain_radius
     ball = _ball(m.shape.degree, R)
-    dom, anc = ball.prefix_index, ball.ancestors
-    img = m._image_index
+    anc, img = ball.ancestors, m._image_index
     steps = np.arange(2 * R + 1, dtype=np.int32)
-    width = 2 * max(R, int(img.depths.max())) + 1
+    size = max(1, _BLOCK // (2 * max(R, int(img.depths.max())) + 1))
     violations = ViolationList()
-    for iu, ju, lca, iplen in _pairs(dom, img, pair_source, max(1, _BLOCK // width)):
+    for iu, ju, lca, iplen in _pairs(ball.labels, m.labels, pair_source, size):
         # position s of the domain geodesic is u's ancestor at depth du - s
         # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
-        du = dom.depths[iu]
+        du = ball.depths[iu]
         rise = du - lca
-        row, s = np.nonzero(steps <= (rise + dom.depths[ju] - lca)[:, None])
+        row, s = np.nonzero(steps <= (rise + ball.depths[ju] - lca)[:, None])
         on_u = s <= rise[row]
         fu, fv = iu[row], ju[row]
         b = anc[np.where(on_u, fu, fv), np.where(on_u, du[row] - s, s - rise[row] + lca[row])]

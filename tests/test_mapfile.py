@@ -99,6 +99,14 @@ def test_missing_file():
         parse_map_file("/nonexistent/path.qi")
 
 
+def test_non_ascii_files_are_not_text(tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(bytes(range(128, 256)))
+    for parse, kind in ((parse_map_file, "map"), (tq.parse_trace_file, "trace")):
+        with pytest.raises(MapFormatError, match=f"is not a text {kind} file"):
+            parse(path)
+
+
 def test_non_ascii_digit_label():
     for label in ("\u00b2", "\u0661"):
         text = f"tree-qi v1 degree=3 radius=0\n. {label}\n"

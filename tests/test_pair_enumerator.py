@@ -4,7 +4,10 @@
 and the checks that walk pairs read each block's common-prefix lengths
 from it: neither `measure_qi` nor `check_geodesic_image` looks up a prefix
 length or a distance between the two ends of a block's pairs (`iu`, `ju`,
-or entries picked from them).
+or entries picked from them).  `_pairs` itself takes the two label
+matrices and reads every block's prefix lengths from their rows through
+`_prefix_len` alone: there is one pair reader, not a second reader type
+beside the prefix index, and the prefix index has one constructor.
 
 Pairs laid out row by row are unranked in one place, `_ranked`, and only
 `_pairs` and the nested pairs of `check_same_depth` go through it; neither
@@ -30,6 +33,7 @@ ROW_READ = "row_prefix_len"
 ROW_READERS = {"_measure_exhaustive"}
 COUNTING = "_Groups"
 PREFIX_READERS = {"prefix_len", ROW_READ, "distance", ENUMERATOR, UNRANK}
+LABEL_READ = "_prefix_len"
 
 
 def _functions() -> dict:
@@ -162,3 +166,22 @@ def test_one_row_read_and_a_counting_pass_without_prefixes():
     assert {name for name, node in definitions if ROW_READ in _called(node)} == ROW_READERS
     (counting,) = [node for name, node in definitions if name == COUNTING]
     assert not _called(counting) & PREFIX_READERS
+
+
+def test_one_pair_reader_and_one_index_constructor():
+    definitions = _definitions()
+    classes = {
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "_PrefixIndex" in classes and "_LabelRows" not in classes
+    (index,) = [node for name, node in definitions if name == "_PrefixIndex"]
+    (init,) = [n for n in index.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    args = init.args
+    assert [a.arg for a in args.args] == ["self", "labels", "depths"]
+    assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg)
+    (enumerator,) = [node for name, node in definitions if name == ENUMERATOR]
+    called = _called(enumerator)
+    assert LABEL_READ in called and not called & (PREFIX_READERS - {ENUMERATOR, UNRANK})

@@ -62,6 +62,12 @@ def test_sampled_measure_on_a_degree_past_int16():
     assert rep.pairs_checked == 2000 and rep.best_single_C == 1
 
 
+def test_maps_are_unhashable():
+    m = tq.identity_map(D3, 1)
+    with pytest.raises(TypeError):
+        hash(m)
+
+
 def test_evaluate():
     m = tq.identity_map(D3, 3)
     assert m.evaluate((0, 1)) == (0, 1)
@@ -352,10 +358,10 @@ def test_prefix_kernel_matches_column_loop():
     for m in _kernel_maps():
         n = len(m.domain)
         iu, ju = (a.ravel() for a in np.indices((n, n)))
-        sides = [
-            (m.domain, tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index),
-            ([m.table[v] for v in m.domain], m._image_index),
-        ]
+        ball_index = tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index
+        # the ball's rows are in address order already: they rank in place
+        assert np.array_equal(ball_index.rank, np.arange(n))
+        sides = [(m.domain, ball_index), ([m.table[v] for v in m.domain], m._image_index)]
         for rows, index in sides:
             ref = _column_prefix_len(_label_matrix(rows), iu, ju)
             assert (index.prefix_len(iu, ju) == ref).all()
@@ -368,18 +374,15 @@ def test_prefix_kernel_matches_column_loop():
 
 @st.composite
 def prefix_indexes(draw):
-    """A domain and an image prefix index over the same number of rows,
-    each with the label-row reader of the same rows: the ball and the
-    images of a small map (`small_maps()`, images up to MAX_DEPTH deep), or
-    two unsorted sets of addresses whose labels need a degree past int16,
-    cut from a few MAX_DEPTH-deep ones so that rows share long prefixes."""
+    """A domain and an image label matrix over the same number of rows,
+    each with the prefix index of the same rows: the ball and the images
+    of a small map (`small_maps()`, images up to MAX_DEPTH deep), or two
+    unsorted sets of addresses whose labels need a degree past int16, cut
+    from a few MAX_DEPTH-deep ones so that rows share long prefixes."""
     if draw(st.booleans()):
         m = draw(small_maps())
         ball = tq.qi_map._ball(m.shape.degree, m.domain_radius)
-        return (
-            (ball.prefix_index, tq.qi_map._LabelRows(ball.labels, ball.depths)),
-            (m._image_index, tq.qi_map._LabelRows(m.labels, m.depths)),
-        )
+        return (ball.prefix_index, ball.labels), (m._image_index, m.labels)
     n = draw(st.integers(1, 12))
     labels = st.sampled_from([0, 1, 32767, 32768, 39999])
     depths = st.one_of(st.integers(0, 3), st.integers(tq.MAX_DEPTH - 1, tq.MAX_DEPTH))
@@ -389,7 +392,7 @@ def prefix_indexes(draw):
         rows = [tuple(pool[draw(st.integers(0, len(pool) - 1))][: draw(depths)]) for _ in range(n)]
         lengths = np.array([len(v) for v in rows])
         matrix = _label_matrix(rows).astype(np.int32)
-        return tq.qi_map._PrefixIndex(matrix, lengths), tq.qi_map._LabelRows(matrix, lengths)
+        return tq.qi_map._PrefixIndex(matrix, lengths), matrix
 
     return index(), index()
 
@@ -398,10 +401,10 @@ def prefix_indexes(draw):
 @given(prefix_indexes(), st.integers(0, 80), st.integers(0, 3))
 def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
     """Exhaustive and sampled blocks, rows cut between blocks, carry the
-    canonical pairs and, element for element, their prefix lengths, read
-    from the sparse tables or from the label rows (`_LabelRows`); each row
-    read at once (`row_prefix_len`, running minima along the LCP array)
-    equals the per-pair lookup `prefix_len`."""
+    canonical pairs and, element for element, the prefix lengths that the
+    sparse tables give for them, read as int32 from the label rows; each
+    row read at once (`row_prefix_len`, running minima along the LCP
+    array) equals the per-pair lookup `prefix_len`."""
     (dom, dom_rows), (img, img_rows) = indexes
     n = dom.n
     iu, ju = (a.astype(np.int32) for a in np.triu_indices(n, 1))
@@ -410,15 +413,15 @@ def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
         want = [iu[at], ju[at]]
         want += [dom.prefix_len(*want), img.prefix_len(*want)]
         for size in {s for s in (1, 7, n - 2, n - 1, n, tq.qi_map._BLOCK) if s >= 1}:
-            for readers in ((dom, img), (dom_rows, img_rows)):
-                blocks = list(tq.qi_map._pairs(*readers, source, size))
-                assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-                assert all(0 < len(b[0]) <= size for b in blocks)
-                got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0)] * 4
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
-                # the checks double prefix lengths: a depth-64 prefix must not wrap
-                assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
+            blocks = list(tq.qi_map._pairs(dom_rows, img_rows, source, size))
+            assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert all(0 < len(b[0]) <= size for b in blocks)
+            assert all(b[k].dtype == np.int32 for b in blocks for k in (2, 3))
+            got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0)] * 4
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            # the checks double prefix lengths: a depth-64 prefix must not wrap
+            assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
     for index in (dom, img):
         for i in range(n):
             later = np.arange(i + 1, n)
@@ -449,17 +452,6 @@ def test_ranked_equals_the_repeat_layout(counts, data):
     assert np.array_equal(got[0], rows[ranks]) and np.array_equal(got[1], offsets[ranks])
 
 
-class _Unread:
-    """A prefix reader over n rows for `_pairs` whose pairs are only
-    counted, not measured."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def prefix_len(self, i, j):
-        return i
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(st.integers(1, 400), st.integers(92_600, 92_760)),
@@ -481,7 +473,8 @@ def test_sampled_ranks_equal_random_sample(n, count, seed):
     total = n * (n - 1) // 2
     count = min(count, total)
     source, ranks = PairSource.sampled(count, seed), []
-    for iu, ju, _, _ in tq.qi_map._pairs(_Unread(n), _Unread(n), source, 97):
+    rows = np.zeros((n, 1), np.int8)  # n one-label rows: only the pairs are read
+    for iu, ju, _, _ in tq.qi_map._pairs(rows, rows, source, 97):
         i, j = iu.astype(np.int64), ju.astype(np.int64)
         ranks += (i * (2 * n - i - 1) // 2 + j - i - 1).tolist()  # rows before i hold i(2n-i-1)/2
     assert ranks == sorted(random.Random(seed).sample(range(total), count))
