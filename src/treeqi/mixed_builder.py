@@ -37,7 +37,6 @@ further labels.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -267,9 +266,18 @@ class _CountingRandom:
         self._rng.shuffle(seq)
 
 
+@cache
+def _sha256():
+    """hashlib's sha256, imported on first use: loading hashlib loads
+    OpenSSL, which only the random policy's class seeds need."""
+    import hashlib
+
+    return hashlib.sha256
+
+
 def _class_seed(master_seed: int, level: int, image: Vertex) -> int:
     key = f"{master_seed}:{level}:{format_address(image)}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return int.from_bytes(_sha256()(key).digest()[:8], "big")
 
 
 def class_rng(policy: MixedPolicy, level: int, image: Vertex) -> _CountingRandom | None:

@@ -3,13 +3,16 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .prefix import _PrefixIndex
     from .qi_map import _Ball
+
+# Cells (one vertex under one image-prefix threshold) grouped at once
+_GROUP_BLOCK = 1 << 13
 
 
 class _Groups:
@@ -39,40 +42,50 @@ class _Groups:
         self.runs = np.zeros((self.nb, img.n), np.int32)
         np.cumsum(lcp < np.arange(self.nb)[:, None], axis=1, out=self.runs[:, 1:])
 
-    def at(self, a: int, rows: np.ndarray, members: bool = False) -> tuple:
-        """The groups at (a, b) for each b of `rows` that hold a pair.
+    def at(self, a: int, rows: np.ndarray, members: bool = False) -> Iterator[tuple]:
+        """The groups at (a, b) for each b of `rows` that hold a pair, a
+        block of rows at a time: at most _GROUP_BLOCK cells of one vertex
+        under one b each, from one sort of the vertices of depth >= a.
 
-        Returns, per entry (one cell of one group), its slot b * sums + cell,
-        to which a partner's cell adds the pair's slot in a table by
-        (b, cell sum), its cell and its member count; every pair e <= f of
-        entries of one group; and, if asked for, the vertex and the entry
-        of each member (one vertex in the group of one b).
+        Yields the block's rows; per entry (one cell of one group), its
+        slot k * sums + cell for the block's k-th row, to which a partner's
+        cell adds the pair's slot in the block's table by (b, cell sum),
+        its cell and its member count; every pair e < f of entries of one
+        group; and, if asked for, the vertex and the entry of each member
+        (one vertex in the group of one b).
         """
         below = np.flatnonzero(self.ball.depths >= a)
         anc = self.ball.ancestors[below, a]
         order = np.lexsort((self.rank[below], anc))
-        below, anc = below[order], anc[order]
-        runs = self.runs[np.ix_(rows, self.rank[below])]
-        new = np.ones(runs.shape, bool)  # a group starts here
-        new[:, 1:] = (runs[:, 1:] != runs[:, :-1]) | (anc[1:] != anc[:-1])
-        new = new.ravel()  # the rows one after another, b by b
-        group = np.cumsum(new, dtype=np.int32) - 1
-        kept = np.flatnonzero(~(new & np.r_[new[1:], True]))  # not alone in its group
-        verts = below[kept % len(below)]
-        ent, *inv, count = np.unique(
-            group[kept] * np.int64(self.sums) + self.cells[verts],
-            return_inverse=members,
-            return_counts=True,
-        )
-        egroup, cell = np.divmod(ent, self.sums)
-        slot = rows[np.flatnonzero(new)[egroup] // len(below)] * self.sums + cell
-        starts = np.flatnonzero(np.r_[True, egroup[1:] != egroup[:-1]])
-        sizes = np.diff(np.r_[starts, len(ent)])
-        span = np.repeat(starts + sizes, sizes) - np.arange(len(ent))  # partners f >= e
-        shift = (np.cumsum(span) - span - np.arange(len(ent))).astype(np.int32)
-        e = np.repeat(np.arange(len(ent), dtype=np.int32), span)
-        f = np.arange(len(e), dtype=np.int32) - np.repeat(shift, span)
-        return slot, cell, count, e, f, *((verts, *inv) if members else ())
+        below, ranks = below[order], self.rank[below[order]]
+        split = anc[order][1:] != anc[order][:-1]  # a new ancestor starts a group
+        step = max(1, _GROUP_BLOCK // len(below))
+        for first in range(0, len(rows), step):
+            block = rows[first : first + step]
+            runs = np.take(self.runs[block], ranks, axis=1)
+            new = np.ones(runs.shape, bool)  # a group starts here
+            new[:, 1:] = (runs[:, 1:] != runs[:, :-1]) | split
+            new = new.ravel()  # the rows one after another, b by b
+            group = np.cumsum(new, dtype=np.int32)
+            alone = new.copy()  # alone in its group: the next entry starts one too
+            alone[:-1] &= new[1:]
+            kept = np.flatnonzero(~alone)
+            verts = below[kept % len(below)]
+            ent, *inv, count = np.unique(
+                group[kept] * np.int64(self.sums) + self.cells[verts],
+                return_inverse=members,
+                return_counts=True,
+            )
+            egroup, cell = np.divmod(ent, self.sums)
+            slot = np.flatnonzero(new)[egroup - 1] // len(below) * self.sums + cell
+            edges = np.ones(len(ent) + 1, bool)  # where a group's entries start or end
+            np.not_equal(egroup[1:], egroup[:-1], out=edges[1:-1])
+            edges = np.flatnonzero(edges)
+            span = np.repeat(edges[1:], np.diff(edges)) - np.arange(1, len(ent) + 1)  # f > e
+            shift = (np.cumsum(span) - span - np.arange(1, len(ent) + 1)).astype(np.int32)
+            e = np.repeat(np.arange(len(ent), dtype=np.int32), span)
+            f = np.arange(len(e), dtype=np.int32) - np.repeat(shift, span)
+            yield block, slot, cell, count, e, f, *((verts, *inv) if members else ())
 
     def exact_counts(self, top: int) -> np.ndarray:
         """Rows (a, b, packed cell sum, count) of an int64 matrix, one per
@@ -82,15 +95,17 @@ class _Groups:
         upper = 0  # G(a + 1, .), none past the radius
         out = []
         for a in range(min(top + 1, self.ball.radius), -1, -1):
-            slot, cell, count, e, f = self.at(a, rows)
-            count = count.astype(float)  # bincount sums floats, exact below 2**53
-            w = count[e]
-            w *= count[f]
-            w[e == f] = count * (count - 1) / 2  # the pairs within each entry
-            slots = slot[e]
-            slots += cell[f]
-            g = np.bincount(slots, w, (self.nb + 1) * self.sums)
-            g = np.rint(g).astype(np.int64).reshape(self.nb + 1, self.sums)  # G(a, nb) = 0
+            g = np.zeros((self.nb + 1, self.sums))  # G(a, nb) = 0
+            for block, slot, cell, count, e, f in self.at(a, rows):
+                count = count.astype(float)  # bincount sums floats, exact below 2**53
+                w = count[e]
+                w *= count[f]
+                slots = slot[e]
+                slots += cell[f]
+                length = len(block) * self.sums
+                within = np.bincount(slot + cell, count * (count - 1) / 2, length)  # in one entry
+                g[block] += (np.bincount(slots, w, length) + within).reshape(-1, self.sums)
+            g = np.rint(g).astype(np.int64)
             if a <= top:
                 d = g - upper
                 exact = d[:-1] - d[1:]
@@ -120,11 +135,10 @@ class _Groups:
             w[1:] -= d[:-1]
             prev = cur
             rows = np.flatnonzero(w[: self.nb].any(axis=1))
-            if len(rows):
-                slot, cell, count, e, f, verts, inv = self.at(a, rows, members=True)
-                w = w.ravel()
-                wv = w[slot[e] + cell[f]]
-                t = np.bincount(e, count[f] * wv, len(count)) - w[slot + cell]  # not itself
-                t += np.bincount(f, count[e] * wv * (e != f), len(count))
+            for block, slot, cell, count, e, f, verts, inv in self.at(a, rows, members=True):
+                wb = w[block].ravel()
+                wv = wb[slot[e] + cell[f]]
+                t = np.bincount(e, count[f] * wv, len(count)) + np.bincount(f, count[e] * wv, len(count))
+                t += (count - 1) * wb[slot + cell]  # the other members of its own entry
                 out += np.bincount(verts, t[inv], len(out))
         return out

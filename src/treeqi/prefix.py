@@ -84,9 +84,6 @@ class _PrefixIndex:
         out = np.minimum(self._flat[base + lo], self._flat[base + hi - (1 << lvl)])
         return np.where(span == 0, self.depths[i], out)
 
-    def distance(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.depths[i] + self.depths[j] - 2 * self.prefix_len(i, j)
-
     def extension_ranks(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rank interval [lo, hi] of the rows that have row i[k] as a prefix."""
         d = self.depths[i]

@@ -316,11 +316,14 @@ def _budgeted_ball(shape: TreeShape, radius: int, budget: int = DEFAULT_VERTEX_B
     return _ball(shape.degree, radius)
 
 
-# Pairs are evaluated in blocks of at most this many items (pairs, or pair
-# and geodesic position), so peak memory does not grow with the pair count;
-# pairs read from their label rows, at most _LABEL_BLOCK labels of each end.
+# Pairs are evaluated in blocks, so peak memory does not grow with the pair
+# count: nested same-depth pairs _BLOCK at a time, pairs read from their
+# label rows at most _LABEL_BLOCK labels of each end at a time, and the
+# geodesic check's pairs at most _GEODESIC_BLOCK geodesic positions and
+# cover cells at a time.
 _BLOCK = 1 << 16
-_LABEL_BLOCK = 1 << 18
+_LABEL_BLOCK = 1 << 17
+_GEODESIC_BLOCK = 1 << 16
 _SAMPLE_WORDS = 1 << 20  # words of the generator's stream read at once by `_set_sample`
 
 
@@ -396,6 +399,24 @@ def _set_sample(rng: random.Random, total: int, k: int) -> np.ndarray:
         need = have + 2 * (k - len(keys)) + 64
 
 
+def _list_sample(rng: random.Random, total: int, k: int) -> np.ndarray:
+    """sorted(rng.sample(range(total), k)) for a population that `sample`
+    draws into a list: its Fisher-Yates run again, with the same
+    `_randbelow(total - i)` calls, on int64 arrays in place of
+    `list(range(total))` and the list of picks.  A sample of the whole
+    population, sorted, is the population, whatever was drawn."""
+    if k == total:
+        return np.arange(total, dtype=np.int64)
+    pool, picks = np.arange(total, dtype=np.int64), np.empty(k, np.int64)
+    left, out, randbelow = memoryview(pool), memoryview(picks), rng._randbelow
+    for i in range(k):  # the unpicked values are left[: total - i]
+        j = randbelow(total - i)
+        out[i] = left[j]
+        left[j] = left[total - i - 1]
+    picks.sort()
+    return picks
+
+
 def _pairs(dom: np.ndarray, img: np.ndarray, ps: PairSource, size: int) -> Iterator[tuple]:
     """The source's index pairs (i < j) in canonical order, at most `size`
     at a time, once their number is within DEFAULT_MAX_PAIRS, as blocks
@@ -405,8 +426,9 @@ def _pairs(dom: np.ndarray, img: np.ndarray, ps: PairSource, size: int) -> Itera
     the pairs (i, i + 1) .. (i, n - 1): an exhaustive source takes every
     rank, a sampled one the sorted ranks of its seeded draw,
     `random.Random(seed).sample(range(total), count)`.  Where `sample`
-    draws into a set, and the total has at most 32 bits, the same ranks
-    are read from the generator's words (`_set_sample`).  `_ranked`
+    draws into a list, its draw is replayed on arrays (`_list_sample`);
+    where it draws into a set, and the total has at most 32 bits, the same
+    ranks are read from the generator's words (`_set_sample`).  `_ranked`
     unranks them, and the prefix lengths (int32) are read from the rows of
     each pair in the label matrices `dom` and `img` (`_prefix_len`).
     """
@@ -418,7 +440,9 @@ def _pairs(dom: np.ndarray, img: np.ndarray, ps: PairSource, size: int) -> Itera
         rng = random.Random(ps.seed)
         # `sample` draws into a list up to this population size, else into a set
         pool = 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0)
-        if count and pool < total < 1 << 32:
+        if total <= pool:
+            sample = _list_sample(rng, total, count)
+        elif count and total < 1 << 32:
             sample = _set_sample(rng, total, count)
         else:
             sample = np.sort(np.fromiter(rng.sample(range(total), count), np.int64, count))
@@ -933,7 +957,10 @@ def _measure_exhaustive(m, packed, kinds, max_lca_depth) -> tuple:
     records = groups.exact_counts(top)
     a, b, s, count = records
     keys = (s // groups.base - 2 * a) * _KEY_BASE + s % groups.base - 2 * b
-    key_C = {k: pair_min_C(*divmod(k, _KEY_BASE)) for k in np.unique(keys).tolist()}
+    # the distinct keys by count, as the sampled fold reads them: np.unique
+    # of one array would load numpy.ma
+    present = np.flatnonzero(np.bincount(keys, minlength=_KEYS)).tolist()
+    key_C = {k: pair_min_C(*divmod(k, _KEY_BASE)) for k in present}
 
     def row(i: int) -> tuple[np.ndarray, np.ndarray]:
         """The checked pairs (i, j) of row i: each j and the pair's key."""
@@ -1084,6 +1111,20 @@ def finish_report(
 # property checks provable for honest quasi-isometries
 
 
+def _ancestor_prefix(m: FiniteTreeMap, ball: _Ball) -> np.ndarray:
+    """A[x, k] = lcp(f(ancestor of x at depth k), f(x)) for k <= depth(x),
+    as n x (radius + 1) int8 (the entries past depth(x) are not read), read
+    from label rows a block of rows at a time."""
+    anc = ball.ancestors
+    out = np.zeros(anc.shape, np.int8)
+    step = max(1, _LABEL_BLOCK // m.labels.shape[1])
+    for s in range(0, len(out), step):
+        rows = slice(s, s + step)
+        for k in range(anc.shape[1]):
+            out[rows, k] = _prefix_len(m.labels[anc[rows, k]], m.labels[rows])
+    return out
+
+
 def check_geodesic_image(
     m: FiniteTreeMap, C, pair_source: PairSource = EXHAUSTIVE
 ) -> list[Violation]:
@@ -1097,33 +1138,46 @@ def check_geodesic_image(
     with projection position p and height h, the distance from x to position
     t along the geodesic is h + |p - t|, so coverage reduces to a two-sided
     distance transform per pair, run for a whole block of pairs at once.
+    The projection of f(b) needs its common prefixes with f(u) and f(v).
+    For b on u's side of the domain geodesic (u's ancestor at a depth k at
+    least that of lca(u, v)), P = lcp(f(b), f(u)) is read from the table
+    `_ancestor_prefix`; with Q = lcp(f(u), f(v)), lcp(f(b), f(v)) is
+    min(P, Q) unless P = Q, and only then read from the image's prefix
+    index.  v's side is the same with u and v swapped.  A block holds at
+    most _GEODESIC_BLOCK geodesic positions and cover cells, so memory does
+    not grow with the pair count.
     """
     Cf = Fraction(C)
     thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
     R = m.domain_radius
     ball = _ball(m.shape.degree, R)
     anc, img = ball.ancestors, m._image_index
-    steps = np.arange(2 * R + 1, dtype=np.int32)
-    size = max(1, _BLOCK // (2 * max(R, int(img.depths.max())) + 1))
+    near = _ancestor_prefix(m, ball)
+    depth = np.arange(R + 1)
+    side = np.array([[0], [1]])  # u's side from depth lca(u, v), v's side below it
+    # per pair: both sides' positions, then the cover of the image geodesic
+    size = max(1, _GEODESIC_BLOCK // (2 * (R + 1) + 2 * int(img.depths.max()) + 1))
     violations = ViolationList()
     for iu, ju, lca, iplen in _pairs(ball.labels, m.labels, pair_source, size):
-        # position s of the domain geodesic is u's ancestor at depth du - s
-        # while s <= rise = du - lca, then v's ancestor at depth lca + s - rise
-        du = ball.depths[iu]
-        rise = du - lca
-        row, s = np.nonzero(steps <= (rise + ball.depths[ju] - lca)[:, None])
-        on_u = s <= rise[row]
-        fu, fv = iu[row], ju[row]
-        b = anc[np.where(on_u, fu, fv), np.where(on_u, du[row] - s, s - rise[row] + lca[row])]
-        # projection of f(b) onto the image geodesic f(u) .. f(v)
-        mlen = img.depths[iu] + img.depths[ju] - 2 * iplen
-        d0 = img.distance(b, fu)
-        d1 = img.distance(b, fv)
+        ends = np.stack([iu, ju], axis=1)
+        on = (depth >= lca[:, None, None] + side) & (depth <= ball.depths[ends][..., None])
+        b = anc[ends]  # (pair, side, depth): the end's ancestor at that depth
+        P = near[ends]  # lcp(f(b), f(the side's end))
+        Q = iplen[:, None, None]
+        other = np.minimum(P, Q)  # lcp(f(b), f(the other end))
+        tie = np.nonzero(on & (P == Q))
+        other[tie] = img.prefix_len(b[tie], ends[tie[0], 1 - tie[1]])
+        # projection of f(b) onto the image geodesic f(u) .. f(v): its
+        # position from f(u) and its height
+        rise = img.depths[iu] - iplen
+        p = np.where(side, P - other, other - P) + rise[:, None, None]
+        h = img.depths[b] + Q - P - other
+        mlen = rise + img.depths[ju] - iplen
         span = int(mlen.max()) + 1
         cover = np.full((span, len(iu)), _FAR, dtype=np.int32)  # by position, then pair
-        np.minimum.at(
-            cover.reshape(-1), (d0 + mlen[row] - d1) // 2 * len(iu) + row, (d0 + d1 - mlen[row]) // 2
-        )
+        p *= len(iu)
+        p += np.arange(len(iu))[:, None, None]
+        np.minimum.at(cover.reshape(-1), p[on], h[on])
         # cover[t] = min over s of cover[s] + |t - s|: prefix minima of
         # cover[s] - s down the positions, then of cover[s] + s up them
         ramp = np.arange(span, dtype=np.int32)[:, None]

@@ -414,7 +414,7 @@ def test_over_long_label_exit(tmp_path, capsys):
     )
 
 
-def _run_subprocess(args, hashseed="0"):
+def _run_subprocess(args, hashseed="0", program=("-m", "treeqi")):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     # The child runs the treeqi this process imported, from any cwd: a relative
@@ -422,7 +422,7 @@ def _run_subprocess(args, hashseed="0"):
     root = str(Path(tq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "treeqi", *args],
+        [sys.executable, *program, *args],
         capture_output=True, text=True, env=env, check=False,
     )
 
@@ -440,3 +440,48 @@ def test_subprocess_determinism(tmp_path):
     v2 = _run_subprocess(["verify", "--in", str(out2), "--pairs", "sampled:200",
                           "--seed", "4"], hashseed="77")
     assert v1.stdout == v2.stdout and v1.returncode == 0
+
+
+# The CLI run as a child that ends stderr with the modules of these two it loaded
+_LOADED = (
+    "import sys\n"
+    "from treeqi.cli import main\n"
+    "code = main()\n"
+    "print('loaded:', *sorted({'_hashlib', 'numpy.ma'} & sys.modules.keys()), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_only_a_random_build_loads_openssl_or_numpy_ma(tmp_path):
+    """`hashlib` loads OpenSSL, and `numpy.ma` is what `np.unique` of one
+    array imports: each costs every process that loads it memory and time.
+    Only the random policy's class seeds need `hashlib`, and no subcommand
+    needs `numpy.ma`."""
+    shape = tq.TreeShape(3)
+    auto = tq.random_automorphism_map(shape, 6, 3)
+    maps = {
+        "auto.qi": auto,
+        "pert.qi": tq.perturb_map_in_subtree(auto, 5),
+        "mixed.qi": tq.build_mixed(shape, 2, 3, tq.MixedPolicy.minimal())[0],
+    }
+    for name, m in maps.items():
+        write_map_file(m, tmp_path / name)
+    auto, pert, mixed = (str(tmp_path / name) for name in maps)
+    runs = [
+        ["verify", "--in", pert],
+        ["verify", "--in", pert, "--C", "3"],
+        ["verify", "--in", pert, "--pairs", "sampled:300", "--C", "3"],
+        ["normalize", "--in", pert, "--C", "5/2", "--out", str(tmp_path / "norm.qi")],
+        ["approximate", "--in", auto, "--C", "1", "--D-override", "2",
+         "--out", str(tmp_path / "a.qi")],
+        ["verify-mixed", "--in", mixed, "--D", "2"],
+        ["distance", "--a", auto, "--b", pert],
+        ["compose", "--a", auto, "--b", pert, "--out", str(tmp_path / "c.qi")],
+    ]
+    for args in runs:
+        r = _run_subprocess(args, program=("-c", _LOADED))
+        assert r.returncode == 0, (args, r.stderr)
+        assert r.stderr.splitlines()[-1] == "loaded:", args
+    build = ["gen-mixed", "--degree", "3", "--D", "2", "--levels", "2", "--policy", "random"]
+    r = _run_subprocess([*build, "--out", str(tmp_path / "r.qi")], program=("-c", _LOADED))
+    assert r.returncode == 0 and r.stderr.splitlines()[-1] == "loaded: _hashlib"

@@ -23,6 +23,7 @@ import treeqi as tq
 from treeqi import MAX_DEPTH, MixedPolicy, PairSource, TreeShape
 from reference import common_prefix_len
 from treeqi.errors import BudgetExceededError
+from treeqi import pair_counts
 from treeqi.pair_counts import _Groups
 from treeqi.tree_core import ball
 
@@ -113,10 +114,12 @@ def test_exhaustive_counts_equal_the_full_sample_fold_property(m, C, max_lca_dep
 
 
 @settings(max_examples=40, deadline=None)
-@given(measured_maps(), st.integers(0, 2**16))
-def test_group_counts_equal_the_pairs_property(m, seed):
+@given(measured_maps(), st.integers(0, 2**16), st.integers(1, 7))
+def test_group_counts_equal_the_pairs_property(m, seed, block):
     """Each pair (u, v) falls in the count at (LCA depth, image prefix, cell
-    sum); a vertex's partners in any set of those counts are its pairs there."""
+    sum); a vertex's partners in any set of those counts are its pairs there.
+    Groups formed a few cells at a time (one threshold row a block) give the
+    counts and partners of one block."""
     groups = _Groups(tq.qi_map._ball(m.shape.degree, m.domain_radius), m._image_index)
     verts, t = m.domain, m.table
     cell = {v: len(v) * groups.base + len(t[v]) for v in verts}
@@ -135,6 +138,12 @@ def test_group_counts_equal_the_pairs_property(m, seed):
         if k in picked:
             want[[i, j]] += 1
     assert np.array_equal(groups.partners(records[:, chosen]), want)
+    saved, pair_counts._GROUP_BLOCK = pair_counts._GROUP_BLOCK, block
+    try:
+        assert np.array_equal(groups.exact_counts(m.domain_radius), records)
+        assert np.array_equal(groups.partners(records[:, chosen]), want)
+    finally:
+        pair_counts._GROUP_BLOCK = saved
 
 
 @pytest.mark.parametrize("C", [None, 2])

@@ -1,6 +1,11 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
+from functools import cache
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +27,9 @@ from treeqi.errors import (
     ShapeMismatchError,
 )
 from reference import distance, geodesic, parent
+from treeqi import pair_counts
 from treeqi.oracle import oracle_measure
+from treeqi.prefix import _PrefixIndex
 from treeqi.tree_core import ball
 
 D3 = TreeShape(3)
@@ -215,14 +222,17 @@ def test_check_geodesic_image():
     assert tq.check_geodesic_image(bad, C) == []
 
 
+_distance = cache(distance)
+
+
 def _brute_geodesic_violations(m, C, pairs):
     """Direct double loop over both geodesics; oracle for the sweep version."""
     t = m.table
     out = []
     for u, v in pairs:
-        dom_path = geodesic(u, v)
+        images = [t[b] for b in geodesic(u, v)]
         for a in geodesic(t[u], t[v]):
-            best = min(distance(t[b], a) for b in dom_path)
+            best = min(_distance(w, a) for w in images)
             if best > C:
                 out.append((u, v, a, best))
     return out
@@ -260,6 +270,63 @@ def test_check_geodesic_image_matches_brute_force(monkeypatch):
     assert cut_checked >= 4
 
 
+def test_geodesic_min_rule_and_small_blocks_match_the_brute_force(monkeypatch):
+    """The check reads lcp(f(b), f(other end)) as min(P, Q) and looks it up
+    in the image's prefix index only where P = Q.  On an exhaustive radius-6
+    random map about 40% of the geodesic positions have P = Q; the result
+    equals the brute force there, and blocks cut to one pair give the
+    one-block result."""
+    m = tq.random_map(D3, 6, 1)
+    monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**9)
+    looked_up = []
+    lookup = _PrefixIndex.prefix_len
+
+    def counted(index, i, j):
+        looked_up.append(len(i))
+        return lookup(index, i, j)
+
+    monkeypatch.setattr(_PrefixIndex, "prefix_len", counted)
+    got = tq.check_geodesic_image(m, 2)
+    monkeypatch.setattr(_PrefixIndex, "prefix_len", lookup)
+    pairs = _canonical_pairs(m, EXHAUSTIVE)
+    assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(m, 2, pairs)
+    positions = sum(distance(u, v) + 1 for u, v in pairs)
+    assert 0.35 < sum(looked_up) / positions < 0.45
+    source = PairSource.sampled(2000, 3)
+    whole = tq.check_geodesic_image(m, 2, source)
+    for block in (1, 7):
+        monkeypatch.setattr(tq.qi_map, "_GEODESIC_BLOCK", block)
+        assert tq.check_geodesic_image(m, 2, source) == whole
+    assert whole.total == len(whole) > 0
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_working_sets_do_not_grow_with_the_pairs():
+    """The geodesic check and the exhaustive measurement hold one block at a
+    time: at radius 8 and 10 (0.29M and 4.7M pairs, images to depth 14 and 20)
+    each peaks under the same 2.5 MB, once a first call has built the
+    tables cached per vertex.  Counting every threshold row at once took
+    4.7 MB at radius 10, and the geodesic check in blocks of 2^16
+    positions 3.0 MB."""
+    peaks = []
+    for levels in (4, 5):
+        m, _ = tq.build_mixed(D3, 2, levels, tq.MixedPolicy.random(6))
+        C = tq.measure_qi(m).best_single_C
+        source = PairSource.sampled(30_000, 1)
+        tq.check_geodesic_image(m, C, source)
+        peaks.append((_traced_peak(lambda: tq.measure_qi(m)),
+                      _traced_peak(lambda: tq.check_geodesic_image(m, C, source))))
+    assert all(peak < 2.5 * 2**20 for peak in chain(*peaks)), peaks
+
+
 def _maps(draw_image, radii=(0, 1, 2, 3), degrees=(3, 4)):
     for degree in degrees:
         shape = TreeShape(degree)
@@ -287,12 +354,12 @@ def small_maps(draw):
 @settings(max_examples=30, deadline=2000)
 @given(small_maps(), st.sampled_from([1, Fraction(3, 2), 2, 5]), st.integers(0, 8))
 def test_geodesic_image_property(m, C, block_exp):
-    saved = tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
-    tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 10**9
+    saved = tq.qi_map._GEODESIC_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
+    tq.qi_map._GEODESIC_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 10**9
     try:
         got = tq.check_geodesic_image(m, C)
     finally:
-        tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
+        tq.qi_map._GEODESIC_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
     assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(
         m, C, _canonical_pairs(m, EXHAUSTIVE)
     )
@@ -307,13 +374,13 @@ def test_geodesic_image_property(m, C, block_exp):
     st.integers(0, 8),
 )
 def test_measure_qi_equals_oracle_property(m, C, max_lca_depth, block_exp):
-    saved = tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
-    tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 7
+    saved = pair_counts._GROUP_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS
+    pair_counts._GROUP_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = 1 << block_exp, 7
     try:
         got = tq.measure_qi(m, candidate_C=C, max_lca_depth=max_lca_depth)
         want = oracle_measure(m, candidate_C=C, max_lca_depth=max_lca_depth)
     finally:
-        tq.qi_map._BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
+        pair_counts._GROUP_BLOCK, tq.qi_map.DEFAULT_MAX_VIOLATIONS = saved
     assert got.measurement_fields() == want.measurement_fields()
 
 
@@ -459,6 +526,11 @@ def test_ranked_equals_the_repeat_layout(counts, data):
     st.integers(0, 2**40),
 )
 @example(n=10, count=10, seed=1)  # into a list
+@example(n=7, count=5, seed=5)  # into a list of at most 21
+@example(n=13, count=21, seed=6)  # into a list: 78 values, at most 85
+@example(n=14, count=21, seed=6)  # into a set: 91 values
+@example(n=91, count=700, seed=7)  # into a list, k about a fifth of the total
+@example(n=30, count=435, seed=8)  # every pair
 @example(n=400, count=700, seed=2)  # into a set
 @example(n=400, count=20_000, seed=0)  # into a set, with more words read after the estimate
 @example(n=92_682, count=50, seed=3)  # the last total of 32 bits
@@ -466,17 +538,26 @@ def test_ranked_equals_the_repeat_layout(counts, data):
 def test_sampled_ranks_equal_random_sample(n, count, seed):
     """A sampled source's pairs are the ranks that
     `random.Random(seed).sample(range(total), count)` draws in this
-    interpreter, whether `sample` draws into a list (small populations) or
-    into a set, where `_pairs` reads the same draws from the word stream of
-    the generator, and whether the total has fewer than 32 bits, exactly
-    32 (n up to 92,682) or more, where `sample` itself draws."""
+    interpreter, whether `sample` draws into a list (small populations),
+    where `_pairs` replays its draws on arrays, or into a set, where
+    `_pairs` reads the same draws from the word stream of the generator,
+    and whether the total has fewer than 32 bits, exactly 32 (n up to
+    92,682) or more, where `sample` itself draws: `_pairs` calls `sample`
+    for no other total with a pair to draw."""
     total = n * (n - 1) // 2
     count = min(count, total)
     source, ranks = PairSource.sampled(count, seed), []
     rows = np.zeros((n, 1), np.int8)  # n one-label rows: only the pairs are read
-    for iu, ju, _, _ in tq.qi_map._pairs(rows, rows, source, 97):
-        i, j = iu.astype(np.int64), ju.astype(np.int64)
-        ranks += (i * (2 * n - i - 1) // 2 + j - i - 1).tolist()  # rows before i hold i(2n-i-1)/2
+
+    class Drawn(random.Random):
+        def sample(self, population, k):
+            assert k == 0 or len(population) >= 1 << 32, "sample drew from at most 32 bits"
+            return super().sample(population, k)
+
+    with mock.patch.object(tq.qi_map, "random", SimpleNamespace(Random=Drawn)):
+        for iu, ju, _, _ in tq.qi_map._pairs(rows, rows, source, 97):
+            i, j = iu.astype(np.int64), ju.astype(np.int64)
+            ranks += (i * (2 * n - i - 1) // 2 + j - i - 1).tolist()  # rows before i: i(2n-i-1)/2
     assert ranks == sorted(random.Random(seed).sample(range(total), count))
 
 
@@ -502,6 +583,8 @@ def test_small_blocks_fold_to_the_single_block_result(monkeypatch):
     witness_rank = pairs.index(tq.measure_qi(maps[0]).witness)
     monkeypatch.setattr(tq.qi_map, "_BLOCK", 7)
     monkeypatch.setattr(tq.qi_map, "_LABEL_BLOCK", 7)  # sampled blocks of 7 // 3 pairs
+    monkeypatch.setattr(tq.qi_map, "_GEODESIC_BLOCK", 7)  # geodesic blocks of one pair
+    monkeypatch.setattr(pair_counts, "_GROUP_BLOCK", 7)  # one threshold row at a time
     assert witness_rank >= 7  # the witness lies beyond the first block
     assert run() == whole
 
