@@ -60,8 +60,8 @@ class _Groups:
         below, ranks = below[order], self.rank[below[order]]
         split = anc[order][1:] != anc[order][:-1]  # a new ancestor starts a group
         step = max(1, _GROUP_BLOCK // len(below))
-        for first in range(0, len(rows), step):
-            block = rows[first : first + step]
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
             runs = np.take(self.runs[block], ranks, axis=1)
             new = np.ones(runs.shape, bool)  # a group starts here
             new[:, 1:] = (runs[:, 1:] != runs[:, :-1]) | split
@@ -81,8 +81,9 @@ class _Groups:
             edges = np.ones(len(ent) + 1, bool)  # where a group's entries start or end
             np.not_equal(egroup[1:], egroup[:-1], out=edges[1:-1])
             edges = np.flatnonzero(edges)
-            span = np.repeat(edges[1:], np.diff(edges)) - np.arange(1, len(ent) + 1)  # f > e
-            shift = (np.cumsum(span) - span - np.arange(1, len(ent) + 1)).astype(np.int32)
+            first = np.arange(1, len(ent) + 1)  # each entry's first partner f > e
+            span = np.repeat(edges[1:], np.diff(edges)) - first
+            shift = (np.cumsum(span) - span - first).astype(np.int32)
             e = np.repeat(np.arange(len(ent), dtype=np.int32), span)
             f = np.arange(len(e), dtype=np.int32) - np.repeat(shift, span)
             yield block, slot, cell, count, e, f, *((verts, *inv) if members else ())
@@ -138,7 +139,8 @@ class _Groups:
             for block, slot, cell, count, e, f, verts, inv in self.at(a, rows, members=True):
                 wb = w[block].ravel()
                 wv = wb[slot[e] + cell[f]]
-                t = np.bincount(e, count[f] * wv, len(count)) + np.bincount(f, count[e] * wv, len(count))
+                t = np.bincount(e, count[f] * wv, len(count))
+                t += np.bincount(f, count[e] * wv, len(count))
                 t += (count - 1) * wb[slot + cell]  # the other members of its own entry
                 out += np.bincount(verts, t[inv], len(out))
         return out

@@ -8,7 +8,6 @@ order, so the two must agree field for field.
 """
 
 import random
-import types
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -35,24 +34,10 @@ def _every_pair(m, seed: int = 0) -> PairSource:
     return PairSource.sampled(n * (n - 1) // 2, seed)
 
 
-class _Whole:
-    """The sampler's stand-in for a sample of every pair: the sorted ranks
-    of such a sample are the whole range whatever the seed, so handing the
-    range over in order changes the fold's input in nothing but its cost."""
-
-    def __init__(self, seed):
-        pass
-
-    def sample(self, population, k):
-        assert k == len(population)
-        return population
-
-
-def _fold(m, monkeypatch, **kw):
-    """The block fold over a sample of every pair."""
-    with monkeypatch.context() as patch:
-        patch.setattr(tq.qi_map, "random", types.SimpleNamespace(Random=_Whole))
-        return tq.measure_qi(m, _every_pair(m), **kw)
+def _fold(m, **kw):
+    """The block fold over a sample of every pair, which `_pairs` hands over
+    as the whole range in order without drawing."""
+    return tq.measure_qi(m, _every_pair(m), **kw)
 
 
 def _pool_map(shape: TreeShape, radius: int, seed: int) -> tq.FiniteTreeMap:
@@ -147,24 +132,24 @@ def test_group_counts_equal_the_pairs_property(m, seed, block):
 
 
 @pytest.mark.parametrize("C", [None, 2])
-def test_late_witness_of_a_radius_10_mixed_build(monkeypatch, C):
+def test_late_witness_of_a_radius_10_mixed_build(C):
     # like the benchmark's mixed10 input: D = 2, 5 levels, random policy
     m, _ = tq.build_mixed(D3, 2, 5, MixedPolicy.random(6))
     got = tq.measure_qi(m, candidate_C=C)
     assert m.domain.index(got.witness[0]) >= 500
-    assert got.measurement_fields() == _fold(m, monkeypatch, candidate_C=C).measurement_fields()
+    assert got.measurement_fields() == _fold(m, candidate_C=C).measurement_fields()
     if C is not None:
         assert got.violations_total > len(got.violations) == tq.qi_map.DEFAULT_MAX_VIOLATIONS
 
 
-def test_witness_of_a_normalized_perturbed_automorphism(monkeypatch):
+def test_witness_of_a_normalized_perturbed_automorphism():
     # pairs whose ends share both depths hold the best key here, so a vertex
     # counted as its own partner would move the witness to an earlier row
     auto = tq.random_automorphism_map(D3, 5, 0)
     m = tq.normalize_order_preserving(tq.perturb_map_in_subtree(auto, 100), 3)
     got = tq.measure_qi(m)
     assert m.domain.index(got.witness[0]) == 89
-    assert got.measurement_fields() == _fold(m, monkeypatch).measurement_fields()
+    assert got.measurement_fields() == _fold(m).measurement_fields()
 
 
 def test_violations_past_a_small_cap(monkeypatch):
@@ -172,13 +157,13 @@ def test_violations_past_a_small_cap(monkeypatch):
     monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 7)
     got = tq.measure_qi(m, candidate_C=1)
     assert got.violations_total > len(got.violations) == 7
-    assert got.measurement_fields() == _fold(m, monkeypatch, candidate_C=1).measurement_fields()
+    assert got.measurement_fields() == _fold(m, candidate_C=1).measurement_fields()
 
 
-def test_pairs_through_the_root_only(monkeypatch):
+def test_pairs_through_the_root_only():
     m = tq.perturb_map_in_subtree(tq.random_automorphism_map(D3, 5, 3), 4)
     got = tq.measure_qi(m, candidate_C=1, max_lca_depth=0)
-    want = _fold(m, monkeypatch, candidate_C=1, max_lca_depth=0)
+    want = _fold(m, candidate_C=1, max_lca_depth=0)
     assert got.measurement_fields() == want.measurement_fields()
     assert 0 < got.pairs_checked < tq.measure_qi(m).pairs_checked
 
@@ -188,10 +173,10 @@ def test_pairs_through_the_root_only(monkeypatch):
     [(tq.identity_map(D3, 0), None), (tq.random_map(D3, 3, 1), -1)],
     ids=["radius-0", "no-pair-left"],
 )
-def test_no_pairs(monkeypatch, m, max_lca_depth):
+def test_no_pairs(m, max_lca_depth):
     got = tq.measure_qi(m, candidate_C=1, max_lca_depth=max_lca_depth)
     assert (got.pairs_checked, got.witness, got.best_single_C) == (0, None, 1)
-    want = _fold(m, monkeypatch, candidate_C=1, max_lca_depth=max_lca_depth)
+    want = _fold(m, candidate_C=1, max_lca_depth=max_lca_depth)
     assert got.measurement_fields() == want.measurement_fields()
 
 

@@ -2,8 +2,8 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import chain
 from functools import cache
+from itertools import chain
 from types import SimpleNamespace
 from unittest import mock
 
