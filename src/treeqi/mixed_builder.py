@@ -700,10 +700,14 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     witnesses: list[StructureWitness] = []
     witness_total = 0
 
-    def add(kind: str, level: int, detail: str) -> None:
+    # count a witness and keep it while there is room; the vertices at the
+    # positions `named` fill its {} fields, read from label rows if it is kept
+    def add(kind: str, level: int, detail: str, *named) -> None:
         nonlocal witness_total
         witness_total += 1
         if len(witnesses) < MAX_WITNESSES:
+            if named:
+                detail = detail.format(*(format_address(ball.vertex(p)) for p in named))
             witnesses.append(StructureWitness(kind, level, detail))
 
     # the rows of the level above by image; at first the root's image alone
@@ -737,8 +741,9 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
                 add(
                     "shared-image-parent",
                     i,
-                    f"image {format_address(w)} shared across"
-                    f" {ball.texts[top[two[0]]]} and {ball.texts[top[two[1]]]}",
+                    f"image {format_address(w)} shared across {{}} and {{}}",
+                    top[two[0]],
+                    top[two[1]],
                 )
         ordered = sorted(classes)
         for a, b in zip(ordered, ordered[1:]):
@@ -751,14 +756,14 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         dist = moved[fill:]
         steps.append(dist)
         for r in np.flatnonzero((dist < 1) | (dist > K2)).tolist():
-            add("image-step", i, f"{ball.texts[at[r]]} moved its image {dist[r]}, outside [1, {K2}]")
+            add("image-step", i, f"{{}} moved its image {dist[r]}, outside [1, {K2}]", at[r])
         for w, rows in sorted(above.items()):
             targets = {a for r in rows for a in images[r * k : r * k + k]}
             _, reason = recover_class_subtree(w, targets, m.shape)
             if reason is not None:
                 add("class-subtree", i - 1, reason)
         for w in below[:fill][moved[:fill] != 0].tolist():
-            add("intermediate-fill", i, f"{ball.texts[w]} does not collapse onto its class image")
+            add("intermediate-fill", i, "{} does not collapse onto its class image", w)
 
     return MixedStructureReport(
         degree=d,

@@ -21,7 +21,7 @@ class _Groups:
     Two vertices have domain LCA depth >= a and image prefix length >= b
     exactly when they lie in one group at (a, b): vertices of depth >= a
     below one ancestor at depth a (`ancestors[:, a]`) whose images lie in
-    one run of ranks with LCP (`table[0]`) >= b.  A group is read as the
+    one run of ranks with LCP (`lcp`) >= b.  A group is read as the
     number of its members in each cell (du, iu), packed as du * base + iu;
     base exceeds twice the deepest image, so the sum of two cells packs
     (du + dv, iu + iv), and a group's pairs by that sum come from the
@@ -36,11 +36,10 @@ class _Groups:
         self.base = 2 * int(img.depths.max()) + 1
         self.cells = ball.depths.astype(np.int64) * self.base + img.depths
         self.sums = (2 * ball.radius + 1) * self.base  # packed sums of two cells
-        lcp = img.table[0, : img.n - 1]
-        self.nb = int(lcp.max(initial=-1)) + 1  # no pair has a longer image prefix
+        self.nb = int(img.lcp.max(initial=-1)) + 1  # no pair has a longer image prefix
         # runs[b, r]: the run at threshold b that holds the image of rank r
         self.runs = np.zeros((self.nb, img.n), np.int32)
-        np.cumsum(lcp < np.arange(self.nb)[:, None], axis=1, out=self.runs[:, 1:])
+        np.cumsum(img.lcp < np.arange(self.nb)[:, None], axis=1, out=self.runs[:, 1:])
 
     def at(self, a: int, rows: np.ndarray, members: bool = False) -> Iterator[tuple]:
         """The groups at (a, b) for each b of `rows` that hold a pair, a

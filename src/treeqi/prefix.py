@@ -2,9 +2,9 @@
 
 Rows are addresses padded with -1.  `_prefix_len` compares two rows label
 by label, with no table to build; the pair enumerator reads every block's
-prefix lengths this way.  `_PrefixIndex` ranks the rows once and answers
-from the LCP array and its sparse table of minima, for the readers that
-want a whole row at once, the rows extending a row, or many lookups.
+prefix lengths this way.  `_PrefixIndex` ranks the rows once and keeps
+the LCP array of the ranked rows, for the readers that want a whole row
+at once, the rows extending a row, or the runs of rows sharing a prefix.
 Kept apart from the large `qi_map`: a process that finds no bytecode cache
 compiles each module, and the memory a compile takes grows with the
 module.
@@ -25,18 +25,18 @@ def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _PrefixIndex:
-    """Common-prefix lengths between the rows of an address matrix.
+    """The rows of an address matrix ranked in address order, with their
+    LCP array.
 
-    Rows are ranked in address order by one lexsort, so rows already in
-    that order (the ball's) rank in place.  The LCP array `table[0]` holds
-    the common prefix of the rows of ranks k and k + 1 (Kasai et al., CPM
-    2001); the common prefix of two rows is the minimum of the LCP array
-    between their ranks.  `row_prefix_len` reads one row against every
-    later row at once, as running minima of the LCP array outward from the
-    row's rank, in O(n).  `prefix_len` reads any pairs in O(1) each from
-    the sparse table of minima `table` (Bender & Farach-Colton, LATIN
-    2000).  Memory is n log n bytes; both widen the int8 entries before
-    they return them, since a depth-64 prefix doubled wraps in int8.
+    Rows are ranked by one lexsort, so rows already in address order rank
+    in place.  `lcp[k]` (int8) holds the common prefix of the rows of ranks
+    k and k + 1 (Kasai et al., CPM 2001); the common prefix of two rows is
+    the minimum of `lcp` between their ranks.  `row_prefix_len` reads one
+    row against every later row at once, as running minima of `lcp`
+    outward from the row's rank, in O(n), and widens them, since a
+    depth-64 prefix doubled wraps in int8.  `extension_ranks` reads, for
+    every row, the run of ranks along which `lcp` stays at least the row's
+    depth.
     """
 
     def __init__(self, labels: np.ndarray, depths: np.ndarray):
@@ -47,54 +47,37 @@ class _PrefixIndex:
         self.rank = np.empty(n, np.int32)
         self.rank[order] = np.arange(n, dtype=np.int32)
         rows = labels[order]
-        levels = max(1, (n - 1).bit_length())
-        table = np.zeros((levels, n), np.int8)  # table[j, k] = min(lcp[k : k + 2**j])
+        self.lcp = np.zeros(n - 1, np.int8)
         alive = np.ones(n - 1, dtype=bool)
         for k in range(labels.shape[1]):
             np.logical_and(alive, rows[:-1, k] == rows[1:, k], out=alive)
             np.logical_and(alive, rows[:-1, k] >= 0, out=alive)
-            table[0, : n - 1] += alive
-        self.log2 = np.zeros(n, np.int32)
-        for j in range(1, levels):
-            h, width = 1 << (j - 1), n - (1 << j)
-            np.minimum(table[j - 1, :width], table[j - 1, h : h + width], out=table[j, :width])
-            self.log2[1 << j :] += 1
-        self.table = table
-        self._flat = table.ravel()
+            self.lcp += alive
 
     def row_prefix_len(self, i: int) -> np.ndarray:
         """Common-prefix length of row i with each of rows i + 1 .. n - 1.
 
         By rank, these are the running minima of `lcp` from rank(i) up and
         from rank(i) down, read back at the rows' ranks."""
-        r, lcp = int(self.rank[i]), self.table[0, : self.n - 1]
+        r = int(self.rank[i])
         by_rank = np.empty(self.n, np.int32)  # wide enough to double a depth-64 prefix
-        np.minimum.accumulate(lcp[r:], out=by_rank[r + 1 :])
-        np.minimum.accumulate(lcp[:r][::-1], out=by_rank[:r][::-1])
+        np.minimum.accumulate(self.lcp[r:], out=by_rank[r + 1 :])
+        np.minimum.accumulate(self.lcp[:r][::-1], out=by_rank[:r][::-1])
         return by_rank[self.rank[i + 1 :]]
 
-    def prefix_len(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Common-prefix length of rows i[k] and j[k] (the full depth if equal)."""
-        ri, rj = self.rank[i], self.rank[j]
-        lo = np.minimum(ri, rj)
-        hi = np.maximum(ri, rj)
-        span = hi - lo
-        lvl = self.log2[span]
-        base = lvl * self.n
-        out = np.minimum(self._flat[base + lo], self._flat[base + hi - (1 << lvl)])
-        return np.where(span == 0, self.depths[i], out)
-
-    def extension_ranks(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rank interval [lo, hi] of the rows that have row i[k] as a prefix."""
-        d = self.depths[i]
-        lo = self.rank[i].astype(np.int64)
-        hi = lo.copy()
-        last = self.n - 1
-        for j in range(self.table.shape[0] - 1, -1, -1):
-            w = 1 << j
-            row = self.table[j]
-            up = (hi + w <= last) & (row[np.minimum(hi, last)] >= d)
-            hi += w * up
-            down = (lo >= w) & (row[np.maximum(lo - w, 0)] >= d)
-            lo -= w * down
+    def extension_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row i, the half-open rank interval [lo, hi) of the rows that
+        have row i as a prefix: the run of ranks about rank(i) along which
+        `lcp` >= depth(i).  The runs at one depth are numbered by one
+        cumsum, once for each depth that some row has."""
+        lo = np.empty(self.n, np.int64)
+        hi = np.empty(self.n, np.int64)
+        run = np.zeros(self.n, np.int64)  # run[r]: the run holding rank r
+        # the distinct depths by count: np.unique of one array would load numpy.ma
+        for d in np.flatnonzero(np.bincount(self.depths)).tolist():
+            np.cumsum(self.lcp < d, out=run[1:])
+            at = self.depths == d
+            ids = run[self.rank[at]]
+            lo[at] = np.searchsorted(run, ids, side="left")
+            hi[at] = np.searchsorted(run, ids, side="right")
         return lo, hi

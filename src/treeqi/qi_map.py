@@ -33,7 +33,7 @@ and no table is built for them; both sources answer to a pair budget.
 The exhaustive constant measurement enumerates no pairs: it counts their
 keys by group (`pair_counts._Groups`) and reads only the rows that hold
 its witness and its listed violations, each row at once as running minima
-along the LCP array of the address-sorted rows (`row_prefix_len`).
+of the preorder depths and along the images' LCP array (`row_prefix_len`).
 The checks read the pair budget and the cap on listed violations from
 DEFAULT_MAX_PAIRS and DEFAULT_MAX_VIOLATIONS when they are called.
 """
@@ -126,14 +126,13 @@ class _Ball:
     so the children of a depth-k vertex at position p sit at
     p + 1 + a * sizes[k] for label a (`children`), and an address
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
-    (`positions`).  The vertex tuples, the prefix index, the ancestor table
-    and the canonical text of every vertex are built on first use, the
-    tuples and texts one level at a time.  They are whole-ball tables, so
-    only work that visits most of the ball asks for them: the class walk
-    and the dict view share the tuples, the trace codec reads the texts,
-    and the exhaustive measurement and the same-depth check read the prefix
-    index.  Work that names a few vertices (a witness, listed violations)
-    builds each one's tuple from its label row (`vertex`).
+    (`positions`).  The vertex tuples, the ancestor table and the canonical
+    text of every vertex are built on first use, the tuples and texts one
+    level at a time.  They are whole-ball tables, so only work that visits
+    most of the ball asks for them: the class walk and the dict view share
+    the tuples, the trace codec reads the texts, and the exhaustive count
+    and the checks read the ancestors.  Work that names a few vertices (a
+    witness, violations) builds each one's tuple from its label row (`vertex`).
 
     The ball is the one codec of address text for trace files and for the
     map reader's line loop: `format` writes any address and `locate` reads
@@ -208,10 +207,6 @@ class _Ball:
     @cached_property
     def verts(self) -> tuple:
         return tuple(self._by_level(ROOT, lambda vs, k: [v + (a,) for v in vs for a in range(k)]))
-
-    @cached_property
-    def prefix_index(self) -> _PrefixIndex:
-        return _PrefixIndex(self.labels, self.depths)
 
     @cached_property
     def ancestors(self) -> np.ndarray:
@@ -952,7 +947,7 @@ def _measure_exhaustive(m, packed, kinds, max_lca_depth) -> tuple:
     radius = m.domain_radius
     top = radius if max_lca_depth is None else min(max_lca_depth, radius)
     ball = _ball(m.shape.degree, radius)
-    dom, img = ball.prefix_index, m._image_index
+    img = m._image_index
     groups = _Groups(ball, img)
     records = groups.exact_counts(top)
     a, b, s, count = records
@@ -964,7 +959,8 @@ def _measure_exhaustive(m, packed, kinds, max_lca_depth) -> tuple:
 
     def row(i: int) -> tuple[np.ndarray, np.ndarray]:
         """The checked pairs (i, j) of row i: each j and the pair's key."""
-        dp, ip = dom.row_prefix_len(i), img.row_prefix_len(i)
+        # in preorder, lca(i, j) is one level above the shallowest vertex in (i, j]
+        dp, ip = np.minimum.accumulate(ball.depths[i + 1 :]) - 1, img.row_prefix_len(i)
         key = packed[i] + packed[i + 1 :] - 2 * (dp * _KEY_BASE + ip)
         keep = slice(None) if max_lca_depth is None else dp <= max_lca_depth
         return np.arange(i + 1, n)[keep], key[keep]
@@ -1012,7 +1008,7 @@ def measure_qi(
     pairs are folded block by block: the union of their keys, the first
     pair attaining the best constant, violations concatenated.  Their
     prefix lengths are read from the two label rows of each pair (`_pairs`),
-    so a sample builds neither the ball's prefix index nor the map's.
+    so a sample builds no prefix index.
     Either way the vertex tuples of only the witness and the listed
     violations are made, from their label rows.
     """
@@ -1142,21 +1138,22 @@ def check_geodesic_image(
     For b on u's side of the domain geodesic (u's ancestor at a depth k at
     least that of lca(u, v)), P = lcp(f(b), f(u)) is read from the table
     `_ancestor_prefix`; with Q = lcp(f(u), f(v)), lcp(f(b), f(v)) is
-    min(P, Q) unless P = Q, and only then read from the image's prefix
-    index.  v's side is the same with u and v swapped.  A block holds at
-    most _GEODESIC_BLOCK geodesic positions and cover cells, so memory does
-    not grow with the pair count.
+    min(P, Q) unless P = Q, and only then read from the label rows.  v's
+    side is the same with u and v swapped.  A block holds at most
+    _GEODESIC_BLOCK geodesic positions and cover cells, so memory does not
+    grow with the pair count.
     """
     Cf = Fraction(C)
     thr = min(Cf.numerator // Cf.denominator, _FAR)  # integer h violates iff h > thr
     R = m.domain_radius
     ball = _ball(m.shape.degree, R)
-    anc, img = ball.ancestors, m._image_index
+    anc = ball.ancestors
     near = _ancestor_prefix(m, ball)
     depth = np.arange(R + 1)
     side = np.array([[0], [1]])  # u's side from depth lca(u, v), v's side below it
     # per pair: both sides' positions, then the cover of the image geodesic
-    size = max(1, _GEODESIC_BLOCK // (2 * (R + 1) + 2 * int(img.depths.max()) + 1))
+    size = max(1, _GEODESIC_BLOCK // (2 * (R + 1) + 2 * int(m.depths.max()) + 1))
+    step = max(1, _LABEL_BLOCK // m.labels.shape[1])
     violations = ViolationList()
     for iu, ju, lca, iplen in _pairs(ball.labels, m.labels, pair_source, size):
         ends = np.stack([iu, ju], axis=1)
@@ -1166,13 +1163,18 @@ def check_geodesic_image(
         Q = iplen[:, None, None]
         other = np.minimum(P, Q)  # lcp(f(b), f(the other end))
         tie = np.nonzero(on & (P == Q))
-        other[tie] = img.prefix_len(b[tie], ends[tie[0], 1 - tie[1]])
+        bt, et = b[tie], ends[tie[0], 1 - tie[1]]
+        tied = np.empty(len(bt), np.int32)  # read _LABEL_BLOCK labels at a time
+        for s in range(0, len(bt), step):
+            rows = slice(s, s + step)
+            tied[rows] = _prefix_len(m.labels[bt[rows]], m.labels[et[rows]])
+        other[tie] = tied
         # projection of f(b) onto the image geodesic f(u) .. f(v): its
         # position from f(u) and its height
-        rise = img.depths[iu] - iplen
+        rise = m.depths[iu] - iplen
         p = np.where(side, P - other, other - P) + rise[:, None, None]
-        h = img.depths[b] + Q - P - other
-        mlen = rise + img.depths[ju] - iplen
+        h = m.depths[b] + Q - P - other
+        mlen = rise + m.depths[ju] - iplen
         span = int(mlen.max()) + 1
         cover = np.full((span, len(iu)), _FAR, dtype=np.int32)  # by position, then pair
         p *= len(iu)
@@ -1193,7 +1195,7 @@ def check_geodesic_image(
         # position t of the image geodesic is f(u) cut to depth du - t while
         # t <= rise = du - lca, then f(v) cut to depth lca + t - rise
         fu, fv = iu[r], ju[r]
-        lca, du = iplen[r], img.depths[fu]
+        lca, du = iplen[r], m.depths[fu]
         rise = du - lca
         on_u = t <= rise
         cut = zip(np.where(on_u, fu, fv).tolist(), np.where(on_u, du - t, lca + t - rise).tolist())
@@ -1226,36 +1228,36 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
     thr = K.numerator // K.denominator  # an integer distance exceeds K iff > thr
     n = len(m.depths)
     ball = _ball(m.shape.degree, m.domain_radius)
-    dom = ball.prefix_index
     img = m._image_index
-    ext_lo, ext_hi = img.extension_ranks(np.arange(n))
+    ext_lo, ext_hi = img.extension_ranks()
     # every vertex but the root, by depth, then image rank: the same-depth
     # vertices whose image extends f(v) are the run order[first : first + count]
-    order = np.lexsort((img.rank, dom.depths))[1:]
-    level = dom.depths[order].astype(np.int64) * n
+    order = np.lexsort((img.rank, ball.depths))[1:]
+    level = ball.depths[order].astype(np.int64) * n
     key = level + img.rank[order]
-    first = np.searchsorted(key, level + ext_lo[order], side="left")
-    counts = np.searchsorted(key, level + ext_hi[order], side="right") - first
+    first = np.searchsorted(key, level + ext_lo[order])
+    counts = np.searchsorted(key, level + ext_hi[order]) - first
     if counts.sum() > DEFAULT_MAX_PAIRS:
         raise BudgetExceededError(
             f"{counts.sum()} nested same-depth pairs exceed the pair budget {DEFAULT_MAX_PAIRS}"
         )
+    # two vertices of depth t are more than thr apart, 2 (t - lca) > thr,
+    # exactly when their ancestors at depth max(t - thr // 2, 0) differ
+    top = ball.ancestors[np.arange(n), np.maximum(ball.depths - thr // 2, 0)]
     violations = ViolationList()
     found = np.empty(0, np.int64)  # keys (depth * n + u) * n + v of failing pairs
     for row, k in _ranked(counts, _BLOCK):
         v, u = order[row], order[first[row] + k]
-        ddom = 2 * (dom.depths[u] - dom.prefix_len(u, v))
-        dimg = img.depths[u] - img.depths[v]
-        fail = (u != v) & ((ddom > thr) | (dimg > thr))
+        fail = (u != v) & ((top[u] != top[v]) | (m.depths[u] - m.depths[v] > thr))
         violations.total += int(fail.sum())
         u, v = u[fail], v[fail]
-        found = np.concatenate([found, (dom.depths[u].astype(np.int64) * n + u) * n + v])
+        found = np.concatenate([found, (ball.depths[u].astype(np.int64) * n + u) * n + v])
         if len(found) > DEFAULT_MAX_VIOLATIONS:
             found = np.sort(found)[:DEFAULT_MAX_VIOLATIONS]
     for key in np.sort(found).tolist():
         a, b = divmod(key % (n * n), n)
-        dd = 2 * (int(dom.depths[a]) - int(dom.prefix_len(a, b)))
-        di = int(img.depths[a] - img.depths[b])
+        dd = 2 * (int(ball.depths[a]) - int(_prefix_len(ball.labels[a], ball.labels[b])))
+        di = int(m.depths[a]) - int(m.depths[b])
         value = di if di > thr else dd
         violations.append(Violation(ball.vertex(a), ball.vertex(b), "samedepth", value))
     return violations

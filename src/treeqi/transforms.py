@@ -259,9 +259,10 @@ def approximate_by_mixed(
         if len(far):
             w = fill[far[0]]
             dist = int(g.depths[w]) - len(cls.image)
+            text = format_address(ball.vertex(w))
             raise failure(
                 "fill-distance",
-                f"{ball.texts[w]} collapsed {dist} > {fill_bound} from its g-image",
+                f"{text} collapsed {dist} > {fill_bound} from its g-image",
                 value=dist,
             )
         return ClassTrace(

@@ -265,6 +265,19 @@ def test_structure_detects_mutation():
     assert kinds & {"class-subtree", "image-step", "shared-image-parent", "image-ancestry"}
 
 
+def test_failing_structure_check_names_vertices_from_label_rows():
+    """The witnesses that name vertices read them from label rows, in the
+    reference's words, so a failing check builds no text of every vertex
+    (49,150 strings at radius 14) to name at most MAX_WITNESSES."""
+    m = tq.random_map(D3, 4, 3)
+    tq.qi_map._ball.cache_clear()  # a ball that no earlier test has filled
+    report = tq.verify_mixed_structure(m, 2)
+    kinds = {w.kind for w in report.witnesses}
+    assert {"shared-image-parent", "image-step", "intermediate-fill"} <= kinds
+    assert report.to_lines() == reference_verify_mixed_structure(m, 2).to_lines()
+    assert "texts" not in vars(tq.qi_map._ball(3, 4))
+
+
 def test_structure_reports_multiplicity():
     # every depth-2 vertex maps to the root: 6 same-image vertices, bound 3**1
     m = tq.constant_map(D3, 2)

@@ -7,7 +7,8 @@ length or a distance between the two ends of a block's pairs (`iu`, `ju`,
 or entries picked from them).  `_pairs` itself takes the two label
 matrices and reads every block's prefix lengths from their rows through
 `_prefix_len` alone: there is one pair reader, not a second reader type
-beside the prefix index, and the prefix index has one constructor.
+beside the prefix index, and the prefix index has one constructor and no
+per-pair lookup of its own, nor does the ball keep one.
 
 Pairs laid out row by row are unranked in one place, `_ranked`, and only
 `_pairs` and the nested pairs of `check_same_depth` go through it; neither
@@ -54,6 +55,11 @@ def _definitions() -> list:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out.append((node.name, node))
     return out
+
+
+def _members(cls) -> set:
+    """The names of the methods and properties a class defines."""
+    return {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
 
 
 def _called(node) -> set:
@@ -182,6 +188,8 @@ def test_one_pair_reader_and_one_index_constructor():
     args = init.args
     assert [a.arg for a in args.args] == ["self", "labels", "depths"]
     assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg)
+    (ball,) = [node for name, node in definitions if name == "_Ball"]
+    assert "prefix_len" not in _members(index) and "prefix_index" not in _members(ball)
     (enumerator,) = [node for name, node in definitions if name == ENUMERATOR]
     called = _called(enumerator)
     assert LABEL_READ in called and not called & (PREFIX_READERS - {ENUMERATOR, UNRANK})

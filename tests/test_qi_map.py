@@ -26,7 +26,7 @@ from treeqi.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from reference import distance, geodesic, parent
+from reference import common_prefix_len, distance, geodesic, parent
 from treeqi import pair_counts
 from treeqi.oracle import oracle_measure
 from treeqi.prefix import _PrefixIndex
@@ -270,34 +270,45 @@ def test_check_geodesic_image_matches_brute_force(monkeypatch):
     assert cut_checked >= 4
 
 
+def _geodesic_ties(m, pairs) -> int:
+    """The geodesic positions b of the pairs (u, v) where P = Q: on u's
+    side (u's ancestors from depth lca(u, v) down), lcp(f(b), f(u)) equals
+    lcp(f(u), f(v)), and on v's side (v's ancestors below the LCA) the
+    same with u and v swapped."""
+    t = m.table
+    ties = 0
+    for u, v in pairs:
+        top, Q = common_prefix_len(u, v), common_prefix_len(t[u], t[v])
+        for end, first in ((u, top), (v, top + 1)):
+            shared = [common_prefix_len(t[end[:k]], t[end]) for k in range(first, len(end) + 1)]
+            ties += shared.count(Q)
+    return ties
+
+
 def test_geodesic_min_rule_and_small_blocks_match_the_brute_force(monkeypatch):
-    """The check reads lcp(f(b), f(other end)) as min(P, Q) and looks it up
-    in the image's prefix index only where P = Q.  On an exhaustive radius-6
-    random map about 40% of the geodesic positions have P = Q; the result
-    equals the brute force there, and blocks cut to one pair give the
-    one-block result."""
+    """The check reads lcp(f(b), f(other end)) as min(P, Q), and from the
+    two label rows only where P = Q.  On an exhaustive radius-6 random map
+    about 40% of the geodesic positions have P = Q; the result equals the
+    brute force there, and blocks cut to one pair, or tie rows read one or
+    a few at a time, give the one-block result.  No check builds the map's
+    prefix index."""
     m = tq.random_map(D3, 6, 1)
     monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**9)
-    looked_up = []
-    lookup = _PrefixIndex.prefix_len
-
-    def counted(index, i, j):
-        looked_up.append(len(i))
-        return lookup(index, i, j)
-
-    monkeypatch.setattr(_PrefixIndex, "prefix_len", counted)
     got = tq.check_geodesic_image(m, 2)
-    monkeypatch.setattr(_PrefixIndex, "prefix_len", lookup)
     pairs = _canonical_pairs(m, EXHAUSTIVE)
     assert [(v.x, v.y, v.at, v.value) for v in got] == _brute_geodesic_violations(m, 2, pairs)
     positions = sum(distance(u, v) + 1 for u, v in pairs)
-    assert 0.35 < sum(looked_up) / positions < 0.45
+    assert 0.35 < _geodesic_ties(m, pairs) / positions < 0.45
     source = PairSource.sampled(2000, 3)
     whole = tq.check_geodesic_image(m, 2, source)
-    for block in (1, 7):
-        monkeypatch.setattr(tq.qi_map, "_GEODESIC_BLOCK", block)
-        assert tq.check_geodesic_image(m, 2, source) == whole
+    cuts = {"_GEODESIC_BLOCK": (1, 7), "_LABEL_BLOCK": (1, 5 * m.labels.shape[1])}
+    for name, sizes in cuts.items():
+        for size in sizes:
+            with monkeypatch.context() as patch:
+                patch.setattr(tq.qi_map, name, size)
+                assert tq.check_geodesic_image(m, 2, source) == whole
     assert whole.total == len(whole) > 0
+    assert "_image_index" not in vars(m)
 
 
 def _traced_peak(fn) -> int:
@@ -394,7 +405,7 @@ def _label_matrix(rows):
 
 def _column_prefix_len(labels, iu, ju):
     """Common-prefix length by a scan over every depth column: the
-    reference for the LCP/sparse-table kernel."""
+    reference for the label-row reads and the LCP array."""
     a = labels[iu]
     b = labels[ju]
     plen = np.zeros(len(iu), dtype=np.int16)
@@ -422,21 +433,23 @@ def _kernel_maps():
 
 
 def test_prefix_kernel_matches_column_loop():
+    """The image index ranks the images in address order, its LCP array
+    holds the column loop's prefix of each two rank-adjacent images, and
+    the images that extend image i are exactly the ranks [lo[i], hi[i])."""
     for m in _kernel_maps():
         n = len(m.domain)
+        images = [m.table[v] for v in m.domain]
         iu, ju = (a.ravel() for a in np.indices((n, n)))
-        ball_index = tq.qi_map._ball(m.shape.degree, m.domain_radius).prefix_index
-        # the ball's rows are in address order already: they rank in place
-        assert np.array_equal(ball_index.rank, np.arange(n))
-        sides = [(m.domain, ball_index), ([m.table[v] for v in m.domain], m._image_index)]
-        for rows, index in sides:
-            ref = _column_prefix_len(_label_matrix(rows), iu, ju)
-            assert (index.prefix_len(iu, ju) == ref).all()
-            # the rows extending row i are exactly one rank interval
-            lo, hi = index.extension_ranks(np.arange(n))
-            extends = ref.reshape(n, n) == index.depths[:, None]
-            for i in range(n):
-                assert sorted(index.rank[extends[i]]) == list(range(lo[i], hi[i] + 1))
+        ref = _column_prefix_len(_label_matrix(images), iu, ju).reshape(n, n)
+        index = m._image_index
+        order = np.argsort(index.rank)
+        assert sorted(index.rank) == list(range(n))
+        assert [images[i] for i in order] == sorted(images)
+        assert np.array_equal(index.lcp, ref[order[:-1], order[1:]])
+        lo, hi = index.extension_ranks()
+        extends = ref == index.depths[:, None]
+        for i in range(n):
+            assert sorted(index.rank[extends[i]]) == list(range(lo[i], hi[i]))
 
 
 @st.composite
@@ -449,7 +462,7 @@ def prefix_indexes(draw):
     if draw(st.booleans()):
         m = draw(small_maps())
         ball = tq.qi_map._ball(m.shape.degree, m.domain_radius)
-        return (ball.prefix_index, ball.labels), (m._image_index, m.labels)
+        return (_PrefixIndex(ball.labels, ball.depths), ball.labels), (m._image_index, m.labels)
     n = draw(st.integers(1, 12))
     labels = st.sampled_from([0, 1, 32767, 32768, 39999])
     depths = st.one_of(st.integers(0, 3), st.integers(tq.MAX_DEPTH - 1, tq.MAX_DEPTH))
@@ -459,7 +472,7 @@ def prefix_indexes(draw):
         rows = [tuple(pool[draw(st.integers(0, len(pool) - 1))][: draw(depths)]) for _ in range(n)]
         lengths = np.array([len(v) for v in rows])
         matrix = _label_matrix(rows).astype(np.int32)
-        return tq.qi_map._PrefixIndex(matrix, lengths), matrix
+        return _PrefixIndex(matrix, lengths), matrix
 
     return index(), index()
 
@@ -469,16 +482,16 @@ def prefix_indexes(draw):
 def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
     """Exhaustive and sampled blocks, rows cut between blocks, carry the
     canonical pairs and, element for element, the prefix lengths that the
-    sparse tables give for them, read as int32 from the label rows; each
+    column loop gives for them, read as int32 from the label rows; each
     row read at once (`row_prefix_len`, running minima along the LCP
-    array) equals the per-pair lookup `prefix_len`."""
+    array) equals the column loop too."""
     (dom, dom_rows), (img, img_rows) = indexes
     n = dom.n
     iu, ju = (a.astype(np.int32) for a in np.triu_indices(n, 1))
     picked = sorted(random.Random(seed).sample(range(len(iu)), min(count, len(iu))))
     for source, at in ((EXHAUSTIVE, slice(None)), (PairSource.sampled(count, seed), picked)):
         want = [iu[at], ju[at]]
-        want += [dom.prefix_len(*want), img.prefix_len(*want)]
+        want += [_column_prefix_len(rows, *want[:2]) for rows in (dom_rows, img_rows)]
         for size in {s for s in (1, 7, n - 2, n - 1, n, tq.qi_map._BLOCK) if s >= 1}:
             blocks = list(tq.qi_map._pairs(dom_rows, img_rows, source, size))
             assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
@@ -489,10 +502,10 @@ def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
                 assert np.array_equal(g, w)
             # the checks double prefix lengths: a depth-64 prefix must not wrap
             assert all(np.array_equal(2 * g, 2 * w.astype(np.int64)) for g, w in zip(got, want))
-    for index in (dom, img):
+    for index, rows in ((dom, dom_rows), (img, img_rows)):
         for i in range(n):
             later = np.arange(i + 1, n)
-            want = index.prefix_len(np.full_like(later, i), later).astype(np.int64)
+            want = _column_prefix_len(rows, np.full_like(later, i), later).astype(np.int64)
             assert np.array_equal(2 * index.row_prefix_len(i), 2 * want)
 
 
@@ -623,6 +636,9 @@ def test_sampled_sources_answer_to_the_pair_budget(monkeypatch):
 
 
 def _brute_same_depth_violations(m, C):
+    """(u, v, value) of every failing nested same-depth pair in canonical
+    order; the value is the image distance if it exceeds K, else the
+    domain distance."""
     K = 4 * Fraction(C) ** 3 + Fraction(C)
     t = m.table
     by_depth = {}
@@ -640,28 +656,33 @@ def _brute_same_depth_violations(m, C):
                 fu, fv = t[u], t[v]
                 if fu[: len(fv)] != fv:
                     continue
-                if distance(u, v) > K or distance(fu, fv) > K:
-                    out.append((u, v))
+                dd, di = distance(u, v), distance(fu, fv)
+                if dd > K or di > K:
+                    out.append((u, v, di if di > K else dd))
     return out
 
 
 def test_check_same_depth_matches_brute_force(monkeypatch):
+    """The listed pairs and values equal the brute force, at thresholds
+    floor(K) = 5, 15 and 34 and at C = 11/10, whose K = 803/125 gives the
+    even threshold 6: there a domain distance of exactly 6 passes and 8
+    fails."""
     blocks = (tq.qi_map._BLOCK, 5)  # nested pairs in one block, or in many
     for seed in range(6):
         raw = tq.random_map(D3, 4, 500 + seed, fix_root=True)
         m = tq.normalize_order_preserving(raw, 1, check_promise=False)
-        for C in (1, Fraction(3, 2), 2):
+        for C in (1, Fraction(11, 10), Fraction(3, 2), 2):
             want = _brute_same_depth_violations(m, C)
             for block in blocks:
                 monkeypatch.setattr(tq.qi_map, "_BLOCK", block)
                 monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", 10**9)
                 got = tq.check_same_depth(m, C)
-                assert [(v.x, v.y) for v in got] == want
+                assert [(v.x, v.y, v.value) for v in got] == want
                 assert got.total == len(want)
                 for cap in (0, 3):
                     monkeypatch.setattr(tq.qi_map, "DEFAULT_MAX_VIOLATIONS", cap)
                     got = tq.check_same_depth(m, C)
-                    assert [(v.x, v.y) for v in got] == want[:cap]
+                    assert [(v.x, v.y, v.value) for v in got] == want[:cap]
                     assert got.total == len(want)
 
 

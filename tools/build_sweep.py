@@ -17,9 +17,10 @@ candidate C = 1, the same fields over 500 pairs sampled with a seed taken
 from the build's label (drawn into a list on the smallest balls and into
 a set on the others), the geodesic-image check at C = 1 (exhaustive up to
 2,000 pairs, else 2,000 pairs sampled with seed 0) and the same-depth
-check at C = 1 (or the error that refuses it), and the `verify-mixed`
-report as text lines and as JSON and the same six measurements and checks
-of a mutated copy of the map (1-4 image swaps and one image one label
+check at C = 1 and at C = 11/10, whose distance thresholds are 5 and 6,
+odd and even (or the error that refuses it), and the `verify-mixed`
+report as text lines and as JSON and the same seven measurements and
+checks of a mutated copy of the map (1-4 image swaps and one image one label
 deeper, seeded from the build's label), which covers failing reports and
 the order of their witnesses and violations.
 Two checkouts produce the same bytes exactly when every one of these
@@ -36,6 +37,7 @@ import json
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import treeqi as tq
 
@@ -44,6 +46,7 @@ RANDOM_SEEDS = 34
 APPROXIMATION_C = 1
 MEASURE_CANDIDATES = (None, 1)
 CHECK_C = 1
+SAME_DEPTH_C = (1, Fraction(11, 10))  # floor(4C^3 + C) = 5 and 6
 GEODESIC_PAIRS = 2000  # exhaustive up to this many pairs, else a sample of this many
 SAMPLED_PAIRS = 500
 
@@ -95,10 +98,11 @@ def _measured(m, seed: int) -> list[str]:
     if n * (n - 1) // 2 > GEODESIC_PAIRS:
         source = tq.PairSource.sampled(GEODESIC_PAIRS, 0)
     out.append(_violations(tq.check_geodesic_image(m, CHECK_C, source)))
-    try:
-        out.append(_violations(tq.check_same_depth(m, CHECK_C)))
-    except tq.TreeQIError as e:
-        out.append(f"{type(e).__name__}: {e}")
+    for C in SAME_DEPTH_C:
+        try:
+            out.append(_violations(tq.check_same_depth(m, C)))
+        except tq.TreeQIError as e:
+            out.append(f"{type(e).__name__}: {e}")
     return out
 
 
