@@ -25,9 +25,10 @@ even offsets and its dots between them.  It gathers each block's tokens as
 a byte matrix, checks it, and places the image rows at the sources' ball
 positions.  Any other text (other spellings or whitespace, degrees above
 10, every malformed text) goes through the line loop, the one reader that
-words errors, which reads each address through the ball's address codec
-(`qi_map._Ball.locate`, shared with trace files).  Neither block path
-builds the ball's vertex tuples or texts.
+words errors, which reads each address as a tuple through the ball's
+address codec (`qi_map._Ball.locate`, shared with trace files) and packs
+the images in ball order.  Neither block path builds the ball's vertex
+tuples or texts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MapFormatError, TreeQIError
 from .qi_map import FiniteTreeMap, _ball, _budgeted_ball, _label_dtype, _pack
-from .tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, TreeShape
+from .tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, TreeShape, format_address
 
 _MAGIC = "tree-qi"
 _VERSION = "v1"
@@ -204,8 +205,7 @@ def _read_lines(lines: list[str], budget: int) -> FiniteTreeMap:
         raise MapFormatError("empty map file", 1)
     shape, radius = _header(lines[0])
     ball = _budgeted_ball(shape, radius, budget)
-    locate, size = ball.locate, len(ball.depths)
-    images: list = [None] * size  # per source position: image position, or a deeper image
+    locate, table = ball.locate, {}
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -214,34 +214,21 @@ def _read_lines(lines: list[str], budget: int) -> FiniteTreeMap:
             src = locate(parts[0])
         except TreeQIError as e:
             raise MapFormatError(f"bad source address: {e}", no) from None
-        if not isinstance(src, int):
+        if len(src) > radius:
             raise MapFormatError(
                 f"source {parts[0]} is deeper than the stated radius {radius}", no
             )
-        if images[src] is not None:
+        if src in table:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
         try:
-            images[src] = locate(parts[1])
+            table[src] = locate(parts[1])
         except TreeQIError as e:
             raise MapFormatError(f"bad image address: {e}", no) from None
-    if len(lines) - 1 != size:  # every source is a distinct vertex of the ball
-        raise MapFormatError(f"missing domain vertex {ball.texts[images.index(None)]}")
-    return FiniteTreeMap._from_arrays(shape, radius, *_gather(ball, images))
-
-
-def _gather(ball, images: list) -> tuple[np.ndarray, np.ndarray]:
-    """Label rows of images given as positions in `ball` (a `qi_map._ball`)
-    or as deeper addresses."""
-    deep = [i for i, a in enumerate(images) if not isinstance(a, int)]
-    at = np.fromiter((a if isinstance(a, int) else 0 for a in images), np.int64, len(images))
-    labels, depths = ball.labels[at], ball.depths[at]
-    if deep:
-        deep_labels, deep_depths = _pack([images[i] for i in deep], labels.dtype)
-        width = max(labels.shape[1], deep_labels.shape[1])
-        labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
-        labels[deep, : deep_labels.shape[1]] = deep_labels
-        depths[deep] = deep_depths
-    return labels, depths
+    if len(table) != len(ball.depths):  # every source is a distinct vertex of the ball
+        missing = next(v for v in ball.verts if v not in table)
+        raise MapFormatError(f"missing domain vertex {format_address(missing)}")
+    rows = _pack([table[v] for v in ball.verts], ball.labels.dtype)
+    return FiniteTreeMap._from_arrays(shape, radius, *rows)
 
 
 def _read_text(path, kind: str) -> str:

@@ -28,11 +28,11 @@ the deepest policy grow one leftmost chain, cached per (degree, root or
 not, size), and the result is translated to v once.  The block arrives
 member by member, so the assignment and its check take each member's
 children as one run of the block.  A replayed subtree is checked in one
-pass over its vertices.  Trace text goes through the address text codec of
-the ball the trace builds (`qi_map._Ball.format` and `locate`), as the map
-reader's line loop does: a ball vertex is its own text, and an address below
-the radius is the text of its ancestor on the last level followed by the
-further labels.
+pass over its vertices.  Trace text goes through the address codec of the
+ball the trace builds, as the map reader's line loop does: `_Ball.format`
+writes a ball vertex as its own text and a deeper address as the text of its
+ancestor on the last level plus further labels; `locate` reads any text
+back as a tuple.
 """
 
 from __future__ import annotations
@@ -151,16 +151,9 @@ class BuildTrace:
             )
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
-        ball, shape = trace._layout(), TreeShape(trace.degree)
-        position = ball._position if ball else {}
-
-        @cache  # each distinct text is read once; canonical ball text by one lookup
-        def addr(t: str) -> Vertex:
-            v = position.get(t)
-            if v is None:
-                v = ball.locate(t) if ball else parse_address(t, shape)
-            return ball.verts[v] if isinstance(v, int) else v
-
+        ball = trace._layout()
+        # each distinct text is read once
+        addr = cache(ball.locate if ball else partial(parse_address, shape=TreeShape(trace.degree)))
         for no, ln in enumerate(lines[1:], start=2):
             toks = ln.split()
             if not toks or toks[0] != "class":

@@ -138,8 +138,7 @@ class _Ball:
     map reader's line loop: `format` writes any address and `locate` reads
     it back.  An address below the radius is the text of its ancestor on
     the last level followed by the further labels, whose text (`_tail_text`)
-    and reading (`_tail`) are cached across balls.  The trace reader looks
-    canonical vertex text up in `_position` itself before it calls `locate`.
+    and reading (`_tail`) are cached across balls.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -233,8 +232,8 @@ class _Ball:
         return self._by_level(".", level)
 
     @cached_property
-    def _position(self) -> dict[str, int]:
-        return {t: p for p, t in enumerate(self.texts)}
+    def _vertex(self) -> dict[str, Vertex]:
+        return dict(zip(self.texts, self.verts))
 
     @cached_property
     def _text(self) -> dict:
@@ -251,9 +250,9 @@ class _Ball:
             text = head + _tail_text(v[r:]) if head else format_address(v)
         return text
 
-    def locate(self, text: str) -> int | Vertex:
-        """The ball position of the address in any spelling, or the parsed
-        address itself when it lies outside the ball.
+    def locate(self, text: str) -> Vertex:
+        """The address of text in any spelling; an address inside the ball
+        is the ball's own tuple (`verts`).
 
         Canonical text of a vertex is one dict lookup, and text of an
         address deeper than the radius is read as the text of a ball vertex
@@ -261,18 +260,18 @@ class _Ball:
         spelling such as '01.1', a bad label, '..0', the root's '.' heading
         further labels) goes through `parse_address` and its checks.
         """
-        p = self._position.get(text)
-        if p is not None:
-            return p
+        v = self._vertex.get(text)
+        if v is not None:
+            return v
         extra = text.count(".") + 1 - self.radius
         if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
             head = text.rsplit(".", extra)[0]
-            p = self._position.get(head)
-            w = p and _tail(text[len(head) + 1 :], self.shape.degree - 1)
+            v = self._vertex.get(head)
+            w = v and _tail(text[len(head) + 1 :], self.shape.degree - 1)
             if w:
-                return self.verts[p] + w
+                return v + w
         v = parse_address(text, self.shape)
-        return self._position[format_address(v)] if len(v) <= self.radius else v
+        return self._vertex[format_address(v)] if len(v) <= self.radius else v
 
 
 @lru_cache(maxsize=4096)
@@ -1246,14 +1245,15 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
     top = ball.ancestors[np.arange(n), np.maximum(ball.depths - thr // 2, 0)]
     violations = ViolationList()
     found = np.empty(0, np.int64)  # keys (depth * n + u) * n + v of failing pairs
+    cap = DEFAULT_MAX_VIOLATIONS
     for row, k in _ranked(counts, _BLOCK):
         v, u = order[row], order[first[row] + k]
         fail = (u != v) & ((top[u] != top[v]) | (m.depths[u] - m.depths[v] > thr))
         violations.total += int(fail.sum())
         u, v = u[fail], v[fail]
         found = np.concatenate([found, (ball.depths[u].astype(np.int64) * n + u) * n + v])
-        if len(found) > DEFAULT_MAX_VIOLATIONS:
-            found = np.sort(found)[:DEFAULT_MAX_VIOLATIONS]
+        if len(found) > cap:  # keep the least cap keys, sorted once below
+            found = np.partition(found, cap)[:cap]
     for key in np.sort(found).tolist():
         a, b = divmod(key % (n * n), n)
         dd = 2 * (int(ball.depths[a]) - int(_prefix_len(ball.labels[a], ball.labels[b])))

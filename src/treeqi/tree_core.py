@@ -10,10 +10,11 @@ preorder.
 This module holds the shape, the depth cap, the text form of an address
 and its checks, and the ball size with its budget check.  The ball itself
 is laid out once per degree and radius by `qi_map._ball`; the tuple `ball`
-here has no caller in the package and stays only because the benchmark's
-tracer wraps it by name.  The tuple model of the tree that tests compare
-against (distances, common ancestors, geodesics, finite subtrees and their
-boundaries) lives in the tests.
+here has no caller in the package.  It stays because the benchmark's tracer
+wraps it by name and the tests, `tests/reference.py` among them, import it
+as the independent tuple ball.  The tuple model of the tree that tests
+compare against (distances, common ancestors, geodesics, finite subtrees
+and their boundaries) lives in the tests.
 """
 
 from __future__ import annotations

@@ -356,15 +356,20 @@ def test_budget_exit(tmp_path, capsys):
 def test_the_callers_vertex_budget_is_the_only_one(tmp_path, capsys, monkeypatch):
     # with the default budget patched down to 50, the radius-6 ball (190
     # vertices) is admitted by a raised budget and refused by a lowered one,
-    # by the library entry points and the CLI alike
+    # by the library entry points (the map reader on both of its paths) and
+    # the CLI alike
     monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
     monkeypatch.setattr(tq.cli, "DEFAULT_VERTEX_BUDGET", 50)
     minimal = tq.MixedPolicy.minimal()
     m, _ = tq.build_mixed(tq.TreeShape(3), 2, 3, minimal, budget=1000)
-    assert tq.parse_map_text(tq.dump_map_text(m), 1000) == m
+    text = tq.dump_map_text(m)
+    respelled = text.replace("\n0 ", "\n00 ", 1)  # read by the line loop
+    assert respelled != text
+    assert tq.parse_map_text(text, 1000) == tq.parse_map_text(respelled, 1000) == m
     for lowered in (
         lambda: tq.build_mixed(tq.TreeShape(3), 2, 3, minimal, budget=100),
-        lambda: tq.parse_map_text(tq.dump_map_text(m), 100),
+        lambda: tq.parse_map_text(text, 100),
+        lambda: tq.parse_map_text(respelled, 100),
     ):
         with pytest.raises(tq.BudgetExceededError, match="has 190 vertices, budget is 100$"):
             lowered()

@@ -362,7 +362,7 @@ def test_block_paths_build_no_text_tables(monkeypatch):
     for m, text in zip(maps[:2], texts):
         assert parse_map_text(text) == m
         assert dump_map_text(m) == text
-        assert not {"verts", "texts", "_position", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
+        assert not {"verts", "texts", "_vertex", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
     with pytest.raises(AssertionError, match="the line loop ran"):
         parse_map_text(texts[2])
     monkeypatch.undo()
