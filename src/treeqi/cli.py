@@ -5,7 +5,8 @@ compose, distance, constants, oracle.  Every invocation is deterministic
 given its flags and seeds: reports are key=value lines on stdout (or one
 JSON object with --json), map files are written only to --out, and exit
 codes are 0 success, 1 usage or parse error, 2 validation failure,
-3 budget exceeded.
+3 budget exceeded.  Each subcommand imports the modules it runs first,
+before it reads any input, so a process compiles only those.
 """
 
 from __future__ import annotations
@@ -15,29 +16,10 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import mapfile, report
+from . import report
 from .errors import BudgetExceededError, TreeQIError, ValidationFailure
-from .mixed_builder import MixedPolicy, _number, build_mixed, verify_mixed_structure
-from .oracle import oracle_measure
-from .qi_map import (
-    DEFAULT_MAX_VIOLATIONS,
-    PairSource,
-    check_geodesic_image,
-    check_same_depth,
-    compose,
-    finish_report,
-    is_order_preserving,
-    measure_qi,
-    sup_distance,
-)
 from .report import JSON, TEXT, Rows
-from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape
-from .transforms import (
-    PromiseWarning,
-    approximate_by_mixed,
-    constants,
-    normalize_order_preserving,
-)
+from .tree_core import DEFAULT_VERTEX_BUDGET, TreeShape, _number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +46,9 @@ def _parse_C(text: str) -> Fraction:
     return c
 
 
-def _parse_pairs(text: str, seed: int) -> PairSource:
+def _parse_pairs(text: str, seed: int):
+    from .pair_source import PairSource
+
     if text == "exhaustive":
         return PairSource.exhaustive()
     if text.startswith("sampled:"):
@@ -77,7 +61,9 @@ def _parse_pairs(text: str, seed: int) -> PairSource:
     raise UsageError(f"--pairs must be 'exhaustive' or 'sampled:<n>', got {text!r}")
 
 
-def _policy(args) -> MixedPolicy:
+def _policy(args):
+    from .mixed_builder import MixedPolicy
+
     if args.policy == "minimal":
         return MixedPolicy.minimal()
     if args.policy == "deepest":
@@ -87,6 +73,8 @@ def _policy(args) -> MixedPolicy:
 
 def _warned(transform, *args):
     """Run a transform; return its result and the PromiseWarnings it raised."""
+    from .transforms import PromiseWarning
+
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always", PromiseWarning)
         result = transform(*args)
@@ -95,6 +83,9 @@ def _warned(transform, *args):
 
 
 def cmd_gen_mixed(args) -> int:
+    from . import mapfile
+    from .mixed_builder import build_mixed
+
     shape = TreeShape(args.degree)
     m, trace = build_mixed(shape, args.D, args.levels, _policy(args), budget=args.max_vertices)
     mapfile.write_map_file(m, args.out)
@@ -114,6 +105,15 @@ def cmd_gen_mixed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import mapfile
+    from .qi_map import (
+        DEFAULT_MAX_VIOLATIONS,
+        check_geodesic_image,
+        check_same_depth,
+        finish_report,
+        measure_qi,
+    )
+
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     source = _parse_pairs(args.pairs, args.seed)
     candidate = _parse_C(args.C) if args.C is not None else None
@@ -136,6 +136,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_mixed(args) -> int:
+    from . import mapfile
+    from .mixed_builder import verify_mixed_structure
+
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     rep = verify_mixed_structure(m, args.D)
     report.emit(rep.report_fields(), args.json)
@@ -143,6 +146,10 @@ def cmd_verify_mixed(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import mapfile
+    from .transforms import normalize_order_preserving
+    from .tree_map import is_order_preserving, sup_distance
+
     f = mapfile.parse_map_file(args.infile, args.max_vertices)
     c = _parse_C(args.C)
     g, warned = _warned(normalize_order_preserving, f, c)
@@ -163,6 +170,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_approximate(args) -> int:
+    from . import mapfile
+    from .transforms import approximate_by_mixed
+    from .tree_map import sup_distance
+
     g = mapfile.parse_map_file(args.infile, args.max_vertices)
     c = _parse_C(args.C)
     (f, bundle, trace), warned = _warned(approximate_by_mixed, g, c, args.D_override)
@@ -189,6 +200,9 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from . import mapfile
+    from .tree_map import compose
+
     outer = mapfile.parse_map_file(args.a, args.max_vertices)
     inner = mapfile.parse_map_file(args.b, args.max_vertices)
     m = compose(outer, inner)
@@ -198,6 +212,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import mapfile
+    from .tree_map import sup_distance
+
     a = mapfile.parse_map_file(args.a, args.max_vertices)
     b = mapfile.parse_map_file(args.b, args.max_vertices)
     radius = min(a.domain_radius, b.domain_radius)
@@ -206,6 +223,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from .transforms import constants
+
     c = _parse_C(args.C)
     bundle = constants(c, args.D_override)
     report.emit(bundle.report_fields(), args.json, one_line=True)
@@ -213,6 +232,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import mapfile
+    from .oracle import oracle_measure
+    from .qi_map import finish_report
+
     m = mapfile.parse_map_file(args.infile, args.max_vertices)
     candidate = _parse_C(args.C) if args.C is not None else None
     rep = finish_report(

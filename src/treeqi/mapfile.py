@@ -25,10 +25,11 @@ even offsets and its dots between them.  It gathers each block's tokens as
 a byte matrix, checks it, and places the image rows at the sources' ball
 positions.  Any other text (other spellings or whitespace, degrees above
 10, every malformed text) goes through the line loop, the one reader that
-words errors, which reads each address as a tuple through the ball's
-address codec (`qi_map._Ball.locate`, shared with trace files) and packs
-the images in ball order.  Neither block path builds the ball's vertex
-tuples or texts.
+words errors.  It reads the canonical text of a ball vertex as its position
+(`layout._Ball._position`), so an image inside the ball is gathered from
+the ball's label rows, and any other address as a tuple through the ball's
+address codec (`layout._Ball.locate`, shared with trace files).  Neither
+block path builds the ball's vertex tuples or texts.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MapFormatError, TreeQIError
-from .qi_map import FiniteTreeMap, _ball, _budgeted_ball, _label_dtype, _pack
+from .layout import _ball, _budgeted_ball, _label_dtype, _pack
 from .tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, TreeShape, format_address
+from .tree_map import FiniteTreeMap
 
 _MAGIC = "tree-qi"
 _VERSION = "v1"
@@ -205,30 +207,45 @@ def _read_lines(lines: list[str], budget: int) -> FiniteTreeMap:
         raise MapFormatError("empty map file", 1)
     shape, radius = _header(lines[0])
     ball = _budgeted_ball(shape, radius, budget)
-    locate, table = ball.locate, {}
+    position, locate = ball._position, ball.locate
+    images: list = [None] * len(ball.depths)  # per source position: image position, or image
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise MapFormatError(f"expected 'source image', got {ln!r}", no)
-        try:
-            src = locate(parts[0])
-        except TreeQIError as e:
-            raise MapFormatError(f"bad source address: {e}", no) from None
-        if len(src) > radius:
-            raise MapFormatError(
-                f"source {parts[0]} is deeper than the stated radius {radius}", no
-            )
-        if src in table:
+        src = position.get(parts[0])  # canonical text of a ball vertex
+        if src is None:
+            try:
+                v = locate(parts[0])
+            except TreeQIError as e:
+                raise MapFormatError(f"bad source address: {e}", no) from None
+            if len(v) > radius:
+                raise MapFormatError(
+                    f"source {parts[0]} is deeper than the stated radius {radius}", no
+                )
+            src = position[format_address(v)]
+        if images[src] is not None:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
-        try:
-            table[src] = locate(parts[1])
-        except TreeQIError as e:
-            raise MapFormatError(f"bad image address: {e}", no) from None
-    if len(table) != len(ball.depths):  # every source is a distinct vertex of the ball
-        missing = next(v for v in ball.verts if v not in table)
-        raise MapFormatError(f"missing domain vertex {format_address(missing)}")
-    rows = _pack([table[v] for v in ball.verts], ball.labels.dtype)
-    return FiniteTreeMap._from_arrays(shape, radius, *rows)
+        image = position.get(parts[1])
+        if image is None:
+            try:
+                image = locate(parts[1])
+            except TreeQIError as e:
+                raise MapFormatError(f"bad image address: {e}", no) from None
+        images[src] = image
+    if len(lines) - 1 != len(images):  # every source is a distinct vertex of the ball
+        raise MapFormatError(f"missing domain vertex {ball.texts[images.index(None)]}")
+    # the rows of images in the ball are the ball's own, the others are packed
+    deep = [i for i, a in enumerate(images) if type(a) is not int]
+    tails, tail_depths = _pack([images[i] for i in deep], ball.labels.dtype)
+    for i in deep:
+        images[i] = 0
+    labels, depths = ball.labels[images], ball.depths[images]
+    width = max(labels.shape[1], tails.shape[1])
+    labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
+    labels[deep, : tails.shape[1]] = tails
+    depths[deep] = tail_depths
+    return FiniteTreeMap._from_arrays(shape, radius, labels, depths)
 
 
 def _read_text(path, kind: str) -> str:

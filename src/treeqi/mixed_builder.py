@@ -10,7 +10,7 @@ size, how the subtree grows, who absorbs the assignment surplus) and a
 replayable trace records every choice made.
 
 The class walk runs on the positions of the cached ball layout
-(`qi_map._ball`): each level is one array of positions in preorder, and the
+(`layout._ball`): each level is one array of positions in preorder, and the
 descendants at depth t of row r of a shallower level are the r-th of the
 equal runs of level t.  Blocks, fill, and the member that owns each block
 vertex all come from these runs.  The builder and the approximation in
@@ -46,18 +46,19 @@ import numpy as np
 
 from . import report
 from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
+from .layout import _Ball, _ball, _budgeted_ball, _label_dtype, _pack
 from .prefix import _prefix_len
-from .qi_map import FiniteTreeMap, _Ball, _ball, _budgeted_ball, _label_dtype, _pack
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
-    MAX_LABEL_DIGITS,
     ROOT,
     TreeShape,
     Vertex,
+    _number,
     format_address,
     parse_address,
 )
+from .tree_map import FiniteTreeMap
 
 # verify_mixed_structure lists at most this many witnesses; it counts them all
 MAX_WITNESSES = 100
@@ -96,7 +97,7 @@ class BuildTrace:
     classes: list[ClassTrace] = field(default_factory=list)
 
     def _layout(self):
-        """The cached layout (`qi_map._ball`) of the ball the trace builds,
+        """The cached layout (`layout._ball`) of the ball the trace builds,
         or None when the header's ball is past the depth cap or the default
         budget; addresses then go through format_address and parse_address."""
         try:
@@ -184,16 +185,6 @@ class BuildTrace:
 
     def by_class(self) -> dict:
         return {(c.level, c.image): c for c in self.classes}
-
-
-def _number(text: str, name: str) -> int:
-    """The value `text` of the trace field `name`: like an address label, a
-    number of at most MAX_LABEL_DIGITS ASCII digits, leading zeros aside."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"a {name}= value {text!r} is not a number")
-    if len(text.lstrip("0")) > MAX_LABEL_DIGITS:
-        raise ValueError(f"a {name}= value of {len(text)} digits is too long")
-    return int(text.lstrip("0") or "0")
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,9 @@ from fractions import Fraction
 
 from . import qi_map
 from .errors import BudgetExceededError
-from .qi_map import (
-    SQRT_SCALE,
-    FiniteTreeMap,
-    VerificationReport,
-    Violation,
-)
+from .qi_map import SQRT_SCALE
+from .report import VerificationReport, Violation
+from .tree_map import FiniteTreeMap
 
 # Every pair is folded in Python (about 40 microseconds each on a 2-core VM)
 # and kept in memory until the fold ends, so this bound keeps a run under a

@@ -8,8 +8,8 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 if TYPE_CHECKING:
+    from .layout import _Ball
     from .prefix import _PrefixIndex
-    from .qi_map import _Ball
 
 # Cells (one vertex under one image-prefix threshold) grouped at once
 _GROUP_BLOCK = 1 << 13

@@ -5,9 +5,9 @@ by label, with no table to build; the pair enumerator reads every block's
 prefix lengths this way.  `_PrefixIndex` ranks the rows once and keeps
 the LCP array of the ranked rows, for the readers that want a whole row
 at once, the rows extending a row, or the runs of rows sharing a prefix.
-Kept apart from the large `qi_map`: a process that finds no bytecode cache
-compiles each module, and the memory a compile takes grows with the
-module.
+Kept apart from the modules that read it: a process that finds no
+bytecode cache compiles each module, and the memory a compile takes grows
+with the module.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import report
 from .errors import PreconditionError, ValidationFailure
+from .layout import _ball
 from .mixed_builder import (
     BuildTrace,
     ClassTrace,
@@ -37,17 +38,11 @@ from .mixed_builder import (
     _shared_images,
     recover_class_subtree,
 )
+from .pair_source import EXHAUSTIVE, PairSource
 from .prefix import _prefix_len
-from .qi_map import (
-    EXHAUSTIVE,
-    FiniteTreeMap,
-    PairSource,
-    _ball,
-    is_order_preserving,
-    measure_qi,
-    sup_distance,
-)
+from .qi_map import measure_qi
 from .tree_core import format_address
+from .tree_map import FiniteTreeMap, is_order_preserving, sup_distance
 
 # Promise checks fall back to a fixed-seed sample above this many pairs so
 # they stay affordable on large balls; the warning is best-effort anyway.

@@ -9,7 +9,7 @@ preorder.
 
 This module holds the shape, the depth cap, the text form of an address
 and its checks, and the ball size with its budget check.  The ball itself
-is laid out once per degree and radius by `qi_map._ball`; the tuple `ball`
+is laid out once per degree and radius by `layout._ball`; the tuple `ball`
 here has no caller in the package.  It stays because the benchmark's tracer
 wraps it by name and the tests, `tests/reference.py` among them, import it
 as the independent tuple ball.  The tuple model of the tree that tests
@@ -103,6 +103,16 @@ def parse_address(text: str, shape: TreeShape | None = None) -> Vertex:
     if shape is not None:
         validate_address(v, shape)
     return v
+
+
+def _number(text: str, name: str) -> int:
+    """The value `text` of the trace field `name`: like an address label, a
+    number of at most MAX_LABEL_DIGITS ASCII digits, leading zeros aside."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"a {name}= value {text!r} is not a number")
+    if len(text.lstrip("0")) > MAX_LABEL_DIGITS:
+        raise ValueError(f"a {name}= value of {len(text)} digits is too long")
+    return int(text.lstrip("0") or "0")
 
 
 def ball_size(shape: TreeShape, radius: int) -> int:

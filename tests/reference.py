@@ -48,7 +48,7 @@ from treeqi.mixed_builder import (
     class_rng,
     recover_class_subtree,
 )
-from treeqi.qi_map import _ball
+from treeqi.layout import _ball
 from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,13 @@ def test_coarse_surjectivity_honors_a_raised_budget(monkeypatch):
     # admitted by the caller's larger budget and goes through the one ball
     # cache like any other; a lowered budget refuses it
     m = tq.perturb_map_in_subtree(tq.random_automorphism_map(TreeShape(3), 3, 1), 2)
-    monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
+    monkeypatch.setattr(tq.layout._budgeted_ball, "__defaults__", (50,))
     for target in (4, 6):  # 46 and 190 vertices
         got = tq.coarse_surjectivity_radius(m, target, 200)
         assert got == reference_coarse_surjectivity(m, target, 200)
-        misses = tq.qi_map._ball.cache_info().misses
-        tq.qi_map._ball(3, target)
-        assert tq.qi_map._ball.cache_info().misses == misses  # the target ball is cached
+        misses = tq.layout._ball.cache_info().misses
+        tq.layout._ball(3, target)
+        assert tq.layout._ball.cache_info().misses == misses  # the target ball is cached
     with pytest.raises(BudgetExceededError, match="has 190 vertices, budget is 100"):
         tq.coarse_surjectivity_radius(m, 6, 100)
 

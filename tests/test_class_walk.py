@@ -19,7 +19,7 @@ from reference import reference_level_classes, reference_verify_mixed_structure
 from test_properties import builds
 from treeqi import FiniteTreeMap, mixed_builder, transforms
 from treeqi.mixed_builder import _level_classes
-from treeqi.qi_map import _ball
+from treeqi.layout import _ball
 
 NET = settings(max_examples=60, deadline=None)
 

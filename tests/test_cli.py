@@ -358,7 +358,7 @@ def test_the_callers_vertex_budget_is_the_only_one(tmp_path, capsys, monkeypatch
     # vertices) is admitted by a raised budget and refused by a lowered one,
     # by the library entry points (the map reader on both of its paths) and
     # the CLI alike
-    monkeypatch.setattr(tq.qi_map._budgeted_ball, "__defaults__", (50,))
+    monkeypatch.setattr(tq.layout._budgeted_ball, "__defaults__", (50,))
     monkeypatch.setattr(tq.cli, "DEFAULT_VERTEX_BUDGET", 50)
     minimal = tq.MixedPolicy.minimal()
     m, _ = tq.build_mixed(tq.TreeShape(3), 2, 3, minimal, budget=1000)
@@ -447,21 +447,35 @@ def test_subprocess_determinism(tmp_path):
     assert v1.stdout == v2.stdout and v1.returncode == 0
 
 
-# The CLI run as a child that ends stderr with the modules of these two it loaded
+# The CLI run as a child that ends stderr with the treeqi modules it loaded,
+# then with the modules of these two it loaded
 _LOADED = (
     "import sys\n"
     "from treeqi.cli import main\n"
     "code = main()\n"
+    "print('treeqi:', *sorted(m[7:] for m in sys.modules if m.startswith('treeqi.')),"
+    " file=sys.stderr)\n"
     "print('loaded:', *sorted({'_hashlib', 'numpy.ma'} & sys.modules.keys()), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+# what each subcommand must not load: the construction and the conversions
+# are large modules, and a process without a bytecode cache compiles every
+# module it loads
+_UNLOADED = {
+    "verify": {"mixed_builder", "transforms", "oracle"},
+    "distance": {"mixed_builder", "transforms", "oracle"},
+    "compose": {"mixed_builder", "transforms", "oracle"},
+    "verify-mixed": {"transforms", "oracle"},
+}
 
 
 def test_only_a_random_build_loads_openssl_or_numpy_ma(tmp_path):
     """`hashlib` loads OpenSSL, and `numpy.ma` is what `np.unique` of one
     array imports: each costs every process that loads it memory and time.
     Only the random policy's class seeds need `hashlib`, and no subcommand
-    needs `numpy.ma`."""
+    needs `numpy.ma`.  Each subcommand imports only the treeqi modules it
+    runs (`_UNLOADED`), and the package itself imports none until a name
+    is read: the tree's shape loads no numpy."""
     shape = tq.TreeShape(3)
     auto = tq.random_automorphism_map(shape, 6, 3)
     maps = {
@@ -487,6 +501,12 @@ def test_only_a_random_build_loads_openssl_or_numpy_ma(tmp_path):
         r = _run_subprocess(args, program=("-c", _LOADED))
         assert r.returncode == 0, (args, r.stderr)
         assert r.stderr.splitlines()[-1] == "loaded:", args
+        modules = set(r.stderr.splitlines()[-2].split()[1:])
+        assert {"cli", "mapfile"} <= modules, args
+        assert not modules & _UNLOADED.get(args[0], set()), (args, modules)
     build = ["gen-mixed", "--degree", "3", "--D", "2", "--levels", "2", "--policy", "random"]
     r = _run_subprocess([*build, "--out", str(tmp_path / "r.qi")], program=("-c", _LOADED))
     assert r.returncode == 0 and r.stderr.splitlines()[-1] == "loaded: _hashlib"
+    shape = "import sys, treeqi; treeqi.TreeShape(3); print('numpy' in sys.modules)"
+    r = _run_subprocess([], program=("-c", shape))
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr

@@ -105,7 +105,7 @@ def test_group_counts_equal_the_pairs_property(m, seed, block):
     sum); a vertex's partners in any set of those counts are its pairs there.
     Groups formed a few cells at a time (one threshold row a block) give the
     counts and partners of one block."""
-    groups = _Groups(tq.qi_map._ball(m.shape.degree, m.domain_radius), m._image_index)
+    groups = _Groups(tq.layout._ball(m.shape.degree, m.domain_radius), m._image_index)
     verts, t = m.domain, m.table
     cell = {v: len(v) * groups.base + len(t[v]) for v in verts}
     at = {}  # (a, b, cell sum) of each pair, by its ends' positions

@@ -19,7 +19,7 @@ from treeqi import mapfile
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
 from treeqi.mixed_builder import BuildTrace
-from treeqi.qi_map import _ball
+from treeqi.layout import _ball
 from treeqi.tree_core import ball_size
 
 D3 = TreeShape(3)
@@ -362,7 +362,7 @@ def test_block_paths_build_no_text_tables(monkeypatch):
     for m, text in zip(maps[:2], texts):
         assert parse_map_text(text) == m
         assert dump_map_text(m) == text
-        assert not {"verts", "texts", "_vertex", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
+        assert not {"verts", "texts", "_position", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
     with pytest.raises(AssertionError, match="the line loop ran"):
         parse_map_text(texts[2])
     monkeypatch.undo()
@@ -414,7 +414,7 @@ def test_writer_matches_reference():
 
 def test_parsed_map_shares_the_ball_tuples():
     m = parse_map_text(dump_map_text(tq.random_automorphism_map(D3, 3, 1)))
-    ball_tuples = {id(v) for v in tq.qi_map._ball(3, 3).verts}
+    ball_tuples = {id(v) for v in tq.layout._ball(3, 3).verts}
     assert all(id(v) in ball_tuples and id(w) in ball_tuples for v, w in m.table.items())
 
 

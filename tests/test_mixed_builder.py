@@ -270,12 +270,12 @@ def test_failing_structure_check_names_vertices_from_label_rows():
     reference's words, so a failing check builds no text of every vertex
     (49,150 strings at radius 14) to name at most MAX_WITNESSES."""
     m = tq.random_map(D3, 4, 3)
-    tq.qi_map._ball.cache_clear()  # a ball that no earlier test has filled
+    tq.layout._ball.cache_clear()  # a ball that no earlier test has filled
     report = tq.verify_mixed_structure(m, 2)
     kinds = {w.kind for w in report.witnesses}
     assert {"shared-image-parent", "image-step", "intermediate-fill"} <= kinds
     assert report.to_lines() == reference_verify_mixed_structure(m, 2).to_lines()
-    assert "texts" not in vars(tq.qi_map._ball(3, 4))
+    assert "texts" not in vars(tq.layout._ball(3, 4))
 
 
 def test_structure_reports_multiplicity():

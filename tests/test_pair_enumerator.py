@@ -1,6 +1,6 @@
 """One pair enumerator and one unranking.
 
-`qi_map._pairs` is the only code in the package that draws vertex pairs,
+`pair_source._pairs` is the only code in the package that draws vertex pairs,
 and the checks that walk pairs read each block's common-prefix lengths
 from it: neither `measure_qi` nor `check_geodesic_image` looks up a prefix
 length or a distance between the two ends of a block's pairs (`iu`, `ju`,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import treeqi as tq
 from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape
 from treeqi.mapfile import dump_map_text, parse_map_text
-from treeqi.qi_map import _ball
+from treeqi.layout import _ball
 from treeqi.tree_core import ball, format_address
 
 PROPERTY = settings(max_examples=50, deadline=None)

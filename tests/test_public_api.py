@@ -57,12 +57,15 @@ def _bound_names(tree: ast.Module) -> list:
 
 
 def test_treeqi_exports_the_readme_list():
+    # the package binds each name on first use (PEP 562), so `vars()` holds
+    # only the names read so far: the list is `__all__`, `dir()` shows it,
+    # and every name in it resolves
     public = {
         name
-        for name, value in vars(treeqi).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(treeqi)
+        if not name.startswith("_") and not isinstance(getattr(treeqi, name), types.ModuleType)
     }
-    assert public == _readme_api()
+    assert set(treeqi.__all__) == public == _readme_api()
 
 
 def test_no_module_defines_or_imports_a_moved_name():

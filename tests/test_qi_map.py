@@ -27,7 +27,7 @@ from treeqi.errors import (
     ShapeMismatchError,
 )
 from reference import common_prefix_len, distance, geodesic, parent
-from treeqi import pair_counts
+from treeqi import pair_counts, pair_source
 from treeqi.oracle import oracle_measure
 from treeqi.prefix import _PrefixIndex
 from treeqi.tree_core import ball
@@ -461,7 +461,7 @@ def prefix_indexes(draw):
     from a few MAX_DEPTH-deep ones so that rows share long prefixes."""
     if draw(st.booleans()):
         m = draw(small_maps())
-        ball = tq.qi_map._ball(m.shape.degree, m.domain_radius)
+        ball = tq.layout._ball(m.shape.degree, m.domain_radius)
         return (_PrefixIndex(ball.labels, ball.depths), ball.labels), (m._image_index, m.labels)
     n = draw(st.integers(1, 12))
     labels = st.sampled_from([0, 1, 32767, 32768, 39999])
@@ -493,7 +493,7 @@ def test_pair_blocks_equal_the_per_pair_lookup(indexes, count, seed):
         want = [iu[at], ju[at]]
         want += [_column_prefix_len(rows, *want[:2]) for rows in (dom_rows, img_rows)]
         for size in {s for s in (1, 7, n - 2, n - 1, n, tq.qi_map._BLOCK) if s >= 1}:
-            blocks = list(tq.qi_map._pairs(dom_rows, img_rows, source, size))
+            blocks = list(pair_source._pairs(dom_rows, img_rows, source, size))
             assert [len(b[0]) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
             assert all(0 < len(b[0]) <= size for b in blocks)
             assert all(b[k].dtype == np.int32 for b in blocks for k in (2, 3))
@@ -525,7 +525,7 @@ def test_ranked_equals_the_repeat_layout(counts, data):
         picked = data.draw(st.sets(st.integers(0, max(total - 1, 0)), max_size=total))
         sample = np.array(sorted(picked), np.int64)
     ranks = np.arange(total) if sample is None else sample
-    blocks = list(tq.qi_map._ranked(counts, size, sample))
+    blocks = list(pair_source._ranked(counts, size, sample))
     sizes = [min(size, len(ranks) - at) for at in range(0, len(ranks), size)]
     assert [len(r) for r, _ in blocks] == sizes
     got = [np.concatenate(c) for c in zip(*blocks)] or [np.empty(0, np.int64)] * 2
@@ -567,8 +567,8 @@ def test_sampled_ranks_equal_random_sample(n, count, seed):
             assert k == 0 or len(population) >= 1 << 32, "sample drew from at most 32 bits"
             return super().sample(population, k)
 
-    with mock.patch.object(tq.qi_map, "random", SimpleNamespace(Random=Drawn)):
-        for iu, ju, _, _ in tq.qi_map._pairs(rows, rows, source, 97):
+    with mock.patch.object(pair_source, "random", SimpleNamespace(Random=Drawn)):
+        for iu, ju, _, _ in pair_source._pairs(rows, rows, source, 97):
             i, j = iu.astype(np.int64), ju.astype(np.int64)
             ranks += (i * (2 * n - i - 1) // 2 + j - i - 1).tolist()  # rows before i: i(2n-i-1)/2
     assert ranks == sorted(random.Random(seed).sample(range(total), count))

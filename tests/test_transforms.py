@@ -199,13 +199,13 @@ def _spread_map():
 
 def test_approximate_fill_distance_failure():
     g = _spread_map()
-    tq.qi_map._ball.cache_clear()  # the failure names its vertex from a label row
+    tq.layout._ball.cache_clear()  # the failure names its vertex from a label row
     with pytest.raises(ValidationFailure) as err:
         tq.approximate_by_mixed(g, 1, 4, check_promise=False)
     assert (err.value.kind, err.value.level, err.value.image) == ("fill-distance", 0, ())
     assert str(err.value) == "fill-distance: 0 collapsed 15 > 10 from its g-image"
     assert (err.value.value, err.value.bound) == (15, 10)
-    assert "texts" not in vars(tq.qi_map._ball(3, 4))
+    assert "texts" not in vars(tq.layout._ball(3, 4))
 
 
 @pytest.mark.parametrize(
@@ -251,7 +251,7 @@ def test_trace_records_classes():
     parsed = tq.BuildTrace.from_text(trace.to_text())
     assert parsed.to_text() == trace.to_text()
     # subtree vertices inside the ball are the ball's own tuples, not copies
-    verts = tq.qi_map._ball(3, 4).verts
+    verts = tq.layout._ball(3, 4).verts
     inside = [v for c in trace.classes for v in c.subtree if len(v) <= 4]
     assert inside and all(v is verts[verts.index(v)] for v in inside)
 
@@ -260,9 +260,9 @@ def test_radius_14_promise_check_builds_no_whole_ball_tables():
     """A sampled promise check reads each pair's two label rows and names
     its witness from label rows: it builds neither the ball's vertex
     tuples nor its ancestor table, nor the map's prefix index."""
-    tq.qi_map._ball.cache_clear()  # a ball that no earlier test has filled
+    tq.layout._ball.cache_clear()  # a ball that no earlier test has filled
     m = tq.random_automorphism_map(D3, 14, 5)
     measured, honest, mode = tq.measure_promise(m, 1)
     assert (measured, honest, mode) == (1, True, "sampled:50000")
-    assert not {"verts", "ancestors"} & set(vars(tq.qi_map._ball(3, 14)))
+    assert not {"verts", "ancestors"} & set(vars(tq.layout._ball(3, 14)))
     assert "_image_index" not in vars(m)
