@@ -5,8 +5,8 @@ A map is defined on the ball of a given radius about the root and holds its
 images as label arrays in ball (address) order; images may be any valid
 addresses, arbitrarily deep.  The ball owns that order: its label rows, the
 position arithmetic of children, parents and addresses, its vertex tuples
-and the text of every address, which trace files and the map reader's line
-loop write and read through it.  Label rows are packed and checked here
+and the text of every vertex, through which trace files and the map
+reader's line loop read addresses.  Label rows are packed and checked here
 too, so every producer of a map fills them the same way.
 """
 
@@ -79,17 +79,17 @@ class _Ball:
     text of every vertex are built on first use, the tuples and texts one
     level at a time.  They are whole-ball tables, so only work that visits
     most of the ball asks for them: the class walk and the dict view share
-    the tuples, the trace codec reads the texts, and the exhaustive count
+    the tuples, the readers of text read the texts, and the exhaustive count
     and the checks read the ancestors.  Work that names a few vertices (a
-    witness, violations) builds each one's tuple from its label row (`vertex`).
+    witness, violations) builds each one's tuple from its label row
+    (`vertex`); the structural verifier and the trace writer build none.
 
-    The ball is the one codec of address text for trace files and for the
-    map reader's line loop: `format` writes any address and `locate` reads
-    it back.  An address below the radius is the text of its ancestor on
-    the last level followed by the further labels, whose text (`_tail_text`)
-    and reading (`_tail`) are cached across balls.  The canonical text of a
-    ball vertex is one lookup in `_position`, which the line loop reads
-    directly to place the vertex by position.
+    The ball reads address text for trace files and for the map reader's
+    line loop (`locate`).  An address below the radius is the text of its
+    ancestor on the last level followed by the further labels, whose
+    reading (`_tail`) is cached across balls.  The canonical text of a ball
+    vertex is one lookup in `_position`, which the line loop reads directly
+    to place the vertex by position.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -186,21 +186,6 @@ class _Ball:
     def _position(self) -> dict[str, int]:
         return dict(zip(self.texts, range(len(self.texts))))
 
-    @cached_property
-    def _text(self) -> dict:
-        return dict(zip(self.verts, self.texts))
-
-    def format(self, v: Vertex) -> str:
-        """The canonical text of any address: a ball vertex's own text, and
-        below the radius the text of its ancestor on the last level plus
-        the further labels."""
-        text = self._text.get(v)
-        if text is None:
-            r = self.radius
-            head = r and self._text.get(v[:r])  # at radius 0 no ancestor has a text to extend
-            text = head + _tail_text(v[r:]) if head else format_address(v)
-        return text
-
     def locate(self, text: str) -> Vertex:
         """The address of text in any spelling; an address inside the ball
         is the ball's own tuple (`verts`).
@@ -236,12 +221,6 @@ def _tail(text: str, bound: int) -> tuple | None:
     ):
         return tuple(map(int, labels))
     return None
-
-
-@lru_cache(maxsize=4096)
-def _tail_text(w: tuple) -> str:
-    """The text of labels w below a vertex other than the root: '.a.b...'."""
-    return "".join(f".{a}" for a in w)
 
 
 @lru_cache(maxsize=32)

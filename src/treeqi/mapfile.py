@@ -110,8 +110,8 @@ def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTree
         shape, radius = _header(head)
         ball = _budgeted_ball(shape, radius, budget)
         rows = _read_blocks(text, len(head) + 1, ball)
-        if rows is not None:
-            return FiniteTreeMap._from_arrays(shape, radius, *rows)
+        if rows is not None:  # every label and depth is checked already
+            return FiniteTreeMap._from_arrays(shape, radius, *rows, checked=True)
     return _read_lines(text.splitlines(), budget)
 
 

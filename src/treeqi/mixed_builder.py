@@ -15,10 +15,10 @@ descendants at depth t of row r of a shallower level are the r-th of the
 equal runs of level t.  Blocks, fill, and the member that owns each block
 vertex all come from these runs.  The builder and the approximation in
 `transforms` drive the walk, reading and writing images by position.  The
-structural verifier reads and groups each level's images once and checks
-the construction invariants exhaustively on the stored ball; a level's
-grouping, carried to the next level, also gives the class-subtree check of
-its classes.
+structural verifier checks the construction invariants exhaustively on the
+stored ball from label rows: it sorts each level's image rows once to group
+them, and the grouping, carried to the next level, judges the class
+subtrees of all its classes at once by counting.
 
 Each class choice costs time linear in the class and works relative to the
 class image v: below v, a subtree's shape and boundary depend on v only
@@ -28,11 +28,10 @@ the deepest policy grow one leftmost chain, cached per (degree, root or
 not, size), and the result is translated to v once.  The block arrives
 member by member, so the assignment and its check take each member's
 children as one run of the block.  A replayed subtree is checked in one
-pass over its vertices.  Trace text goes through the address codec of the
-ball the trace builds, as the map reader's line loop does: `_Ball.format`
-writes a ball vertex as its own text and a deeper address as the text of its
-ancestor on the last level plus further labels; `locate` reads any text
-back as a tuple.
+pass over its vertices.  A trace's text is written from each class's
+anchors, its image and its members, with no table of the ball, and read
+back through the address codec of the ball the trace builds
+(`_Ball.locate`), as the map reader's line loop reads.
 """
 
 from __future__ import annotations
@@ -98,8 +97,9 @@ class BuildTrace:
 
     def _layout(self):
         """The cached layout (`layout._ball`) of the ball the trace builds,
-        or None when the header's ball is past the depth cap or the default
-        budget; addresses then go through format_address and parse_address."""
+        which reads the trace's addresses, or None when the header's ball is
+        past the depth cap or the default budget; addresses are then read
+        through parse_address."""
         try:
             return _budgeted_ball(TreeShape(self.degree), self.step * self.levels)
         except (BudgetExceededError, ValueError):  # ValueError: negative radius
@@ -108,22 +108,49 @@ class BuildTrace:
     def lines(self) -> Iterator[str]:
         """The trace's text a line at a time, each with its newline, every
         address in its canonical text: trace files are written from these
-        lines without joining them."""
-        fmt = ball.format if (ball := self._layout()) else format_address
+        lines without joining them.
+
+        A class line is written from its anchors, with no table of the
+        ball.  The image and each member are formatted once.  When the
+        subtree and the boundary lie below the image, which their least and
+        greatest address decide (the addresses below a vertex are an
+        interval of address order), each is the image's text followed by
+        the text of the further labels, made once per trace (`_Tails`).
+        When each member's run of assignment keys is the same run of
+        further labels below it, each key is the member's text followed by
+        the text of those labels.  The values are the boundary's texts.  Any
+        other address is written whole, as labels below the root.
+        """
         yield (
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
             f" levels={self.levels} policy={self.policy}\n"
         )
+        tails = _Tails()
         for c in self.classes:
-            pairs = [f"{fmt(b)}:{fmt(a)}" for b, a in c.assignment.items()]
+            image, members = format_address(c.image), list(map(format_address, c.members))
+            below, s, n = [*c.subtree, *c.boundary], len(c.subtree), len(c.image)
+            if n and below and min(below)[:n] == c.image == max(below)[:n]:  # all below the image
+                below = [image + tails[v[n:]] for v in below]
+            else:  # each one whole, as labels below the root
+                below = [tails[v][1:] or "." for v in below]
+            keys = list(c.assignment)
+            n = len(c.members[0]) if c.members else 0
+            run = [v[n:] for v in keys[: len(keys) // max(1, len(members))]]
+            if ROOT not in c.members and keys == [m + r for m in c.members for r in run]:
+                run = [tails[r] for r in run]
+                keys = [h + t for h in members for t in run]
+            else:
+                keys = [tails[v][1:] or "." for v in keys]
+            text = dict(zip(c.boundary, below[s:])).get
+            values = [text(a) or format_address(a) for a in c.assignment.values()]
             yield (
                 f"class level={c.level}"
-                f" image={fmt(c.image)}"
-                f" members={'|'.join(map(fmt, c.members))}"
-                f" subtree={'|'.join(map(fmt, c.subtree))}"
-                f" boundary={'|'.join(map(fmt, c.boundary))}"
+                f" image={image}"
+                f" members={'|'.join(members)}"
+                f" subtree={'|'.join(below[:s])}"
+                f" boundary={'|'.join(below[s:])}"
                 f" rng_draws={c.rng_draws}"
-                f" assign={','.join(pairs)}\n"
+                f" assign={','.join(map(':'.join, zip(keys, values)))}\n"
             )
 
     def to_text(self) -> str:
@@ -185,6 +212,15 @@ class BuildTrace:
 
     def by_class(self) -> dict:
         return {(c.level, c.image): c for c in self.classes}
+
+
+class _Tails(dict):
+    """The text '.a.b...' of labels below a vertex other than the root, by
+    labels, each made on first use."""
+
+    def __missing__(self, w: tuple) -> str:
+        text = self[w] = "." + ".".join(map(str, w)) if w else ""
+        return text
 
 
 @dataclass(frozen=True)
@@ -662,6 +698,40 @@ def recover_class_subtree(
     return members, None
 
 
+def _subtree_failures(shape: TreeShape, images: tuple, rows, depths, owner: np.ndarray):
+    """The reason of each class, in class order, whose targets the count
+    below rejects as the boundary of a subtree at its image: class c has
+    the image row images[0][c] (depths images[1]) and the target rows
+    `rows` (depths `depths`) whose owner is c, repeats allowed, sorted by
+    owner and then in address order.
+
+    All classes are judged at once by counting.  Let w be the image and T
+    the distinct targets in address order.  If every target lies strictly
+    below w and no target is a prefix of the next, the proper prefixes of
+    the targets at depth >= |w| form a subtree M at w, of
+    (|t_0| - |w|) + sum_k (|t_k| - lcp(t_{k-1}, t_k) - 1) vertices, whose
+    boundary holds T and has c + (|M| - 1)(d - 2) vertices, c being d at
+    the root and d - 1 elsewhere; T is that boundary exactly when the two
+    counts agree.  Only a class that fails is walked by
+    `recover_class_subtree`, which words the reason."""
+    first = np.ones(len(owner), bool)  # the least target of its class
+    first[1:] = owner[1:] != owner[:-1]
+    lcp = np.zeros(len(owner), np.int32)
+    lcp[1:] = _prefix_len(rows[:-1], rows[1:])
+    prefix = ~first & (lcp == np.roll(depths, 1))  # the target before is a prefix of this one
+    repeat = prefix & (depths == np.roll(depths, 1))
+    top, n, d = images[1][owner], len(images[1]), shape.degree
+    bad = (_prefix_len(rows, images[0][owner]) < top) | (depths <= top) | (prefix & ~repeat)
+    kept = owner[~repeat]
+    size = np.bincount(kept, (depths - np.where(first, top, lcp + 1))[~repeat], n)  # |M|
+    boundary = np.where(images[1] == 0, d, d - 1) + (size - 1) * (d - 2)
+    fails = (np.bincount(owner, bad, n) > 0) | (boundary != np.bincount(kept, None, n))
+    for c in np.flatnonzero(fails).tolist():
+        at = slice(np.searchsorted(owner, c), np.searchsorted(owner, c, "right"))
+        vs = {tuple(r[:k]) for r, k in zip(rows[at].tolist(), depths[at].tolist())}
+        yield recover_class_subtree(tuple(images[0][c, : images[1][c]].tolist()), vs, shape)[1]
+
+
 def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     """Exhaustively check the construction invariants on the stored ball.
 
@@ -671,7 +741,9 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     distance in [1, (degree**step)**2]; each class's image set must be
     recoverable as the boundary of the subtree spanned between the class
     image and the images; and everything strictly between two levels
-    collapses onto the class image.
+    collapses onto the class image.  Each level's image rows are grouped
+    by one sort, and the class subtrees of a level are judged all at once
+    (`_subtree_failures`); no vertex tuple is built but for a witness.
     """
     radius = m.domain_radius
     if step < 1 or radius % step:
@@ -684,6 +756,9 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     witnesses: list[StructureWitness] = []
     witness_total = 0
 
+    def text(labels, depths, r: int) -> str:
+        return format_address(tuple(labels[r, : depths[r]].tolist()))
+
     # count a witness and keep it while there is room; the vertices at the
     # positions `named` fill its {} fields, read from label rows if it is kept
     def add(kind: str, level: int, detail: str, *named) -> None:
@@ -694,11 +769,12 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
                 detail = detail.format(*(format_address(ball.vertex(p)) for p in named))
             witnesses.append(StructureWitness(kind, level, detail))
 
-    # the rows of the level above by image; at first the root's image alone
-    classes = _grouped(m._images(ball.levels[0]))
     if m.depths[0]:
-        add("root-anchor", 0, f"root maps to {format_address(next(iter(classes)))}")
+        add("root-anchor", 0, f"root maps to {text(m.labels, m.depths, 0)}")
 
+    # the class of each row of the level above, numbered in image order, and
+    # the image row of each class; at first the root's image alone
+    owner, images = np.zeros(1, np.int64), (m.labels[:1], m.depths[:1])
     multiplicity = {0: 1}
     steps = []  # per level, every D-parent/D-child image distance
     for i in range(1, levels + 1):
@@ -713,41 +789,39 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         moved = m.depths[below] + m.depths[up] - 2 * _prefix_len(m.labels[below], m.labels[up])
         at, fill = runs[-1], len(below) - len(runs[-1])
         k = len(at) // len(top)  # row r of `top` is the D-parent of rows r*k .. r*k+k-1
-        images = m._images(at)
-        above, classes = classes, _grouped(images)
-        multiplicity[i] = max(len(g) for g in classes.values())
+        labels, depths = m.labels[at], m.depths[at]
+        order = np.lexsort(labels.T[::-1])  # rows padded with -1 sort as their tuples do
+        rows, deps = labels[order], depths[order]
+        nested = _prefix_len(rows[:-1], rows[1:]) == deps[:-1]  # each row a prefix of the next
+        same = nested & (deps[:-1] == deps[1:])
+        starts = np.flatnonzero(np.concatenate([[True], ~same]))
+        ends = np.append(starts[1:], len(order))
+        multiplicity[i] = int((ends - starts).max())
         if multiplicity[i] > K:
             add("multiplicity", i, f"{multiplicity[i]} same-image vertices exceed {K}")
-        for w, rows in sorted(classes.items()):
-            parents = {r // k for r in rows}
-            if len(parents) > 1:
-                two = sorted(parents)[:2]
-                add(
-                    "shared-image-parent",
-                    i,
-                    f"image {format_address(w)} shared across {{}} and {{}}",
-                    top[two[0]],
-                    top[two[1]],
-                )
-        ordered = sorted(classes)
-        for a, b in zip(ordered, ordered[1:]):
-            if b[: len(a)] == a:
-                add(
-                    "image-ancestry",
-                    i,
-                    f"{format_address(a)} is an ancestor of {format_address(b)}",
-                )
+        parent = order // k
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            if parent[s] != parent[e - 1]:
+                second = parent[s + int(np.argmax(parent[s:e] != parent[s]))]
+                detail = f"image {text(rows, deps, s)} shared across {{}} and {{}}"
+                add("shared-image-parent", i, detail, top[parent[s]], top[second])
+        for j in np.flatnonzero(nested & ~same).tolist():
+            a, b = text(rows, deps, j), text(rows, deps, j + 1)
+            add("image-ancestry", i, f"{a} is an ancestor of {b}")
         dist = moved[fill:]
         steps.append(dist)
         for r in np.flatnonzero((dist < 1) | (dist > K2)).tolist():
             add("image-step", i, f"{{}} moved its image {dist[r]}, outside [1, {K2}]", at[r])
-        for w, rows in sorted(above.items()):
-            targets = {a for r in rows for a in images[r * k : r * k + k]}
-            _, reason = recover_class_subtree(w, targets, m.shape)
-            if reason is not None:
+        own = np.repeat(owner, k)[order]
+        by = np.argsort(own, kind="stable")  # by class of the level above, then address order
+        for reason in _subtree_failures(m.shape, images, rows[by], deps[by], own[by]):
+            if reason is not None:  # the walk has the last word: a class it accepts is no witness
                 add("class-subtree", i - 1, reason)
         for w in below[:fill][moved[:fill] != 0].tolist():
             add("intermediate-fill", i, "{} does not collapse onto its class image", w)
+        owner = np.empty(len(order), np.int64)
+        owner[order] = np.cumsum(np.concatenate([[0], ~same]))
+        images = (rows[starts], deps[starts])
 
     return MixedStructureReport(
         degree=d,

@@ -82,7 +82,7 @@ def validate_address(v: Vertex, shape: TreeShape) -> None:
 
 def format_address(v: Vertex) -> str:
     """Text form used in files, CLI arguments and reports: '.' for the root."""
-    return "." if not v else ".".join(str(a) for a in v)
+    return ".".join(map(str, v)) or "."
 
 
 def parse_address(text: str, shape: TreeShape | None = None) -> Vertex:

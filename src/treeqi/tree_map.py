@@ -75,10 +75,13 @@ class FiniteTreeMap:
 
     @classmethod
     def _from_arrays(
-        cls, shape: TreeShape, domain_radius: int, labels: np.ndarray, depths: np.ndarray
+        cls, shape: TreeShape, domain_radius: int, labels: np.ndarray, depths: np.ndarray,
+        checked: bool = False,
     ) -> "FiniteTreeMap":
-        """The constructor of array producers: rows in ball order, checked as a table is."""
-        _check_rows(shape, labels, depths, lambda i: tuple(labels[i, : depths[i]].tolist()))
+        """The constructor of array producers: rows in ball order, checked as
+        a table is unless the producer has `checked` every row already."""
+        if not checked:
+            _check_rows(shape, labels, depths, lambda i: tuple(labels[i, : depths[i]].tolist()))
         m = cls.__new__(cls)
         m._init(shape, domain_radius, labels, depths)
         return m

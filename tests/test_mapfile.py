@@ -15,10 +15,10 @@ from reference import (
     reference_trace_text,
 )
 from treeqi import MixedPolicy, TreeShape
-from treeqi import mapfile
+from treeqi import mapfile, tree_map
 from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
-from treeqi.mixed_builder import BuildTrace
+from treeqi.mixed_builder import BuildTrace, ClassTrace
 from treeqi.layout import _ball
 from treeqi.tree_core import ball_size
 
@@ -394,6 +394,65 @@ def test_codec_memory_is_bounded_by_the_text():
     assert max(read_peak, write_peak) <= 8 * len(text)
 
 
+def test_block_rows_are_checked_once(monkeypatch):
+    """The block reader checks every label and depth of its rows, so the
+    map takes them without a second check; a corrupted one-digit body goes
+    to the line loop, which words the error."""
+    m = tq.identity_map(D3, 2)
+    text = dump_map_text(m)
+
+    def twice(*args):
+        raise AssertionError("rows checked twice")
+
+    monkeypatch.setattr(tree_map, "_check_rows", twice)
+    assert parse_map_text(text) == m
+    corrupted = (
+        ("\n1.0 1.0\n", "\n1.0 1.2\n", "line 7: bad image address: label 2 at position 1"),
+        ("\n2 2\n", "\n2 3\n", "line 9: bad image address: label 3 at position 0"),
+        ("\n0.1 0.1\n", "\n0.1 " + ".".join("0" * 65) + "\n", "line 5: bad image address: address"),
+    )
+    for old, new, message in corrupted:
+        with pytest.raises(MapFormatError, match=re.escape(message)):
+            parse_map_text(text.replace(old, new))
+
+
+def test_trace_writer_and_verifier_build_no_ball_tables(tmp_path):
+    """Writing an approximation's trace builds neither the ball's texts nor
+    its text index, and the structural verifier builds no vertex tuples."""
+    g = tq.random_automorphism_map(D3, 6, 2)
+    _ball.cache_clear()
+    approx, bundle, trace = tq.approximate_by_mixed(g, 1, D_override=2)
+    tq.write_trace_file(trace, tmp_path / "t.trace")
+    assert (tmp_path / "t.trace").read_text() == reference_trace_text(trace)
+    assert not {"texts", "_position"} & set(_ball(3, 6).__dict__)
+    _ball.cache_clear()
+    assert tq.verify_mixed_structure(approx, bundle.D_used).passed
+    assert not {"verts", "texts", "_position"} & set(_ball(3, 6).__dict__)
+
+
+def test_trace_writer_and_verifier_memory_is_bounded(tmp_path):
+    """At radius 12, writing the trace of a four-level approximation peaks
+    below the trace's size, and verifying the approximation below eight
+    times its label rows: neither builds a table of the whole ball."""
+    g = tq.random_automorphism_map(D3, 12, 1)
+    approx, bundle, trace = tq.approximate_by_mixed(g, 1, D_override=3)
+    path = tmp_path / "t.trace"
+    tq.write_trace_file(trace, path)  # the tail texts are kept before measuring
+    _ball.cache_clear()
+    _ball(3, 12)  # the layout itself is cached before measuring
+    tracemalloc.start()
+    try:
+        tq.write_trace_file(trace, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert tq.verify_mixed_structure(approx, bundle.D_used).passed
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= path.stat().st_size
+    assert verify_peak <= 8 * approx.labels.nbytes
+
+
 def test_writer_matches_reference():
     maps = []
     for text in _parser_inputs():
@@ -428,11 +487,46 @@ def _traces():
     return traces
 
 
+def _hand_built_traces():
+    """Class lines that defeat the writer's anchor shortcuts, each written
+    address by address by the reference."""
+    C = ClassTrace
+    a, b, ab = (0, 1, 0), (0, 1, 1), (0, 1)
+    deep = (0,) + (1,) * 62  # images at the depth cap below it
+    return [
+        BuildTrace(3, 1, 2, "hand", [
+            C(1, ab, ((0,),), (ab,), (a, b), {(1, 0): a, ab: b}),  # a key below no member
+            # keys out of block order, and a repeated member
+            C(1, ab, ((0,), (1,)), (ab,), (a, b), {(1, 0): a, (0, 0): b, (1, 1): a, ab: b}),
+            C(1, ab, ((0,), (0,)), (ab,), (a,), {(0, 0): a, ab: a}),
+            # subtree and boundary vertices not below the image, a value off the boundary
+            C(1, ab, ((0,),), ((1,), ab), ((2, 0), a), {(0, 0): (2, 0), ab: (2,)}),
+            # the root as image and as member, alone and among other members
+            C(0, (), ((),), ((), (0,)), ((1,), (2,), (0, 0), ab),
+              {(0,): (1,), (1,): (2,), (2,): ab}),
+            C(1, (1,), ((), (1,)), ((1,),), ((1, 0), (1, 1)), {(0,): (1, 0), (1, 0): (1, 1)}),
+            C(1, (1,), ((1,), ()), ((1,),), ((1, 0), (1, 1)), {(1, 0): (1, 0), (1, 1): (1, 1)}),
+            C(1, (2,), (), (), ((2, 0),), {(2, 0): (2, 0)}),  # no members and no subtree
+        ]),
+        BuildTrace(3, 1, 0, "hand", [C(0, (), ((),), ((),), ((0,), (1,), (2,)), {(): (1,)})]),
+        BuildTrace(11, 1, 2, "hand", [  # two-digit labels
+            C(1, (10, 9), ((10,), (3,)), ((10, 9), (10, 9, 9)), ((10, 9, 0), (10, 9, 9, 9)),
+              {(10, 9): (10, 9, 0), (10, 0): (10, 9, 9, 9), (3, 9): (10, 9, 0), (3, 0): (10, 9)}),
+        ]),
+        BuildTrace(3, 1, 64, "hand", [
+            C(63, deep, (deep[:-1] + (0,),), (deep,), (deep + (0,), deep + (1,)),
+              {deep[:-1] + (0, 0): deep + (0,), deep[:-1] + (0, 1): deep + (1,)}),
+        ]),
+    ]
+
+
 def test_trace_text_matches_reference():
     for trace in _traces():
         text = reference_trace_text(trace)
         assert trace.to_text() == text
         assert BuildTrace.from_text(text).to_text() == text
+    for trace in _hand_built_traces():
+        assert trace.to_text() == reference_trace_text(trace)
 
 
 _ADDRESS_FIELDS = ("image", "members", "subtree", "boundary", "assign")

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeqi as tq
 from reference import (
@@ -13,6 +16,8 @@ from reference import (
 )
 from treeqi import ROOT, BuildTrace, LevelClass, MixedPolicy, TreeShape
 from treeqi.errors import PolicyError
+from treeqi.layout import _label_dtype, _pack
+from treeqi.mixed_builder import _subtree_failures, recover_class_subtree
 
 D3 = TreeShape(3)
 
@@ -326,3 +331,75 @@ def test_class_rng_split_is_stable():
     m3, t3 = tq.build_mixed(D3, 2, 3, MixedPolicy.random(11))
     prefix = {v: m3.table[v] for v in m2.domain}
     assert prefix == m2.table
+
+
+def _kids(v, d):
+    return [v + (a,) for a in range(d if not v else d - 1)]
+
+
+@st.composite
+def counted_classes(draw):
+    """(degree, [(image, targets)]): one to three classes of degree 3-5,
+    each image at the root, a few levels down or next to the depth cap,
+    and its targets the boundary of a random subtree at the image, then
+    perturbed: a target dropped, added or repeated, an ancestor or a
+    descendant of a target added, the image itself added or left alone, or
+    an address outside the image's subtree added."""
+    d = draw(st.integers(3, 5))
+    rnd = draw(st.randoms(use_true_random=False))
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        depth = rnd.choice([0, 0, 1, 3, tq.MAX_DEPTH - 3, tq.MAX_DEPTH - 1])
+        image = tuple(rnd.randrange(d if k == 0 else d - 1) for k in range(depth))
+        pool = _kids(image, d)
+        for _ in range(rnd.randrange(7)):
+            growable = [w for w in pool if len(w) < tq.MAX_DEPTH]
+            if growable:
+                w = rnd.choice(growable)
+                pool.remove(w)
+                pool += _kids(w, d)
+        targets = sorted(pool)
+        for _ in range(rnd.randrange(3)):
+            t = rnd.choice(targets) if targets else image
+            kind = rnd.choice(
+                ["drop", "add", "repeat", "ancestor", "descendant", "image", "outside"]
+            )
+            if kind == "drop" and targets:
+                targets.remove(t)
+            elif kind == "add" and len(t) > len(image):
+                targets.append(rnd.choice(_kids(t[:-1], d)))
+            elif kind == "repeat":
+                targets.append(t)
+            elif kind == "ancestor":
+                targets.append(t[: rnd.randrange(len(t) + 1)])
+            elif kind == "descendant":
+                for _ in range(min(rnd.randrange(1, 4), tq.MAX_DEPTH - len(t))):
+                    t = rnd.choice(_kids(t, d))
+                targets.append(t)
+            elif kind == "image":
+                targets = rnd.choice([targets, []]) + [image]
+            elif kind == "outside" and image:
+                other = (image[-1] + 1) % (d if len(image) == 1 else d - 1)
+                targets.append(image[:-1] + (other,) + t[len(image) :])
+        rnd.shuffle(targets)
+        cases.append((image, targets))
+    return d, cases
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_classes())
+def test_subtree_count_matches_the_walk(case):
+    """The count rejects exactly the classes that `recover_class_subtree`
+    rejects, and each rejection carries the walk's reason."""
+    d, cases = case
+    shape = TreeShape(d)
+    images = [image for image, _ in cases]
+    targets = [t for _, ts in cases for t in ts]
+    labels, depths = _pack(images + targets, _label_dtype(d))
+    owner = np.repeat(np.arange(len(cases)), [len(ts) for _, ts in cases])
+    k = len(images)
+    order = np.lexsort((*labels[k:].T[::-1], owner))
+    rows, owner = labels[k:][order], owner[order]
+    got = list(_subtree_failures(shape, (labels[:k], depths[:k]), rows, depths[k:][order], owner))
+    walked = [recover_class_subtree(image, set(ts), shape)[1] for image, ts in cases]
+    assert got == [reason for reason in walked if reason is not None]

@@ -9,13 +9,20 @@ run:
 - the median peak resident set (`ru_maxrss`, read with `os.wait4`) of 8
   `python -m treeqi verify` jobs on a one-vertex map, in MB: each compiles
   every module that `verify` imports and does almost no other work;
+- the median peak of 5 `approximate --trace-out` jobs at C = 1 on a
+  degree-3 radius-14 random automorphism (49,150 vertices, seed 7), and of
+  5 `verify-mixed` jobs on the approximation those jobs write, in MB: the
+  two jobs that set the peak of the radius-14 conversions.  The map is
+  generated in a temporary directory by the first source directory's
+  treeqi;
 - for each module of the package, the median of 5 processes of how much
   compiling its source raises the peak of a process that has imported
   numpy, in MB.  The largest such step of the modules a job loads is what
   the compile adds to the job's peak.
 
-Module size moves these figures in steps of about 0.12-0.25 MB, so two
-checkouts can be compared before the benchmark is run.
+Module size moves these figures in steps of about 0.12-0.25 MB, and the
+whole-ball tables of a job move its peak by megabytes, so two checkouts can
+be compared before the benchmark is run.
 """
 
 from __future__ import annotations
@@ -28,8 +35,17 @@ import tempfile
 from pathlib import Path
 
 _RUNS = 8
+_CONVERT_RUNS = 5
 _MODULE_RUNS = 5
 _ONE_VERTEX_MAP = "tree-qi v1 degree=3 radius=0\n. .\n"
+# run in a fresh process: write the radius-14 map to argv[1] and print the
+# step depth that the approximation at C = 1 uses
+_GENERATE = (
+    "import sys\n"
+    "import treeqi as tq\n"
+    "tq.write_map_file(tq.random_automorphism_map(tq.TreeShape(3), 14, 7), sys.argv[1])\n"
+    "print(tq.constants(1).D_used)\n"
+)
 # run in a fresh process: the rise of ru_maxrss (KB) across compiling argv[1]
 _COMPILE = (
     "import resource, sys\n"
@@ -45,15 +61,19 @@ def _env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _job_peak_mb(src: Path, map_path: str) -> float:
-    """ru_maxrss of one fresh `verify` job on the map at map_path, in MB."""
-    args = [sys.executable, "-m", "treeqi", "verify", "--in", map_path]
+def _job_peak_mb(src: Path, *argv: str) -> float:
+    """ru_maxrss of one fresh `python -m treeqi <argv>` job, in MB."""
+    args = [sys.executable, "-m", "treeqi", *argv]
     proc = subprocess.Popen(args, env=_env(src), stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        raise SystemExit(f"treeqi verify from {src} exited {proc.returncode}")
+        raise SystemExit(f"treeqi {argv[0]} from {src} exited {proc.returncode}")
     return usage.ru_maxrss / 1024
+
+
+def _median_peak_mb(src: Path, runs: int, *argv: str) -> float:
+    return statistics.median(_job_peak_mb(src, *argv) for _ in range(runs))
 
 
 def _compile_rise_mb(src: Path, module: Path) -> float:
@@ -66,11 +86,21 @@ def _compile_rise_mb(src: Path, module: Path) -> float:
 def main(argv: list[str]) -> None:
     dirs = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent / "src"]
     with tempfile.TemporaryDirectory() as tmp:
-        map_path = os.path.join(tmp, "one.qi")
+        map_path, auto, approx = (os.path.join(tmp, f) for f in ("one.qi", "auto.qi", "approx"))
         Path(map_path).write_text(_ONE_VERTEX_MAP, encoding="ascii")
+        cmd = [sys.executable, "-c", _GENERATE, auto]
+        out = subprocess.run(cmd, env=_env(dirs[0]), capture_output=True, text=True, check=True)
+        step = out.stdout.strip()
+        approximate = ["approximate", "--in", auto, "--C", "1", "--out", approx + ".qi"]
+        approximate += ["--trace-out", approx + ".trace"]
+        verify_mixed = ["verify-mixed", "--in", approx + ".qi", "--D", step]
         for src in dirs:
-            peaks = [_job_peak_mb(src, map_path) for _ in range(_RUNS)]
-            print(f"{statistics.median(peaks):.2f} MB  {src}  (verify job)")
+            peak = _median_peak_mb(src, _RUNS, "verify", "--in", map_path)
+            print(f"{peak:.2f} MB  {src}  (verify job)")
+            peak = _median_peak_mb(src, _CONVERT_RUNS, *approximate)
+            print(f"{peak:.2f} MB  {src}  (radius-14 approximate --trace-out job)")
+            peak = _median_peak_mb(src, _CONVERT_RUNS, *verify_mixed)
+            print(f"{peak:.2f} MB  {src}  (radius-14 verify-mixed job)")
             for module in sorted((src / "treeqi").glob("*.py")):
                 rises = [_compile_rise_mb(src, module) for _ in range(_MODULE_RUNS)]
                 print(f"  {statistics.median(rises):.2f} MB  {module.name}")
