@@ -82,7 +82,8 @@ class _Ball:
     the tuples, the readers of text read the texts, and the exhaustive count
     and the checks read the ancestors.  Work that names a few vertices (a
     witness, violations) builds each one's tuple from its label row
-    (`vertex`); the structural verifier and the trace writer build none.
+    (`vertex`); the structural verifier, the approximation and the trace
+    writer build none.
 
     The ball reads address text for trace files and for the map reader's
     line loop (`locate`).  An address below the radius is the text of its
@@ -132,12 +133,6 @@ class _Ball:
     def vertex(self, p: int) -> Vertex:
         """The address at position p, read from its label row."""
         return tuple(self.labels[p, : self.depths[p]].tolist())
-
-    def shared(self, vs: list) -> tuple:
-        """The addresses vs, each one inside the ball as the ball's own
-        tuple (`verts`), so that a record of them holds no copies."""
-        at = self.positions(*_pack(vs, self.labels.dtype)).tolist()
-        return tuple(v if p < 0 else self.verts[p] for v, p in zip(vs, at))
 
     def rows(self, r: int) -> np.ndarray | slice:
         """Positions of the ball of radius r <= radius, in its own order."""

@@ -18,22 +18,25 @@ fewer when the longest line holds many labels.  The writer lays each block
 out as a byte matrix: every label of the source row (the ball's own labels)
 and of the image row as its digits, right-aligned in a fixed number of
 cells, then a '.' cell, then a space and a newline column; a mask keeps the
-cells of the canonical text.  The reader takes a body of one-digit labels
-in canonical spelling, in any line order, by fixed stride: with the space
-and newline bytes alternating, a token of 2k - 1 bytes has its labels at
-even offsets and its dots between them.  It gathers each block's tokens as
-a byte matrix, checks it, and places the image rows at the sources' ball
-positions.  Any other text (other spellings or whitespace, degrees above
-10, every malformed text) goes through the line loop, the one reader that
-words errors.  It reads the canonical text of a ball vertex as its position
-(`layout._Ball._position`), so an image inside the ball is gathered from
-the ball's label rows, and any other address as a tuple through the ball's
-address codec (`layout._Ball.locate`, shared with trace files).  Neither
-block path builds the ball's vertex tuples or texts.
+cells of the canonical text.  A map file is read once, untranslated, into
+one byte buffer with zero padding after the text.  The reader takes a body
+of one-digit labels in canonical spelling, in any line order, by fixed
+stride from that buffer: with the space and newline bytes alternating, a
+token of 2k - 1 bytes has its labels at even offsets and its dots between
+them.  It gathers each block's tokens as a byte matrix, checks it, and
+places the image rows at the sources' ball positions.  Any other text
+(other spellings or whitespace, degrees above 10, other newlines, every
+malformed text) goes through the line loop, the one reader that decodes the
+text and words errors.  It reads the canonical text of a ball vertex as its
+position (`layout._Ball._position`), so an image inside the ball is
+gathered from the ball's label rows, and any other address as a tuple
+through the ball's address codec (`layout._Ball.locate`, shared with trace
+files).  Neither block path builds the ball's vertex tuples or texts.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -50,7 +53,7 @@ _VERSION = "v1"
 _BLOCK = 1 << 14  # lines laid out or gathered at once, at most
 _LABELS = 1 << 17  # labels per block, at most: a deep line makes its block shorter
 _DOT, _SPACE, _NEWLINE, _ZERO = b". \n0"
-_PAD = "\0" * (2 * MAX_DEPTH + 2)  # past the widest token the reader gathers
+_PAD = 2 * MAX_DEPTH + 2  # zero bytes after the text: past the widest token the reader gathers
 
 
 def _block_lines(width: int) -> int:
@@ -105,14 +108,25 @@ def write_map_file(m: FiniteTreeMap, path) -> None:
 
 
 def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
-    head = text.partition("\n")[0]
-    if text.isascii() and head.splitlines() == [head]:  # the line loop's first line
+    if not text.isascii():
+        return _read_lines(text.splitlines(), budget)
+    data = bytearray(len(text) + _PAD)
+    data[: len(text)] = text.encode("ascii")
+    return _parse_bytes(data, len(text), budget)
+
+
+def _parse_bytes(data: bytearray, size: int, budget: int) -> FiniteTreeMap:
+    """The map whose ASCII text is data[:size]; the rest of data is padding
+    for the block reader's windows.  Only the line loop decodes the text."""
+    end = data.find(b"\n", 0, size)
+    head = data[: size if end < 0 else end].decode("ascii")
+    if head.splitlines() == [head]:  # the line loop's first line
         shape, radius = _header(head)
         ball = _budgeted_ball(shape, radius, budget)
-        rows = _read_blocks(text, len(head) + 1, ball)
+        rows = _read_blocks(data, len(head) + 1, size, ball)
         if rows is not None:  # every label and depth is checked already
             return FiniteTreeMap._from_arrays(shape, radius, *rows, checked=True)
-    return _read_lines(text.splitlines(), budget)
+    return _read_lines(data[:size].decode("ascii").splitlines(), budget)
 
 
 def _header(line: str) -> tuple[TreeShape, int]:
@@ -139,16 +153,16 @@ def _header(line: str) -> tuple[TreeShape, int]:
     return TreeShape(degree), radius
 
 
-def _read_blocks(text: str, offset: int, ball) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_blocks(data, offset: int, end: int, ball) -> tuple[np.ndarray, np.ndarray] | None:
     """The image rows, in ball order, of a body of lines in the writer's
     spelling with one-digit labels, in any order, read by fixed stride from
-    text[offset:]; None for any other body, which the line loop then reads
-    (and words the error of)."""
+    the bytes data[offset:end], which padding follows; None for any other
+    body, which the line loop then reads (and words the error of)."""
     degree, radius, n = ball.shape.degree, ball.radius, len(ball.depths)
-    size = len(text) - offset
+    size = end - offset
     if degree > 10 or size <= 0:
         return None
-    buf = np.frombuffer((text + _PAD).encode("ascii"), np.uint8)[offset:]  # windows run past the end
+    buf = np.frombuffer(data, np.uint8)[offset:]  # windows run past the end, into the padding
     body = buf[:size]
     seps = np.flatnonzero(body <= _SPACE)  # then spaces and newlines must alternate
     if len(seps) != 2 * n or seps[-1] != size - 1:
@@ -248,18 +262,33 @@ def _read_lines(lines: list[str], budget: int) -> FiniteTreeMap:
     return FiniteTreeMap._from_arrays(shape, radius, labels, depths)
 
 
-def _read_text(path, kind: str) -> str:
-    """The ASCII text of the `kind` file at path."""
+def _read_text(path) -> str:
+    """The ASCII text of the trace file at path."""
     try:
         return Path(path).read_text(encoding="ascii")
     except FileNotFoundError:
         raise MapFormatError(f"no such file: {path}") from None
     except UnicodeDecodeError:
-        raise MapFormatError(f"{path} is not a text {kind} file") from None
+        raise MapFormatError(f"{path} is not a text trace file") from None
 
 
 def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
-    return parse_map_text(_read_text(path, "map"), budget)
+    """The map in the file at path, read once into one padded buffer of
+    bytes.  The bytes are not translated: the line loop splits lines at
+    '\\r\\n', '\\r' and '\\n' alike, so every newline spelling reads the same."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = bytearray(size + _PAD)
+            size = fh.readinto(memoryview(data)[:size])
+            rest = fh.read()  # what a pipe, which has no size, or a grown file holds
+            data[size:size] = rest
+            size += len(rest)
+    except FileNotFoundError:
+        raise MapFormatError(f"no such file: {path}") from None
+    if not data.isascii():
+        raise MapFormatError(f"{path} is not a text map file")
+    return _parse_bytes(data, size, budget)
 
 
 def write_trace_file(trace, path) -> None:
@@ -270,4 +299,4 @@ def write_trace_file(trace, path) -> None:
 def parse_trace_file(path):
     from .mixed_builder import BuildTrace
 
-    return BuildTrace.from_text(_read_text(path, "trace"))
+    return BuildTrace.from_text(_read_text(path))

@@ -13,12 +13,13 @@ The class walk runs on the positions of the cached ball layout
 (`layout._ball`): each level is one array of positions in preorder, and the
 descendants at depth t of row r of a shallower level are the r-th of the
 equal runs of level t.  Blocks, fill, and the member that owns each block
-vertex all come from these runs.  The builder and the approximation in
-`transforms` drive the walk, reading and writing images by position.  The
-structural verifier checks the construction invariants exhaustively on the
-stored ball from label rows: it sorts each level's image rows once to group
-them, and the grouping, carried to the next level, judges the class
-subtrees of all its classes at once by counting.
+vertex all come from these runs.  The builder drives the walk, reading and
+writing images by position.  The structural verifier checks the
+construction invariants exhaustively on the stored ball from label rows,
+on one level driver (`_levels`) that it shares with the approximation in
+`transforms`: the driver sorts each level's image rows once to group them,
+and the grouping, carried to the next level, judges the class subtrees of
+all its classes at once by counting.
 
 Each class choice costs time linear in the class and works relative to the
 class image v: below v, a subtree's shape and boundary depend on v only
@@ -476,8 +477,8 @@ def _level_classes(ball: _Ball, step: int, levels: int, image):
     the members and the block, member by member, depth by depth, in address
     order.  The blocks make up the next level, whose images are read only
     after the consumer has taken every class of this one.  The walk serves
-    the builder and the approximation (`_build_levels`); the structural
-    verifier reads the same runs itself.
+    the builder alone (`_build_levels`); the structural verifier and the
+    approximation read the same runs on label rows (`_levels`).
     """
     for i in range(levels):
         at = ball.levels[i * step]
@@ -698,12 +699,12 @@ def recover_class_subtree(
     return members, None
 
 
-def _subtree_failures(shape: TreeShape, images: tuple, rows, depths, owner: np.ndarray):
-    """The reason of each class, in class order, whose targets the count
-    below rejects as the boundary of a subtree at its image: class c has
-    the image row images[0][c] (depths images[1]) and the target rows
-    `rows` (depths `depths`) whose owner is c, repeats allowed, sorted by
-    owner and then in address order.
+def _subtree_counts(shape: TreeShape, images: tuple, rows, depths, owner: np.ndarray):
+    """Whether the count below rejects the targets of each class as the
+    boundary of a subtree at its image, and whether each target repeats the
+    one before it in its class: class c has the image row images[0][c]
+    (depths images[1]) and the target rows `rows` (depths `depths`) whose
+    owner is c, repeats allowed, sorted by owner and then in address order.
 
     All classes are judged at once by counting.  Let w be the image and T
     the distinct targets in address order.  If every target lies strictly
@@ -713,7 +714,7 @@ def _subtree_failures(shape: TreeShape, images: tuple, rows, depths, owner: np.n
     boundary holds T and has c + (|M| - 1)(d - 2) vertices, c being d at
     the root and d - 1 elsewhere; T is that boundary exactly when the two
     counts agree.  Only a class that fails is walked by
-    `recover_class_subtree`, which words the reason."""
+    `recover_class_subtree` (`_Level.reason`), which words the reason."""
     first = np.ones(len(owner), bool)  # the least target of its class
     first[1:] = owner[1:] != owner[:-1]
     lcp = np.zeros(len(owner), np.int32)
@@ -721,15 +722,90 @@ def _subtree_failures(shape: TreeShape, images: tuple, rows, depths, owner: np.n
     prefix = ~first & (lcp == np.roll(depths, 1))  # the target before is a prefix of this one
     repeat = prefix & (depths == np.roll(depths, 1))
     top, n, d = images[1][owner], len(images[1]), shape.degree
-    bad = (_prefix_len(rows, images[0][owner]) < top) | (depths <= top) | (prefix & ~repeat)
+    bad = (depths <= top) | (prefix & ~repeat)
+    # the addresses below the image are an interval of address order, so the
+    # least and the greatest target of a class decide whether all lie below it
+    ends = np.flatnonzero(first | np.append(first[1:], True))
+    bad[ends] |= _prefix_len(rows[ends], images[0][owner[ends]]) < top[ends]
     kept = owner[~repeat]
     size = np.bincount(kept, (depths - np.where(first, top, lcp + 1))[~repeat], n)  # |M|
     boundary = np.where(images[1] == 0, d, d - 1) + (size - 1) * (d - 2)
     fails = (np.bincount(owner, bad, n) > 0) | (boundary != np.bincount(kept, None, n))
-    for c in np.flatnonzero(fails).tolist():
-        at = slice(np.searchsorted(owner, c), np.searchsorted(owner, c, "right"))
-        vs = {tuple(r[:k]) for r, k in zip(rows[at].tolist(), depths[at].tolist())}
-        yield recover_class_subtree(tuple(images[0][c, : images[1][c]].tolist()), vs, shape)[1]
+    return fails, repeat
+
+
+class _Level:
+    """Level i of the level driver (`_levels`) of a map m with step depth D:
+    the images of the vertices of depth i*D, `at`, grouped by one sort, and
+    the classes of the level above, `top`, that own them.
+
+    `rows` and `deps` are the image rows of `at` in address order of the
+    images, `order` their rows of `at` (rows padded with -1 sort as their
+    tuples do) and `parent` their rows of `top`, the D-parents; `starts`
+    and `ends` bound the runs of equal images, and `nested` marks each
+    image that is a prefix of the next, `same` each equal to the next.
+    `owner` numbers the class of each row of `top` in image order and
+    `images` holds the image row of each class.  `by` sorts the images by
+    the class that owns them (`owned`), then in address order; `rejects`
+    and `repeat` count the class subtrees from there (`_subtree_counts`).
+    `runs` holds the positions of each depth from below `top` down to `at`;
+    row r of `top` owns the r-th of the equal runs of each.
+    """
+
+    def __init__(self, m: FiniteTreeMap, ball: _Ball, step: int, i: int, owner, images):
+        self.i, self.owner, self.images, self.shape = i, owner, images, m.shape
+        self.top = ball.levels[(i - 1) * step]
+        self.runs = ball.levels[(i - 1) * step + 1 : i * step + 1]
+        at = self.runs[-1]
+        labels = m.labels[at]
+        self.order = np.lexsort(labels.T[::-1])
+        self.rows, self.deps = rows, deps = labels[self.order], m.depths[at][self.order]
+        del labels
+        self.nested = _prefix_len(rows[:-1], rows[1:]) == deps[:-1]
+        self.same = self.nested & (deps[:-1] == deps[1:])
+        self.starts = np.flatnonzero(np.concatenate([[True], ~self.same]))
+        self.ends = np.append(self.starts[1:], len(at))
+        self.parent = self.order // (len(at) // len(self.top))
+        own = owner[self.parent]
+        self.by = np.argsort(own, kind="stable")
+        self.owned = own[self.by]
+        self.rejects, self.repeat = _subtree_counts(
+            m.shape, images, rows[self.by], deps[self.by], self.owned
+        )
+
+    def image(self, c: int) -> Vertex:
+        return tuple(self.images[0][c, : self.images[1][c]].tolist())
+
+    def reason(self, c: int) -> str | None:
+        """Why `recover_class_subtree` rejects the targets of class c, or None."""
+        at = self.by[np.searchsorted(self.owned, c) : np.searchsorted(self.owned, c, "right")]
+        targets = {tuple(r[:k]) for r, k in zip(self.rows[at].tolist(), self.deps[at].tolist())}
+        return recover_class_subtree(self.image(c), targets, self.shape)[1]
+
+    def moved(self, m: FiniteTreeMap, run: np.ndarray) -> np.ndarray:
+        """The distance from the image of each vertex of `run`, one of
+        `runs`, to the image of its ancestor on `top`; the rows of one depth
+        are gathered at a time."""
+        top, k = self.top, len(run) // len(self.top)
+        below = m.labels[run].reshape(len(top), k, -1)
+        common = _prefix_len(below, m.labels[top][:, None]).ravel()
+        return m.depths[run] + np.repeat(m.depths[top], k) - 2 * common
+
+
+def _levels(m: FiniteTreeMap, step: int) -> Iterator[_Level]:
+    """The level driver of the structural verifier and the approximation
+    (`transforms`): one `_Level` per level 1 .. radius // step of m's ball,
+    level 0's one class being the root's image.  A level's classes are the
+    runs of equal images of the level before."""
+    ball = _ball(m.shape.degree, m.domain_radius)
+    owner, images = np.zeros(1, np.int64), (m.labels[:1], m.depths[:1])
+    for i in range(1, m.domain_radius // step + 1):
+        level = _Level(m, ball, step, i, owner, images)
+        yield level
+        owner = np.empty(len(level.order), np.int64)
+        owner[level.order] = np.cumsum(np.concatenate([[0], ~level.same]))
+        images = (level.rows[level.starts], level.deps[level.starts])
+        del level  # the next level is built without this one
 
 
 def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
@@ -741,9 +817,9 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     distance in [1, (degree**step)**2]; each class's image set must be
     recoverable as the boundary of the subtree spanned between the class
     image and the images; and everything strictly between two levels
-    collapses onto the class image.  Each level's image rows are grouped
-    by one sort, and the class subtrees of a level are judged all at once
-    (`_subtree_failures`); no vertex tuple is built but for a witness.
+    collapses onto the class image.  The level driver (`_levels`) groups
+    each level's image rows by one sort and judges the class subtrees of a
+    level all at once; no vertex tuple is built but for a witness.
     """
     radius = m.domain_radius
     if step < 1 or radius % step:
@@ -772,56 +848,32 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
     if m.depths[0]:
         add("root-anchor", 0, f"root maps to {text(m.labels, m.depths, 0)}")
 
-    # the class of each row of the level above, numbered in image order, and
-    # the image row of each class; at first the root's image alone
-    owner, images = np.zeros(1, np.int64), (m.labels[:1], m.depths[:1])
     multiplicity = {0: 1}
-    steps = []  # per level, every D-parent/D-child image distance
-    for i in range(1, levels + 1):
-        # every vertex below the level above, `top`, down to this level, in
-        # depth order, then address order, and its ancestor on `top`, which
-        # owns the r-th run of each level; the first `fill` lie strictly
-        # between the two levels
-        top = ball.levels[(i - 1) * step]
-        runs = ball.levels[(i - 1) * step + 1 : i * step + 1]
-        below = np.concatenate(runs)
-        up = np.concatenate([np.repeat(top, len(b) // len(top)) for b in runs])
-        moved = m.depths[below] + m.depths[up] - 2 * _prefix_len(m.labels[below], m.labels[up])
-        at, fill = runs[-1], len(below) - len(runs[-1])
-        k = len(at) // len(top)  # row r of `top` is the D-parent of rows r*k .. r*k+k-1
-        labels, depths = m.labels[at], m.depths[at]
-        order = np.lexsort(labels.T[::-1])  # rows padded with -1 sort as their tuples do
-        rows, deps = labels[order], depths[order]
-        nested = _prefix_len(rows[:-1], rows[1:]) == deps[:-1]  # each row a prefix of the next
-        same = nested & (deps[:-1] == deps[1:])
-        starts = np.flatnonzero(np.concatenate([[True], ~same]))
-        ends = np.append(starts[1:], len(order))
-        multiplicity[i] = int((ends - starts).max())
+    steps = []  # per level, the least and the greatest D-parent/D-child image distance
+    for lv in _levels(m, step):
+        i, rows, deps, parent = lv.i, lv.rows, lv.deps, lv.parent
+        multiplicity[i] = int((lv.ends - lv.starts).max())
         if multiplicity[i] > K:
             add("multiplicity", i, f"{multiplicity[i]} same-image vertices exceed {K}")
-        parent = order // k
-        for s, e in zip(starts.tolist(), ends.tolist()):
+        for s, e in zip(lv.starts.tolist(), lv.ends.tolist()):
             if parent[s] != parent[e - 1]:
                 second = parent[s + int(np.argmax(parent[s:e] != parent[s]))]
                 detail = f"image {text(rows, deps, s)} shared across {{}} and {{}}"
-                add("shared-image-parent", i, detail, top[parent[s]], top[second])
-        for j in np.flatnonzero(nested & ~same).tolist():
+                add("shared-image-parent", i, detail, lv.top[parent[s]], lv.top[second])
+        for j in np.flatnonzero(lv.nested & ~lv.same).tolist():
             a, b = text(rows, deps, j), text(rows, deps, j + 1)
             add("image-ancestry", i, f"{a} is an ancestor of {b}")
-        dist = moved[fill:]
-        steps.append(dist)
+        at = lv.runs[-1]
+        dist = lv.moved(m, at)
+        steps.append((int(dist.min()), int(dist.max())))
         for r in np.flatnonzero((dist < 1) | (dist > K2)).tolist():
             add("image-step", i, f"{{}} moved its image {dist[r]}, outside [1, {K2}]", at[r])
-        own = np.repeat(owner, k)[order]
-        by = np.argsort(own, kind="stable")  # by class of the level above, then address order
-        for reason in _subtree_failures(m.shape, images, rows[by], deps[by], own[by]):
-            if reason is not None:  # the walk has the last word: a class it accepts is no witness
+        for c in np.flatnonzero(lv.rejects).tolist():
+            if (reason := lv.reason(c)) is not None:  # the walk has the last word
                 add("class-subtree", i - 1, reason)
-        for w in below[:fill][moved[:fill] != 0].tolist():
-            add("intermediate-fill", i, "{} does not collapse onto its class image", w)
-        owner = np.empty(len(order), np.int64)
-        owner[order] = np.cumsum(np.concatenate([[0], ~same]))
-        images = (rows[starts], deps[starts])
+        for run in lv.runs[:-1]:
+            for w in run[lv.moved(m, run) != 0].tolist():
+                add("intermediate-fill", i, "{} does not collapse onto its class image", w)
 
     return MixedStructureReport(
         degree=d,
@@ -833,7 +885,7 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         witness_total=witness_total,
         multiplicity_by_level=multiplicity,
         multiplicity_bound=K,
-        image_step_min=min((int(s.min()) for s in steps), default=None),
-        image_step_max=max((int(s.max()) for s in steps), default=None),
+        image_step_min=min((s for s, _ in steps), default=None),
+        image_step_max=max((s for _, s in steps), default=None),
         image_step_bound=K2,
     )

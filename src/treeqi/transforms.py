@@ -8,10 +8,14 @@ Two transforms, both for root-fixing maps:
   whose measured constant is at most C.
 * mixed-subtree approximation: rebuild an order-preserving map level by
   level with step depth D, keeping the map's own images on each class block
-  and collapsing everything between two levels onto the class image.
-  Validates the two construction conditions and the collapse distance as it
-  goes, and guarantees success once D reaches the derived threshold; a map
-  that is already mixed at step D comes back unchanged.
+  and collapsing everything between two levels onto the class image, so
+  that each vertex takes the image of its ancestor on the level above.  The
+  map is built as arrays.  The two construction conditions and the collapse
+  distance are checked for all classes of a level at once, on the level
+  driver of the structural verifier (`mixed_builder._levels`), and only a
+  failing class is read as tuples; the trace's classes are read from label
+  rows one at a time.  Success is guaranteed once D reaches the derived
+  threshold; a map that is already mixed at step D comes back unchanged.
 
 Both transforms take the promised constant C as input because every derived
 constant is a function of it; they re-measure the actual ball constant and
@@ -24,20 +28,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
 from . import report
 from .errors import PreconditionError, ValidationFailure
-from .layout import _ball
-from .mixed_builder import (
-    BuildTrace,
-    ClassTrace,
-    LevelClass,
-    _build_levels,
-    _shared_images,
-    recover_class_subtree,
-)
+from .layout import _ball, _pack
+from .mixed_builder import BuildTrace, ClassTrace, _levels
 from .pair_source import EXHAUSTIVE, PairSource
 from .prefix import _prefix_len
 from .qi_map import measure_qi
@@ -201,11 +200,14 @@ def approximate_by_mixed(
 
     Runs the level-by-level construction with step depth D_used, keeping
     g on each class block and collapsing intermediate vertices onto the class
-    image.  Each class is validated exactly (subtree-boundary, shared-parent,
-    fill-distance, in that order), then the whole result (final-bound); any
-    failure raises ValidationFailure with the class location and the failed
-    check.  With D_used >= D_guaranteed and an honest C the validation never
-    fires, and a mixed map approximated at its own step comes back unchanged.
+    image: a vertex of depth t takes g's image of its ancestor of depth
+    floor(t / D) * D.  Each class is validated exactly (subtree-boundary,
+    shared-parent, fill-distance, in that order), then the whole result
+    (final-bound); any failure raises ValidationFailure with the class
+    location and the failed check.  With D_used >= D_guaranteed and an
+    honest C the validation never fires, and a mixed map approximated at its
+    own step comes back unchanged.  The trace's classes are read from label
+    rows one at a time (`_ClassTraces`).
     """
     bundle = constants(C, D_override)
     Cf = bundle.C
@@ -227,50 +229,12 @@ def approximate_by_mixed(
         if not honest:
             _warn_promise("approximate_by_mixed", measured, Cf, mode)
     fill_bound = bundle.final_bound
-    fill_floor = math.floor(fill_bound)
-    ball = _ball(g.shape.degree, g.domain_radius)  # the walk runs on g's positions
-
-    def choose(i: int, cls: LevelClass, block, fill) -> ClassTrace:
-        def failure(kind: str, message: str, value=None) -> ValidationFailure:
-            bound = None if value is None else fill_bound
-            return ValidationFailure(
-                kind, message, level=i, image=cls.image, value=value, bound=bound
-            )
-
-        # g's own images, kept once they form the boundary of a subtree
-        images = g._images(block)
-        subtree, reason = recover_class_subtree(cls.image, images, g.shape)
-        if reason is not None:
-            raise failure("subtree-boundary", reason)
-        if shared := _shared_images(images, len(block) // len(cls.members)):
-            raise failure(
-                "shared-parent",
-                f"image {format_address(min(shared))} drawn from children of two class members",
-            )
-        # g is order-preserving and each fill vertex descends from a member,
-        # whose g-image is the class image: the distance is a depth difference,
-        # and an integer exceeds the bound iff it exceeds the bound's floor
-        far = np.flatnonzero(g.depths[fill] > len(cls.image) + fill_floor)
-        if len(far):
-            w = fill[far[0]]
-            dist = int(g.depths[w]) - len(cls.image)
-            text = format_address(ball.vertex(w))
-            raise failure(
-                "fill-distance",
-                f"{text} collapsed {dist} > {fill_bound} from its g-image",
-                value=dist,
-            )
-        return ClassTrace(
-            level=i,
-            image=cls.image,
-            members=cls.members,
-            subtree=ball.shared(sorted(subtree)),
-            boundary=tuple(sorted(set(images))),
-            assignment=dict(zip(cls.block, images)),
-        )
-
+    # g's images on the class blocks are the approximation's; per level, the
+    # class of each member and each class's image row
+    classes = [_check_level(g, lv, fill_bound) for lv in _levels(g, step)]
+    approx = _anchored(g, step, levels)
     trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
-    approx = _build_levels(ball, trace, choose)
+    trace.classes = _ClassTraces(g, step, classes)
     sup = sup_distance(approx, g)
     if sup > fill_bound:
         raise ValidationFailure(
@@ -280,3 +244,126 @@ def approximate_by_mixed(
             bound=fill_bound,
         )
     return approx, bundle, trace
+
+
+def _anchored(g: FiniteTreeMap, step: int, levels: int) -> FiniteTreeMap:
+    """The map on the ball of radius step*levels that sends each vertex of
+    depth t to g's image of its ancestor of depth floor(t / step) * step."""
+    ball = _ball(g.shape.degree, g.domain_radius)
+    radius = step * levels
+    anchor = np.arange(len(ball.depths))  # by position
+    for t in range(radius + 1):
+        if t % step:  # row r of the level above owns the r-th of the equal runs of depth t
+            up = ball.levels[t - t % step]
+            anchor[ball.levels[t]] = np.repeat(up, len(ball.levels[t]) // len(up))
+    anchor = anchor[ball.rows(radius)]
+    return FiniteTreeMap._from_arrays(
+        g.shape, radius, g.labels[anchor], g.depths[anchor], checked=True
+    )
+
+
+def _check_level(g: FiniteTreeMap, lv, fill_bound: Fraction) -> tuple:
+    """The class of each member and the image row of each class of the
+    level before `lv`, once every class passes.  Otherwise raise
+    ValidationFailure for the first class that fails a check, classes in
+    order of least member, checks in order: its images (g's, on the block)
+    are not the boundary of a subtree at the class image; children of two
+    members share an image; a fill vertex lies farther than the bound from
+    the class image, onto which it collapses.
+
+    Each check runs on every class of the level at once.  g is
+    order-preserving and each fill vertex descends from a member, whose
+    g-image is the class image, so its distance is a depth difference, and
+    an integer exceeds the bound iff it exceeds the bound's floor.  Only the
+    failing class is read as tuples, to word the failure."""
+    n, top, floor = len(lv.images[1]), lv.top, math.floor(fill_bound)
+    parent = lv.parent[lv.by]
+    twice = lv.repeat & (parent != np.roll(parent, 1))  # an image again, from another member
+    shared = np.bincount(lv.owned, twice, n) > 0
+    limit = lv.images[1][lv.owner] + floor
+    far = np.zeros(len(top), bool)  # by member
+    for run in lv.runs[:-1]:
+        far |= g.depths[run].reshape(len(top), -1).max(1) > limit
+    far = np.bincount(lv.owner, far, n) > 0
+    fails = lv.rejects | shared | far
+    for c in dict.fromkeys(lv.owner[fails[lv.owner]].tolist()):  # by least member
+        image = lv.image(c)
+        fail = partial(ValidationFailure, level=lv.i - 1, image=image)
+        if lv.rejects[c] and (reason := lv.reason(c)) is not None:
+            raise fail("subtree-boundary", reason)
+        if shared[c]:
+            at = lv.by[np.argmax(twice & (lv.owned == c))]  # the class's least shared image
+            a = format_address(tuple(lv.rows[at, : lv.deps[at]].tolist()))
+            raise fail("shared-parent", f"image {a} drawn from children of two class members")
+        if far[c]:
+            members = np.flatnonzero(lv.owner == c)
+            fill = np.hstack([run.reshape(len(top), -1)[members] for run in lv.runs[:-1]]).ravel()
+            w = fill[np.argmax(g.depths[fill] > len(image) + floor)]  # member, depth, address order
+            dist = int(g.depths[w]) - len(image)
+            text = format_address(_ball(g.shape.degree, g.domain_radius).vertex(w))
+            message = f"{text} collapsed {dist} > {fill_bound} from its g-image"
+            raise fail("fill-distance", message, value=dist, bound=fill_bound)
+    return lv.owner, lv.images
+
+
+class _ClassTraces:
+    """The approximation's class traces, in the order of the construction's
+    class walk: level by level, each level's classes in order of least
+    member.  A ClassTrace is built from label rows when it is read and is
+    not kept, so a reader of the whole trace (`BuildTrace.lines`) holds one
+    class's tuples at a time.
+
+    Per level it keeps the class of each member (numbered in image order)
+    and each class's image row.  The block is g's domain below the members,
+    whose images g keeps; the subtree is the images' proper prefixes below
+    the class image, which a passing class has as its subtree.  Subtree
+    vertices inside the ball are the ball's own tuples once they are built
+    (`verts`), so that a caller who holds both holds no copies.
+    """
+
+    def __init__(self, g: FiniteTreeMap, step: int, levels: list):
+        self._g, self._step, self._levels = g, step, levels
+
+    def __len__(self) -> int:
+        return sum(len(images[1]) for _, images in self._levels)
+
+    def __iter__(self) -> Iterator[ClassTrace]:
+        g, step = self._g, self._step
+        ball = _ball(g.shape.degree, g.domain_radius)
+
+        def addresses(labels, depths) -> list:
+            return [tuple(r[:k]) for r, k in zip(labels.tolist(), depths.tolist())]
+
+        for j, (owner, (labels, depths)) in enumerate(self._levels):
+            top = ball.levels[j * step]
+            blocks = ball.levels[(j + 1) * step].reshape(len(top), -1)
+            by = np.argsort(owner, kind="stable")  # each class's members in address order
+            ends = np.cumsum(np.bincount(owner))
+            # the labels below a member of each vertex of its block, alike for every member
+            below = [tuple(r) for r in ball.labels[blocks[0], j * step : (j + 1) * step].tolist()]
+            for c in dict.fromkeys(owner.tolist()):
+                rows = by[ends[c - 1] if c else 0 : ends[c]]
+                image = tuple(labels[c, : depths[c]].tolist())
+                members = addresses(ball.labels[top[rows]], ball.depths[top[rows]])
+                block = blocks[rows].ravel()
+                targets, depths_at = g.labels[block], g.depths[block]
+                images = addresses(targets, depths_at)
+                # the distinct images in address order, and each one's depths below
+                # the image and below the one before, which are its new prefixes
+                order = np.lexsort(targets.T[::-1])
+                lcp = _prefix_len(targets[order[:-1]], targets[order[1:]])
+                new = np.flatnonzero(np.concatenate([[True], lcp < depths_at[order[:-1]]]))
+                lows = (np.concatenate([[len(image) - 1], lcp])[new] + 1).tolist()
+                boundary = [images[i] for i in order[new].tolist()]
+                subtree = [t[:k] for t, low in zip(boundary, lows) for k in range(low, len(t))]
+                if "verts" in vars(ball):
+                    at = ball.positions(*_pack(subtree, ball.labels.dtype)).tolist()
+                    subtree = [v if p < 0 else ball.verts[p] for v, p in zip(subtree, at)]
+                yield ClassTrace(
+                    level=j,
+                    image=image,
+                    members=tuple(members),
+                    subtree=tuple(subtree),
+                    boundary=tuple(boundary),
+                    assignment=dict(zip([v + w for v in members for w in below], images)),
+                )

@@ -40,14 +40,18 @@ from treeqi.errors import (
     ShapeMismatchError,
     TreeQIError,
 )
+from treeqi.errors import PreconditionError, ValidationFailure
 from treeqi.mixed_builder import (
     _build_levels,
     _CountingRandom,
+    _shared_images,
     _stream,
     _subtree_at,
     class_rng,
     recover_class_subtree,
 )
+from treeqi.transforms import _warn_promise, constants, measure_promise
+from treeqi.tree_map import is_order_preserving, sup_distance
 from treeqi.layout import _ball
 from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball
 
@@ -449,6 +453,79 @@ def reference_build(shape, step, levels, policy):
     choose = reference_choose(shape, step, policy)
     m = _build_levels(_ball(shape.degree, step * levels), trace, choose)
     return m, trace
+
+
+def reference_approximate_by_mixed(g, C, D_override=None, *, check_promise=True):
+    """The approximation as the construction's class walk on tuples: each
+    class checked with `recover_class_subtree`, `_shared_images` and the
+    depth of each fill vertex's g-image, in that order, and its trace built
+    as it goes."""
+    bundle = constants(C, D_override)
+    Cf = bundle.C
+    ok, wit = is_order_preserving(g)
+    if not ok:
+        raise PreconditionError(
+            f"approximation requires an order-preserving map (witness {format_address(wit)})"
+        )
+    if g.depths[0]:
+        raise PreconditionError("approximation requires a root-fixing map")
+    step = bundle.D_used
+    levels = g.domain_radius // step
+    if levels < 1:
+        raise PreconditionError(
+            f"domain radius {g.domain_radius} holds no full level of depth {step}"
+        )
+    if check_promise:
+        measured, honest, mode = measure_promise(g, Cf)
+        if not honest:
+            _warn_promise("approximate_by_mixed", measured, Cf, mode)
+    fill_bound = bundle.final_bound
+    ball = _ball(g.shape.degree, g.domain_radius)
+
+    def choose(i, cls, block, fill):
+        def failure(kind, message, value=None):
+            bound = None if value is None else fill_bound
+            return ValidationFailure(
+                kind, message, level=i, image=cls.image, value=value, bound=bound
+            )
+
+        images = g._images(block)
+        subtree, reason = recover_class_subtree(cls.image, images, g.shape)
+        if reason is not None:
+            raise failure("subtree-boundary", reason)
+        if shared := _shared_images(images, len(block) // len(cls.members)):
+            raise failure(
+                "shared-parent",
+                f"image {format_address(min(shared))} drawn from children of two class members",
+            )
+        for w in fill:
+            dist = int(g.depths[w]) - len(cls.image)
+            if dist > fill_bound:
+                raise failure(
+                    "fill-distance",
+                    f"{format_address(ball.verts[w])} collapsed {dist} > {fill_bound} from its g-image",
+                    value=dist,
+                )
+        return ClassTrace(
+            level=i,
+            image=cls.image,
+            members=cls.members,
+            subtree=tuple(sorted(subtree)),
+            boundary=tuple(sorted(set(images))),
+            assignment=dict(zip(cls.block, images)),
+        )
+
+    trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
+    approx = _build_levels(ball, trace, choose)
+    sup = sup_distance(approx, g)
+    if sup > fill_bound:
+        raise ValidationFailure(
+            "final-bound",
+            f"approximation sits {sup} > bound {fill_bound} from the input",
+            value=sup,
+            bound=fill_bound,
+        )
+    return approx, bundle, trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import tracemalloc
@@ -105,6 +106,47 @@ def test_non_ascii_files_are_not_text(tmp_path):
     for parse, kind in ((parse_map_file, "map"), (tq.parse_trace_file, "trace")):
         with pytest.raises(MapFormatError, match=f"is not a text {kind} file"):
             parse(path)
+
+
+def _outcome(parse, arg):
+    try:
+        return parse(arg)
+    except MapFormatError as e:
+        return str(e), e.line
+
+
+def test_newline_spellings_read_alike(tmp_path):
+    """Map files are read as bytes, untranslated: CRLF and lone CR newlines,
+    alone or mixed with LF, read to the same map as LF, and a bad file
+    fails with the same message on the same line."""
+    text = dump_map_text(tq.perturb_map_in_subtree(tq.random_automorphism_map(D3, 3, 1), 2))
+    lines = text.splitlines(keepends=True)
+    texts = [
+        text,
+        "".join(lines[:5] + lines[6:]),  # a missing vertex
+        "".join(lines[:5] + [lines[5].split()[0] + " 9.0\n"] + lines[6:]),  # a label past the degree
+        "".join(lines[:7] + [lines[3]] + lines[7:]),  # a duplicate source
+        "".join(lines[:4] + ["0 1 2\n"] + lines[4:]),  # three tokens
+    ]
+    path = tmp_path / "m.qi"
+    for lf in texts:
+        want = _outcome(parse_map_text, lf)
+        for spelled in (lf.replace("\n", "\r\n"), lf.replace("\n", "\r"), lf.replace("\n", "\r\n", 3)):
+            path.write_bytes(spelled.encode())
+            assert _outcome(parse_map_file, path) == want
+    assert all(type(_outcome(parse_map_text, bad)) is tuple for bad in texts[1:])
+
+
+def test_map_file_read_through_a_pipe():
+    """A pipe reports no size: its bytes are read all the same."""
+    m = tq.random_automorphism_map(D3, 3, 1)
+    r, w = os.pipe()
+    os.write(w, dump_map_text(m).encode())
+    os.close(w)
+    try:
+        assert parse_map_file(f"/dev/fd/{r}") == m
+    finally:
+        os.close(r)
 
 
 def test_non_ascii_digit_label():
@@ -417,14 +459,15 @@ def test_block_rows_are_checked_once(monkeypatch):
 
 
 def test_trace_writer_and_verifier_build_no_ball_tables(tmp_path):
-    """Writing an approximation's trace builds neither the ball's texts nor
-    its text index, and the structural verifier builds no vertex tuples."""
+    """An approximation and the writing of its trace build neither the
+    ball's vertex tuples nor its texts nor its text index, and the
+    structural verifier builds no vertex tuples."""
     g = tq.random_automorphism_map(D3, 6, 2)
     _ball.cache_clear()
     approx, bundle, trace = tq.approximate_by_mixed(g, 1, D_override=2)
     tq.write_trace_file(trace, tmp_path / "t.trace")
+    assert not {"verts", "texts", "_position"} & set(_ball(3, 6).__dict__)
     assert (tmp_path / "t.trace").read_text() == reference_trace_text(trace)
-    assert not {"texts", "_position"} & set(_ball(3, 6).__dict__)
     _ball.cache_clear()
     assert tq.verify_mixed_structure(approx, bundle.D_used).passed
     assert not {"verts", "texts", "_position"} & set(_ball(3, 6).__dict__)
@@ -451,6 +494,28 @@ def test_trace_writer_and_verifier_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert write_peak <= path.stat().st_size
     assert verify_peak <= 8 * approx.labels.nbytes
+
+
+def test_approximation_and_trace_write_memory_is_bounded(tmp_path):
+    """At radius 12, approximating an automorphism in four levels and
+    writing the trace peak below five times the map's label rows: no table
+    of the whole ball is built, and the trace's classes are read from label
+    rows one at a time."""
+    g = tq.random_automorphism_map(D3, 12, 1)
+    path = tmp_path / "t.trace"
+    trace = tq.approximate_by_mixed(g, 1, D_override=3, check_promise=False)[2]
+    tq.write_trace_file(trace, path)  # the tail texts are kept before measuring
+    _ball.cache_clear()
+    _ball(3, 12)  # the layout itself is cached before measuring
+    tracemalloc.start()
+    try:
+        approx, bundle, trace = tq.approximate_by_mixed(g, 1, D_override=3, check_promise=False)
+        tq.write_trace_file(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * g.labels.nbytes
+    assert path.read_text() == reference_trace_text(trace)
 
 
 def test_writer_matches_reference():

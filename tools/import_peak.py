@@ -10,9 +10,10 @@ run:
   `python -m treeqi verify` jobs on a one-vertex map, in MB: each compiles
   every module that `verify` imports and does almost no other work;
 - the median peak of 5 `approximate --trace-out` jobs at C = 1 on a
-  degree-3 radius-14 random automorphism (49,150 vertices, seed 7), and of
-  5 `verify-mixed` jobs on the approximation those jobs write, in MB: the
-  two jobs that set the peak of the radius-14 conversions.  The map is
+  degree-3 radius-14 random automorphism (49,150 vertices, seed 7), of 5
+  `verify-mixed` jobs on the approximation those jobs write, and of 5
+  `distance` jobs between the two maps (two map reads), in MB: the jobs
+  that can set the peak of the radius-14 conversions.  The map is
   generated in a temporary directory by the first source directory's
   treeqi;
 - for each module of the package, the median of 5 processes of how much
@@ -94,6 +95,7 @@ def main(argv: list[str]) -> None:
         approximate = ["approximate", "--in", auto, "--C", "1", "--out", approx + ".qi"]
         approximate += ["--trace-out", approx + ".trace"]
         verify_mixed = ["verify-mixed", "--in", approx + ".qi", "--D", step]
+        distance = ["distance", "--a", auto, "--b", approx + ".qi"]
         for src in dirs:
             peak = _median_peak_mb(src, _RUNS, "verify", "--in", map_path)
             print(f"{peak:.2f} MB  {src}  (verify job)")
@@ -101,6 +103,8 @@ def main(argv: list[str]) -> None:
             print(f"{peak:.2f} MB  {src}  (radius-14 approximate --trace-out job)")
             peak = _median_peak_mb(src, _CONVERT_RUNS, *verify_mixed)
             print(f"{peak:.2f} MB  {src}  (radius-14 verify-mixed job)")
+            peak = _median_peak_mb(src, _CONVERT_RUNS, *distance)
+            print(f"{peak:.2f} MB  {src}  (radius-14 distance job)")
             for module in sorted((src / "treeqi").glob("*.py")):
                 rises = [_compile_rise_mb(src, module) for _ in range(_MODULE_RUNS)]
                 print(f"  {statistics.median(rises):.2f} MB  {module.name}")
