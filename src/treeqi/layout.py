@@ -1,13 +1,14 @@
 """The ball layout: one cached `_Ball` per degree and radius, and the one
-codec of address text.
+reader of address text.
 
 A map is defined on the ball of a given radius about the root and holds its
 images as label arrays in ball (address) order; images may be any valid
 addresses, arbitrarily deep.  The ball owns that order: its label rows, the
-position arithmetic of children, parents and addresses, its vertex tuples
-and the text of every vertex, through which trace files and the map
-reader's line loop read addresses.  Label rows are packed and checked here
-too, so every producer of a map fills them the same way.
+position arithmetic of children, parents and addresses, and its vertex
+tuples.  Label rows are packed and checked here too, so every producer of a
+map fills them the same way.  Trace files and the map reader's line loop
+split their lines (`_lines`) and read every address text (`_Addresses`)
+here, with no table of the ball.
 """
 
 from __future__ import annotations
@@ -17,22 +18,21 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DepthLimitError
+from .errors import DepthLimitError, TreeQIError
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
     MAX_DEPTH,
-    MAX_LABEL_DIGITS,
     ROOT,
     TreeShape,
     Vertex,
     ball_size,
     checked_ball_size,
-    format_address,
     parse_address,
     validate_address,
 )
 
 _POSITION_ROWS = 1 << 12  # address rows widened at once by `_Ball.positions`
+_TEXT_LABELS = 1 << 12  # canonical labels `_Addresses` reads by table
 
 
 def _label_dtype(degree: int) -> np.dtype:
@@ -75,22 +75,14 @@ class _Ball:
     so the children of a depth-k vertex at position p sit at
     p + 1 + a * sizes[k] for label a (`children`), and an address
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
-    (`positions`).  The vertex tuples, the ancestor table and the canonical
-    text of every vertex are built on first use, the tuples and texts one
-    level at a time.  They are whole-ball tables, so only work that visits
-    most of the ball asks for them: the class walk and the dict view share
-    the tuples, the readers of text read the texts, and the exhaustive count
-    and the checks read the ancestors.  Work that names a few vertices (a
-    witness, violations) builds each one's tuple from its label row
-    (`vertex`); the structural verifier, the approximation and the trace
-    writer build none.
-
-    The ball reads address text for trace files and for the map reader's
-    line loop (`locate`).  An address below the radius is the text of its
-    ancestor on the last level followed by the further labels, whose
-    reading (`_tail`) is cached across balls.  The canonical text of a ball
-    vertex is one lookup in `_position`, which the line loop reads directly
-    to place the vertex by position.
+    (`positions`).  The vertex tuples and the ancestor table are built on
+    first use, the tuples one level at a time.  They are whole-ball tables,
+    so only work that visits most of the ball asks for them: the class walk
+    and the dict view share the tuples, and the exhaustive count and the
+    checks read the ancestors.  Work that names a few vertices (a witness,
+    violations, a missing source) builds each one's tuple from its label
+    row (`vertex`); the structural verifier, the approximation, the trace
+    writer and both text readers build none.
     """
 
     def __init__(self, degree: int, radius: int):
@@ -138,20 +130,18 @@ class _Ball:
         """Positions of the ball of radius r <= radius, in its own order."""
         return slice(None) if r == self.radius else np.flatnonzero(self.depths <= r)
 
-    def _by_level(self, root, level) -> list:
-        """`root` at position 0, then each level's entries at once:
-        level(entries of the level above, child label count) lists them
-        parent by parent, each in label order, as `levels` lays them out."""
-        out = np.empty(len(self.depths), object)
-        out[0] = root
-        for t, kids in enumerate(self.levels[1:]):
-            entries = level(out[self.levels[t]].tolist(), self.shape.degree - (t > 0))
-            out[kids] = np.fromiter(entries, object, len(kids))
-        return out.tolist()
-
     @cached_property
     def verts(self) -> tuple:
-        return tuple(self._by_level(ROOT, lambda vs, k: [v + (a,) for v in vs for a in range(k)]))
+        """The address of each position, built one level at a time: each
+        level's tuples extend the level above, parent by parent, each in
+        label order, as `levels` lays them out."""
+        out = np.empty(len(self.depths), object)
+        out[0] = ROOT
+        for t, kids in enumerate(self.levels[1:]):
+            k = self.shape.degree - (t > 0)
+            entries = [v + (a,) for v in out[self.levels[t]].tolist() for a in range(k)]
+            out[kids] = np.fromiter(entries, object, len(kids))
+        return tuple(out.tolist())
 
     @cached_property
     def ancestors(self) -> np.ndarray:
@@ -165,57 +155,48 @@ class _Ball:
             out[:, k] = np.maximum.accumulate(np.where(self.depths == k, idx, 0))
         return out
 
-    @cached_property
-    def texts(self) -> list[str]:
-        """The canonical dotted text of each vertex."""
-        tails = [f".{a}" for a in range(self.shape.degree)]
 
-        def level(heads: list, k: int) -> list:
-            if heads == ["."]:
-                return [a[1:] for a in tails]
-            return [h + a for h in heads for a in tails[:k]]
+class _Addresses(dict):
+    """The one reader of address text, one per file: each distinct text is
+    read once, to its address.
 
-        return self._by_level(".", level)
+    The dict starts with the root '.' and its children.  Any other text
+    'head.last' whose last label is canonical (no leading zero) and below
+    the bound of a vertex other than the root is the address of head, read
+    through the same dict, plus that label, so each text costs one label.
+    Any other text (another spelling, a malformed text, a label of
+    `_TEXT_LABELS` or more) goes whole to `parse_address`, which reads it or
+    words its error, and so does a text of 2 * MAX_DEPTH characters or
+    more: a shorter one has at most MAX_DEPTH labels, so the reading never
+    recurses deeper than that and never reads an address past the depth
+    cap.
+    """
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return dict(zip(self.texts, range(len(self.texts))))
+    def __init__(self, shape: TreeShape):
+        super().__init__({".": ROOT} | {str(a): (a,) for a in range(min(shape.degree, _TEXT_LABELS))})
+        self.shape = shape
+        # the labels of the children of a vertex other than the root
+        self.labels = {str(a): (a,) for a in range(min(shape.degree - 1, _TEXT_LABELS))}
 
-    def locate(self, text: str) -> Vertex:
-        """The address of text in any spelling; an address inside the ball
-        is the ball's own tuple (`verts`).
-
-        Canonical text of a vertex is one dict lookup, and text of an
-        address deeper than the radius is read as the text of a ball vertex
-        on the last level plus further labels (`_tail`).  Other text (a
-        spelling such as '01.1', a bad label, '..0', the root's '.' heading
-        further labels) goes through `parse_address` and its checks.
-        """
-        p = self._position.get(text)
-        if p is not None:
-            return self.verts[p]
-        extra = text.count(".") + 1 - self.radius
-        if self.radius > 0 and 0 < extra <= MAX_DEPTH - self.radius:
-            head = text.rsplit(".", extra)[0]
-            p = self._position.get(head)
-            w = p and _tail(text[len(head) + 1 :], self.shape.degree - 1)  # the root's '.' heads none
-            if w:
-                return self.verts[p] + w
-        v = parse_address(text, self.shape)
-        return self.verts[self._position[format_address(v)]] if len(v) <= self.radius else v
+    def __missing__(self, text: str) -> Vertex:
+        head, _, last = text.rpartition(".")
+        a = self.labels.get(last)
+        if a is not None and head != "." and len(text) < 2 * MAX_DEPTH:
+            try:
+                v = self[text] = self[head] + a
+                return v
+            except TreeQIError:  # the whole text words the error
+                pass
+        v = self[text] = parse_address(text, self.shape)
+        return v
 
 
-@lru_cache(maxsize=4096)
-def _tail(text: str, bound: int) -> tuple | None:
-    """The labels of the text of an address below a vertex other than the
-    root, or None unless each is an ASCII number below `bound` of at most
-    MAX_LABEL_DIGITS digits."""
-    labels = text.split(".")
-    if text.isascii() and all(
-        a.isdigit() and len(a) <= MAX_LABEL_DIGITS and int(a) < bound for a in labels
-    ):
-        return tuple(map(int, labels))
-    return None
+def _lines(text: str) -> list[str]:
+    """The lines of a map or trace text, split at '\\r\\n', '\\r' and '\\n'
+    only: the other characters at which `str.splitlines` splits are
+    whitespace inside a line, as `str.split` reads them."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 @lru_cache(maxsize=32)

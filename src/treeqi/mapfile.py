@@ -27,11 +27,12 @@ them.  It gathers each block's tokens as a byte matrix, checks it, and
 places the image rows at the sources' ball positions.  Any other text
 (other spellings or whitespace, degrees above 10, other newlines, every
 malformed text) goes through the line loop, the one reader that decodes the
-text and words errors.  It reads the canonical text of a ball vertex as its
-position (`layout._Ball._position`), so an image inside the ball is
-gathered from the ball's label rows, and any other address as a tuple
-through the ball's address codec (`layout._Ball.locate`, shared with trace
-files).  Neither block path builds the ball's vertex tuples or texts.
+text and words errors.  It splits lines at newlines only (`layout._lines`)
+and reads every address through one address reader (`layout._Addresses`,
+shared with trace files), each distinct text once, through the text of its
+parent; the image rows are then packed and placed at the sources' ball
+positions.  Neither the block paths nor the line loop builds the ball's
+vertex tuples.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MapFormatError, TreeQIError
-from .layout import _ball, _budgeted_ball, _label_dtype, _pack
+from .layout import _Addresses, _ball, _budgeted_ball, _label_dtype, _lines, _pack
 from .tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, TreeShape, format_address
 from .tree_map import FiniteTreeMap
 
@@ -109,7 +110,7 @@ def write_map_file(m: FiniteTreeMap, path) -> None:
 
 def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
     if not text.isascii():
-        return _read_lines(text.splitlines(), budget)
+        return _read_lines(_lines(text), budget)
     data = bytearray(len(text) + _PAD)
     data[: len(text)] = text.encode("ascii")
     return _parse_bytes(data, len(text), budget)
@@ -120,13 +121,13 @@ def _parse_bytes(data: bytearray, size: int, budget: int) -> FiniteTreeMap:
     for the block reader's windows.  Only the line loop decodes the text."""
     end = data.find(b"\n", 0, size)
     head = data[: size if end < 0 else end].decode("ascii")
-    if head.splitlines() == [head]:  # the line loop's first line
+    if _lines(head) == [head]:  # the line loop's first line
         shape, radius = _header(head)
         ball = _budgeted_ball(shape, radius, budget)
         rows = _read_blocks(data, len(head) + 1, size, ball)
         if rows is not None:  # every label and depth is checked already
             return FiniteTreeMap._from_arrays(shape, radius, *rows, checked=True)
-    return _read_lines(data[:size].decode("ascii").splitlines(), budget)
+    return _read_lines(_lines(data[:size].decode("ascii")), budget)
 
 
 def _header(line: str) -> tuple[TreeShape, int]:
@@ -215,51 +216,39 @@ def _tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degree: in
 
 
 def _read_lines(lines: list[str], budget: int) -> FiniteTreeMap:
-    """The line loop: every line split and each address read through the
-    ball's address codec, with the one wording of every error."""
+    """The line loop: every line split and each address read through one
+    address reader (`layout._Addresses`), with the one wording of every
+    error; the image rows are placed at the sources' ball positions at the
+    end."""
     if not lines:
         raise MapFormatError("empty map file", 1)
     shape, radius = _header(lines[0])
     ball = _budgeted_ball(shape, radius, budget)
-    position, locate = ball._position, ball.locate
-    images: list = [None] * len(ball.depths)  # per source position: image position, or image
+    read = _Addresses(shape)
+    table: dict = {}  # source: image, in line order
     for no, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise MapFormatError(f"expected 'source image', got {ln!r}", no)
-        src = position.get(parts[0])  # canonical text of a ball vertex
-        if src is None:
-            try:
-                v = locate(parts[0])
-            except TreeQIError as e:
-                raise MapFormatError(f"bad source address: {e}", no) from None
-            if len(v) > radius:
-                raise MapFormatError(
-                    f"source {parts[0]} is deeper than the stated radius {radius}", no
-                )
-            src = position[format_address(v)]
-        if images[src] is not None:
+        try:
+            src = read[parts[0]]
+        except TreeQIError as e:
+            raise MapFormatError(f"bad source address: {e}", no) from None
+        if len(src) > radius:
+            raise MapFormatError(f"source {parts[0]} is deeper than the stated radius {radius}", no)
+        if src in table:
             raise MapFormatError(f"duplicate source {parts[0]}", no)
-        image = position.get(parts[1])
-        if image is None:
-            try:
-                image = locate(parts[1])
-            except TreeQIError as e:
-                raise MapFormatError(f"bad image address: {e}", no) from None
-        images[src] = image
-    if len(lines) - 1 != len(images):  # every source is a distinct vertex of the ball
-        raise MapFormatError(f"missing domain vertex {ball.texts[images.index(None)]}")
-    # the rows of images in the ball are the ball's own, the others are packed
-    deep = [i for i, a in enumerate(images) if type(a) is not int]
-    tails, tail_depths = _pack([images[i] for i in deep], ball.labels.dtype)
-    for i in deep:
-        images[i] = 0
-    labels, depths = ball.labels[images], ball.depths[images]
-    width = max(labels.shape[1], tails.shape[1])
-    labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
-    labels[deep, : tails.shape[1]] = tails
-    depths[deep] = tail_depths
-    return FiniteTreeMap._from_arrays(shape, radius, labels, depths)
+        try:
+            table[src] = read[parts[1]]
+        except TreeQIError as e:
+            raise MapFormatError(f"bad image address: {e}", no) from None
+    at = ball.positions(*_pack(list(table), ball.labels.dtype))
+    if len(at) != len(ball.depths):  # every source is a distinct vertex of the ball
+        missing = ball.vertex(int(np.bincount(at, minlength=len(ball.depths)).argmin()))
+        raise MapFormatError(f"missing domain vertex {format_address(missing)}")
+    labels, depths = _pack(list(table.values()), ball.labels.dtype)
+    order = np.argsort(at)
+    return FiniteTreeMap._from_arrays(shape, radius, labels[order], depths[order])
 
 
 def _read_text(path) -> str:

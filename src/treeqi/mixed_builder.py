@@ -31,8 +31,8 @@ member by member, so the assignment and its check take each member's
 children as one run of the block.  A replayed subtree is checked in one
 pass over its vertices.  A trace's text is written from each class's
 anchors, its image and its members, with no table of the ball, and read
-back through the address codec of the ball the trace builds
-(`_Ball.locate`), as the map reader's line loop reads.
+back, as the map reader's line loop reads, through one address reader
+(`layout._Addresses`) that builds no ball.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import report
-from .errors import BudgetExceededError, MapFormatError, PolicyError, TreeQIError
-from .layout import _Ball, _ball, _budgeted_ball, _label_dtype, _pack
+from .errors import MapFormatError, PolicyError, TreeQIError
+from .layout import _Addresses, _Ball, _ball, _budgeted_ball, _label_dtype, _lines, _pack
 from .prefix import _prefix_len
 from .tree_core import (
     DEFAULT_VERTEX_BUDGET,
@@ -56,7 +56,6 @@ from .tree_core import (
     Vertex,
     _number,
     format_address,
-    parse_address,
 )
 from .tree_map import FiniteTreeMap
 
@@ -96,16 +95,6 @@ class BuildTrace:
     policy: str
     classes: list[ClassTrace] = field(default_factory=list)
 
-    def _layout(self):
-        """The cached layout (`layout._ball`) of the ball the trace builds,
-        which reads the trace's addresses, or None when the header's ball is
-        past the depth cap or the default budget; addresses are then read
-        through parse_address."""
-        try:
-            return _budgeted_ball(TreeShape(self.degree), self.step * self.levels)
-        except (BudgetExceededError, ValueError):  # ValueError: negative radius
-            return None
-
     def lines(self) -> Iterator[str]:
         """The trace's text a line at a time, each with its newline, every
         address in its canonical text: trace files are written from these
@@ -119,8 +108,9 @@ class BuildTrace:
         the text of the further labels, made once per trace (`_Tails`).
         When each member's run of assignment keys is the same run of
         further labels below it, each key is the member's text followed by
-        the text of those labels.  The values are the boundary's texts.  Any
-        other address is written whole, as labels below the root.
+        the text of those labels.  Each value is its boundary vertex's
+        text.  Any other address is written whole, as labels below the
+        root.
         """
         yield (
             f"tree-qi-trace v1 degree={self.degree} D={self.step}"
@@ -160,8 +150,9 @@ class BuildTrace:
 
     @staticmethod
     def from_text(text: str) -> "BuildTrace":
-        """Read a trace's text; each distinct address text is read once."""
-        lines = text.splitlines()
+        """Read a trace's text; each distinct address text is read once,
+        through one `layout._Addresses`, and no ball is built."""
+        lines = _lines(text)
         if not lines:
             raise MapFormatError("empty trace", 1)
         head = lines[0].split()
@@ -180,9 +171,7 @@ class BuildTrace:
             )
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
-        ball = trace._layout()
-        # each distinct text is read once
-        addr = cache(ball.locate if ball else partial(parse_address, shape=TreeShape(trace.degree)))
+        addr = _Addresses(TreeShape(trace.degree)).__getitem__
         for no, ln in enumerate(lines[1:], start=2):
             toks = ln.split()
             if not toks or toks[0] != "class":

@@ -14,6 +14,7 @@ Two kinds of code live here, and none of it in the package:
 from __future__ import annotations
 
 import bisect
+import re
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -636,10 +637,21 @@ def reference_verify_mixed_structure(m, step, max_witnesses=100):
 # map and trace text before the ball's text index
 
 
+def _text_lines(text):
+    """The lines of a map or trace text: only CRLF, CR and LF end a line;
+    the other line breaks of `str.splitlines` (vertical tab, form feed and
+    the separators \\x1c-\\x1e among them) are whitespace, as `str.split`
+    reads them inside a line."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def reference_parse_map_text(text, budget=DEFAULT_VERTEX_BUDGET):
     """The per-line parser the address index replaced: every address through
     parse_address, the whole ball walked for the first missing vertex."""
-    lines = text.splitlines()
+    lines = _text_lines(text)
     if not lines:
         raise MapFormatError("empty map file", 1)
     head = lines[0].split()
@@ -719,7 +731,7 @@ def reference_dump_map_text(m):
 def reference_parse_trace_text(text):
     """The trace reader with every address through parse_address, field by
     field in the order the reader checks them."""
-    lines = text.splitlines()
+    lines = _text_lines(text)
     if not lines:
         raise MapFormatError("empty trace", 1)
     head = lines[0].split()

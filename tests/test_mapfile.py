@@ -118,7 +118,10 @@ def _outcome(parse, arg):
 def test_newline_spellings_read_alike(tmp_path):
     """Map files are read as bytes, untranslated: CRLF and lone CR newlines,
     alone or mixed with LF, read to the same map as LF, and a bad file
-    fails with the same message on the same line."""
+    fails with the same message on the same line.  In map and trace text
+    the other line breaks of `str.splitlines` (vertical tab, form feed,
+    \\x1c-\\x1e) are whitespace: in place of a space or at the end of a
+    line, they change neither what is read nor the line of an error."""
     text = dump_map_text(tq.perturb_map_in_subtree(tq.random_automorphism_map(D3, 3, 1), 2))
     lines = text.splitlines(keepends=True)
     texts = [
@@ -135,6 +138,22 @@ def test_newline_spellings_read_alike(tmp_path):
             path.write_bytes(spelled.encode())
             assert _outcome(parse_map_file, path) == want
     assert all(type(_outcome(parse_map_text, bad)) is tuple for bad in texts[1:])
+    map_text = "tree-qi v1 degree=3 radius=1\n. .\n0 0\n1 1\n2 2\n"
+    trace_text = tq.build_mixed(D3, 1, 2, MixedPolicy.minimal())[1].to_text()
+    cases = (
+        (map_text, map_text.replace("2 2", "2 3"), parse_map_text, parse_map_file),  # line 5: a label past the degree
+        (trace_text, trace_text + "class\n", BuildTrace.from_text, tq.parse_trace_file),  # no fields
+    )
+    for good, bad, parse, parse_file in cases:
+        assert type(_outcome(parse, good)) is not tuple and type(_outcome(parse, bad)) is tuple
+        second = good.index("\n") + 1
+        for c in "\x0b\x0c\x1c\x1d\x1e":
+            spaced = good[:second] + good[second:].replace(" ", c, 1)  # the first space of line 2
+            stray = bad.replace("\n", c + "\n", 3)  # after each of lines 1-3
+            for text, want in ((spaced, good), (stray, bad)):
+                assert _outcome(parse, text) == _outcome(parse, want)
+                path.write_bytes(text.encode())
+                assert _outcome(parse_file, path) == _outcome(parse, want)
 
 
 def test_map_file_read_through_a_pipe():
@@ -389,10 +408,11 @@ def test_writer_matches_reference_on_two_digit_labels(m):
     assert dump_map_text(m) == reference_dump_map_text(m)
 
 
-def test_block_paths_build_no_text_tables(monkeypatch):
+def test_block_paths_build_no_text_tables(monkeypatch, tmp_path):
     """Canonical one-digit text is read without the line loop, and neither
-    direction builds the ball's vertex tuples or texts; two-digit labels
-    go to the line loop."""
+    direction builds the ball's vertex tuples; two-digit labels go to the
+    line loop, which builds none either, and neither does the trace
+    reader."""
     maps = [tq.perturb_map_in_subtree(tq.random_automorphism_map(TreeShape(d), 3, 1), 2) for d in (3, 10, 11)]
     texts = [dump_map_text(m) for m in maps]
     _ball.cache_clear()
@@ -404,11 +424,18 @@ def test_block_paths_build_no_text_tables(monkeypatch):
     for m, text in zip(maps[:2], texts):
         assert parse_map_text(text) == m
         assert dump_map_text(m) == text
-        assert not {"verts", "texts", "_position", "_text"} & set(_ball(m.shape.degree, 3).__dict__)
+        assert "verts" not in vars(_ball(m.shape.degree, 3))
     with pytest.raises(AssertionError, match="the line loop ran"):
         parse_map_text(texts[2])
     monkeypatch.undo()
     assert parse_map_text(texts[2]) == maps[2]
+    assert "verts" not in vars(_ball(11, 3))  # nor does the line loop
+    trace = tq.build_mixed(TreeShape(11), 1, 3, MixedPolicy.random(1))[1]
+    path = tmp_path / "t.trace"
+    tq.write_trace_file(trace, path)
+    _ball.cache_clear()
+    assert tq.parse_trace_file(path) == trace
+    assert _ball.cache_info().currsize == 0  # nor the trace reader: it builds no ball at all
 
 
 def test_codec_memory_is_bounded_by_the_text():
@@ -459,18 +486,17 @@ def test_block_rows_are_checked_once(monkeypatch):
 
 
 def test_trace_writer_and_verifier_build_no_ball_tables(tmp_path):
-    """An approximation and the writing of its trace build neither the
-    ball's vertex tuples nor its texts nor its text index, and the
-    structural verifier builds no vertex tuples."""
+    """Neither an approximation and the writing of its trace nor the
+    structural verifier builds the ball's vertex tuples."""
     g = tq.random_automorphism_map(D3, 6, 2)
     _ball.cache_clear()
     approx, bundle, trace = tq.approximate_by_mixed(g, 1, D_override=2)
     tq.write_trace_file(trace, tmp_path / "t.trace")
-    assert not {"verts", "texts", "_position"} & set(_ball(3, 6).__dict__)
+    assert "verts" not in vars(_ball(3, 6))
     assert (tmp_path / "t.trace").read_text() == reference_trace_text(trace)
     _ball.cache_clear()
     assert tq.verify_mixed_structure(approx, bundle.D_used).passed
-    assert not {"verts", "texts", "_position"} & set(_ball(3, 6).__dict__)
+    assert "verts" not in vars(_ball(3, 6))
 
 
 def test_trace_writer_and_verifier_memory_is_bounded(tmp_path):

@@ -272,15 +272,15 @@ def test_structure_detects_mutation():
 
 def test_failing_structure_check_names_vertices_from_label_rows():
     """The witnesses that name vertices read them from label rows, in the
-    reference's words, so a failing check builds no text of every vertex
-    (49,150 strings at radius 14) to name at most MAX_WITNESSES."""
+    reference's words, so a failing check builds no tuple of every vertex
+    (49,150 at radius 14) to name at most MAX_WITNESSES."""
     m = tq.random_map(D3, 4, 3)
     tq.layout._ball.cache_clear()  # a ball that no earlier test has filled
     report = tq.verify_mixed_structure(m, 2)
+    assert "verts" not in vars(tq.layout._ball(3, 4))  # the reference builds them
     kinds = {w.kind for w in report.witnesses}
     assert {"shared-image-parent", "image-step", "intermediate-fill"} <= kinds
     assert report.to_lines() == reference_verify_mixed_structure(m, 2).to_lines()
-    assert "texts" not in vars(tq.layout._ball(3, 4))
 
 
 def test_structure_reports_multiplicity():

@@ -3,14 +3,15 @@ file format and the map operations: each invariant is checked on small
 generated inputs rather than on fixed seeds only."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeqi as tq
 from treeqi import ROOT, BuildTrace, FiniteTreeMap, MixedPolicy, TreeShape
 from treeqi.mapfile import dump_map_text, parse_map_text
-from treeqi.layout import _ball
-from treeqi.tree_core import ball, format_address
+from treeqi.errors import TreeQIError
+from treeqi.layout import _TEXT_LABELS, _Addresses
+from treeqi.tree_core import ball, parse_address
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -142,24 +143,53 @@ def test_dump_parse_round_trip(m):
     assert dump_map_text(parsed) == text
 
 
+# texts that `address_texts` does not make from labels: labels that are no
+# number, misplaced dots, the longest label and one digit more, and
+# addresses at and past the depth cap, one of them 10,000 labels long
+_ODD_TEXTS = ["", ".", "..", ".0", "..0", "0.", "0..1", "x", "1a", "+1", " 1", "\u0663", "1" * 640]
+_ODD_TEXTS += ["9" * 641, ".".join("1" * 64), ".".join("1" * 65), ".".join("1" * 10_000)]
+
+
 @st.composite
-def ball_addresses(draw):
-    """(degree, radius, address) with the address in the ball or below it."""
-    degree, radius = draw(st.sampled_from([3, 4])), draw(st.integers(0, 4))
-    depth = draw(st.integers(0, radius + 8))
-    labels = [draw(st.integers(0, degree - 1 - (k > 0))) for k in range(depth)]
-    return degree, radius, tuple(labels)
+def address_texts(draw):
+    """(degree, texts): texts of addresses in and below small balls, each
+    after its prefixes or before them, with a few labels respelled with
+    leading zeros, moved to or past their bound or made malformed, mixed
+    with `_ODD_TEXTS`."""
+    degree = draw(st.sampled_from([3, 4, 11, _TEXT_LABELS + 1]))  # the last: labels past the table
+    texts = []
+    for _ in range(draw(st.integers(0, 4))):
+        bounds = [degree - (k > 0) for k in range(draw(st.integers(1, 66)))]
+        labels = [str(draw(st.integers(0, b - 1) | st.just(b - 1))) for b in bounds]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(labels) - 1))
+            odd = ["0" + labels[k], "00" + labels[k], str(bounds[k]), str(degree), "", "x", "\u0663", "9" * 641]
+            labels[k] = draw(st.sampled_from(odd))
+        prefixes = [".".join(labels[:k]) for k in range(1, len(labels) + 1)]
+        texts += prefixes if draw(st.booleans()) else prefixes[::-1]
+    texts += draw(st.lists(st.sampled_from(_ODD_TEXTS), max_size=4))
+    return degree, draw(st.permutations(texts)) if draw(st.booleans()) else texts
 
 
 @PROPERTY
-@given(ball_addresses())
-def test_ball_text_codec_round_trips(case):
-    degree, radius, v = case
-    layout = _ball(degree, radius)
-    text = format_address(v)
-    assert layout.locate(text) == v
-    if len(v) <= radius:
-        assert layout.locate(text) is layout.verts[layout.verts.index(v)]
+@given(address_texts())
+@example((3, _ODD_TEXTS))
+@example((3, ["2", "3", "0.1", "0.2", "2.1.0", "2.1.2", "01.1", "01.2"]))  # labels at the bound
+@example((11, [".".join(["10", *["9"] * k]) for k in range(70)]))
+def test_address_reader_matches_parse_address(case):
+    """One `_Addresses` reads each text to parse_address's address, or
+    fails with its error type and message, whatever it read before."""
+    degree, texts = case
+    shape, read = TreeShape(degree), _Addresses(TreeShape(degree))
+    for text in texts:
+        try:
+            want = parse_address(text, shape)
+        except TreeQIError as e:
+            with pytest.raises(type(e)) as err:
+                read[text]
+            assert str(err.value) == str(e)
+        else:
+            assert read[text] == want
 
 
 @PROPERTY

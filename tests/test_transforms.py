@@ -205,7 +205,7 @@ def test_approximate_fill_distance_failure():
     assert (err.value.kind, err.value.level, err.value.image) == ("fill-distance", 0, ())
     assert str(err.value) == "fill-distance: 0 collapsed 15 > 10 from its g-image"
     assert (err.value.value, err.value.bound) == (15, 10)
-    assert "texts" not in vars(tq.layout._ball(3, 4))
+    assert "verts" not in vars(tq.layout._ball(3, 4))
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,10 @@ map file text, the trace text, the map rebuilt by replaying the parsed
 trace, the `verify-mixed` report as text lines and as JSON,
 `approximate_by_mixed` at the build's step D and at D+1 (the map and trace
 text, or the failure), the map text written again after parsing it and
-after parsing it respelled with a leading zero on every label (which the
-map reader's line loop reads), the trace text written again after parsing
-it, the exhaustive `measure_qi` measurement fields without and with
+after parsing it respelled with a leading zero on every label and CRLF
+newlines (which the map reader's line loop reads), the trace text written
+again after parsing it and after parsing it respelled alike (so every
+address below the root is read whole by `parse_address`), the exhaustive `measure_qi` measurement fields without and with
 candidate C = 1, the same fields over 500 pairs sampled with a seed taken
 from the build's label (drawn into a list on the smallest balls and into
 a set on the others), the geodesic-image check at C = 1 (exhaustive up to
@@ -35,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -59,12 +61,11 @@ def _approximation(m, step: int) -> str:
     return tq.dump_map_text(f) + trace.to_text()
 
 
-def _respelled(map_text: str) -> str:
-    """The map text with a leading zero on every label: '0.1' -> '00.01'."""
-    head, *body = map_text.splitlines()
-    for k, line in enumerate(body):
-        body[k] = " ".join(a if a == "." else ".".join("0" + p for p in a.split(".")) for a in line.split())
-    return "\n".join([head, *body]) + "\n"
+def _respelled(text: str) -> str:
+    """A map or trace text with a leading zero on every number after the
+    header ('0.1' -> '00.01', 'level=1' -> 'level=01') and CRLF newlines."""
+    head, *body = text.splitlines()
+    return "\r\n".join([head, *(re.sub(r"[0-9]+", r"0\g<0>", line) for line in body)]) + "\r\n"
 
 
 def _mutated(m, rnd: random.Random):
@@ -129,6 +130,7 @@ def build_outputs(label: str, shape, step: int, levels: int, policy) -> list[str
         tq.dump_map_text(tq.parse_map_text(map_text)),
         tq.dump_map_text(tq.parse_map_text(_respelled(map_text))),
         tq.BuildTrace.from_text(text).to_text(),
+        tq.BuildTrace.from_text(_respelled(text)).to_text(),
         *_measured(m, seed),
         *_verified(mutated, step),
         *_measured(mutated, seed),
