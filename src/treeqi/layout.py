@@ -31,13 +31,15 @@ from .tree_core import (
     validate_address,
 )
 
-_POSITION_ROWS = 1 << 12  # address rows widened at once by `_Ball.positions`
+_POSITION_ROWS = 1 << 10  # address rows widened at once by `_Ball.positions`
 _TEXT_LABELS = 1 << 12  # canonical labels `_Addresses` reads by table
 
 
 def _label_dtype(degree: int) -> np.dtype:
-    """The one place label width is chosen: int16 while every label fits."""
-    return np.promote_types(np.int16, np.min_scalar_type(-degree))
+    """The one place label width is chosen: one byte while every label fits
+    (degree <= 128), else int16 or wider.  Label rows are only compared,
+    gathered and widened before any arithmetic, so no width wraps."""
+    return np.promote_types(np.int8, np.min_scalar_type(-degree))
 
 
 def _pack(images, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -69,10 +71,11 @@ class _Ball:
     """The ball of one radius about the root, laid out in preorder, which is
     address order; every map is a self-map of one such ball.
 
-    `labels` (rows padded with -1), `depths`, `parents` and the positions of
-    each depth (`levels`) come from one walk down the levels.  `sizes[k]`
-    counts the vertices of the ball at and below one vertex of depth k + 1,
-    so the children of a depth-k vertex at position p sit at
+    `labels` (rows padded with -1, one byte a label up to degree 128:
+    `_label_dtype`), `depths`, `parents` and the positions of each depth
+    (`levels`, int32 like `parents`) come from one walk down the levels.
+    `sizes[k]` counts the vertices of the ball at and below one vertex of
+    depth k + 1, so the children of a depth-k vertex at position p sit at
     p + 1 + a * sizes[k] for label a (`children`), and an address
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
     (`positions`).  The vertex tuples and the ancestor table are built on
@@ -93,8 +96,8 @@ class _Ball:
         self.sizes = np.array([(q ** (radius - k) - 1) // (q - 1) for k in range(radius)], np.int64)
         self.labels = np.full((n, max(1, radius)), -1, _label_dtype(degree))
         self.depths = np.zeros(n, np.int16)
-        self.parents = np.zeros(n, np.int64)
-        self.levels = [np.zeros(1, np.int64)]
+        self.parents = np.zeros(n, np.int32)
+        self.levels = [np.zeros(1, np.int32)]
         for t in range(radius):
             at = self.levels[t]
             kids = self.children(at, t)
@@ -102,7 +105,7 @@ class _Ball:
             self.labels[kids, t] = np.arange(kids.shape[1])
             self.depths[kids] = t + 1
             self.parents[kids] = at[:, None]
-            self.levels.append(kids.ravel())
+            self.levels.append(kids.ravel().astype(np.int32))
         self.labels.flags.writeable = self.depths.flags.writeable = False
 
     def children(self, at: np.ndarray, t: int) -> np.ndarray:

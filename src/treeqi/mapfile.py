@@ -18,26 +18,27 @@ fewer when the longest line holds many labels.  The writer lays each block
 out as a byte matrix: every label of the source row (the ball's own labels)
 and of the image row as its digits, right-aligned in a fixed number of
 cells, then a '.' cell, then a space and a newline column; a mask keeps the
-cells of the canonical text.  A map file is read once, untranslated, into
-one byte buffer with zero padding after the text.  The reader takes a body
-of one-digit labels in canonical spelling, in any line order, by fixed
-stride from that buffer: with the space and newline bytes alternating, a
-token of 2k - 1 bytes has its labels at even offsets and its dots between
-them.  It gathers each block's tokens as a byte matrix, checks it, and
-places the image rows at the sources' ball positions.  Any other text
-(other spellings or whitespace, degrees above 10, other newlines, every
-malformed text) goes through the line loop, the one reader that decodes the
-text and words errors.  It splits lines at newlines only (`layout._lines`)
-and reads every address through one address reader (`layout._Addresses`,
-shared with trace files), each distinct text once, through the text of its
-parent; the image rows are then packed and placed at the sources' ball
-positions.  Neither the block paths nor the line loop builds the ball's
-vertex tuples.
+cells of the canonical text.  The block reader takes a body of one-digit
+labels in canonical spelling, in any line order, untranslated, a piece of
+whole lines (about `_CHUNK` bytes) at a time, read into one scratch buffer
+with zero padding after the piece, by fixed stride: with the space and
+newline bytes alternating, a token of 2k - 1 bytes has its labels at even
+offsets and its dots between them.  It gathers each block's tokens as a
+byte matrix, checks it, and places the image rows at the sources' ball
+positions, so it holds the label rows and one piece, never the whole text.
+Any other text (other spellings or whitespace, degrees above 10, other
+newlines, every malformed text) is read again, whole, by the line loop,
+the one reader that decodes the text and words errors.  It splits lines
+at newlines only (`layout._lines`) and reads every address through one
+address reader (`layout._Addresses`, shared with trace files), each
+distinct text once, through the text of its parent; the image rows are
+then packed and placed at the sources' ball positions.  Neither the block
+paths nor the line loop builds the ball's vertex tuples.
 """
 
 from __future__ import annotations
 
-import os
+import io
 from pathlib import Path
 from typing import Iterator
 
@@ -52,7 +53,8 @@ from .tree_map import FiniteTreeMap
 _MAGIC = "tree-qi"
 _VERSION = "v1"
 _BLOCK = 1 << 14  # lines laid out or gathered at once, at most
-_LABELS = 1 << 17  # labels per block, at most: a deep line makes its block shorter
+_CHUNK = 1 << 18  # bytes of whole lines the block reader holds at once, at most
+_LABELS = 1 << 16  # labels per block, at most: a deep line makes its block shorter
 _DOT, _SPACE, _NEWLINE, _ZERO = b". \n0"
 _PAD = 2 * MAX_DEPTH + 2  # zero bytes after the text: past the widest token the reader gathers
 
@@ -109,25 +111,11 @@ def write_map_file(m: FiniteTreeMap, path) -> None:
 
 
 def parse_map_text(text: str, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
-    if not text.isascii():
-        return _read_lines(_lines(text), budget)
-    data = bytearray(len(text) + _PAD)
-    data[: len(text)] = text.encode("ascii")
-    return _parse_bytes(data, len(text), budget)
-
-
-def _parse_bytes(data: bytearray, size: int, budget: int) -> FiniteTreeMap:
-    """The map whose ASCII text is data[:size]; the rest of data is padding
-    for the block reader's windows.  Only the line loop decodes the text."""
-    end = data.find(b"\n", 0, size)
-    head = data[: size if end < 0 else end].decode("ascii")
-    if _lines(head) == [head]:  # the line loop's first line
-        shape, radius = _header(head)
-        ball = _budgeted_ball(shape, radius, budget)
-        rows = _read_blocks(data, len(head) + 1, size, ball)
-        if rows is not None:  # every label and depth is checked already
-            return FiniteTreeMap._from_arrays(shape, radius, *rows, checked=True)
-    return _read_lines(_lines(data[:size].decode("ascii")), budget)
+    if text.isascii():
+        m = _read_blocks(io.BytesIO(text.encode("ascii")), budget)
+        if m is not None:
+            return m
+    return _read_lines(_lines(text), budget)
 
 
 def _header(line: str) -> tuple[TreeShape, int]:
@@ -154,46 +142,76 @@ def _header(line: str) -> tuple[TreeShape, int]:
     return TreeShape(degree), radius
 
 
-def _read_blocks(data, offset: int, end: int, ball) -> tuple[np.ndarray, np.ndarray] | None:
-    """The image rows, in ball order, of a body of lines in the writer's
-    spelling with one-digit labels, in any order, read by fixed stride from
-    the bytes data[offset:end], which padding follows; None for any other
-    body, which the line loop then reads (and words the error of)."""
-    degree, radius, n = ball.shape.degree, ball.radius, len(ball.depths)
-    size = end - offset
-    if degree > 10 or size <= 0:
+def _read_blocks(fh, budget: int) -> FiniteTreeMap | None:
+    """The map in the binary stream fh when its header is the line loop's
+    first line and its body is lines in the writer's spelling with
+    one-digit labels, in any order; None for any other text, which the
+    line loop then reads (and words the error of).
+
+    The body is read a piece of whole lines, about `_CHUNK` bytes, at a
+    time into one scratch buffer, whose padding the token windows run
+    into; each piece's image rows are placed at the sources' ball
+    positions before the next piece is read."""
+    head = fh.readline(_CHUNK)
+    if not head.endswith(b"\n") or not head.isascii() or b"\r" in head:
         return None
-    buf = np.frombuffer(data, np.uint8)[offset:]  # windows run past the end, into the padding
-    body = buf[:size]
-    seps = np.flatnonzero(body <= _SPACE)  # then spaces and newlines must alternate
-    if len(seps) != 2 * n or seps[-1] != size - 1:
+    try:
+        shape, radius = _header(head[:-1].decode("ascii"))
+        ball = _budgeted_ball(shape, radius, budget)
+    except TreeQIError:  # the line loop words it, once the whole text is known to be ASCII
         return None
-    spaces, newlines = seps[0::2], seps[1::2]
-    if (body[spaces] != _SPACE).any() or (body[newlines] != _NEWLINE).any():
+    degree, n = shape.degree, len(ball.depths)
+    if degree > 10:
         return None
-    starts = np.concatenate([[0], newlines[:-1] + 1])
-    src_len, img_len = spaces - starts, newlines - spaces - 1
-    if (
-        (src_len & img_len & 1 == 0).any()  # odd lengths: labels and dots alternate
-        or src_len.max() > 2 * radius + 1
-        or img_len.max() > 2 * MAX_DEPTH - 1
-    ):
-        return None
-    labels = np.full((n, (int(img_len.max()) + 1) // 2), -1, _label_dtype(degree))
+    labels = np.full((n, 1), -1, _label_dtype(degree))
     depths = np.empty(n, np.int16)
     seen = np.zeros(n, bool)
-    step = _block_lines(int(src_len.max() + img_len.max()) // 2 + 1)
-    for s in range(0, n, step):
-        rows = slice(s, s + step)
-        src = _tokens(buf, starts[rows], src_len[rows], degree)
-        img = _tokens(buf, spaces[rows] + 1, img_len[rows], degree)
-        if src is None or img is None or src[1].max() > radius:
+    buf = bytearray(_CHUNK + _PAD)
+    data = np.frombuffer(buf, np.uint8)  # token windows run past a piece, into the padding
+    lines = held = 0
+    while got := fh.readinto(memoryview(buf)[held:_CHUNK]):
+        size = held + got
+        cut = buf.rfind(b"\n", 0, size) + 1  # the piece: the whole lines held
+        if not cut:  # a line longer than the buffer, or a last line with no newline
             return None
-        at = ball.positions(*src)
-        seen[at] = True
-        labels[at, : img[0].shape[1]] = img[0]
-        depths[at] = img[1]
-    return (labels, depths) if seen.all() else None  # the sources are the whole ball
+        body = data[:cut]
+        seps = np.flatnonzero(body <= _SPACE)  # then spaces and newlines must alternate
+        spaces, newlines = seps[0::2], seps[1::2]
+        lines += len(newlines)
+        if (
+            len(seps) % 2
+            or lines > n
+            or (body[spaces] != _SPACE).any()
+            or (body[newlines] != _NEWLINE).any()
+        ):
+            return None
+        starts = np.concatenate([[0], newlines[:-1] + 1])
+        src_len, img_len = spaces - starts, newlines - spaces - 1
+        if (
+            (src_len & img_len & 1 == 0).any()  # odd lengths: labels and dots alternate
+            or src_len.max() > 2 * radius + 1
+            or img_len.max() > 2 * MAX_DEPTH - 1
+        ):
+            return None
+        width = (int(img_len.max()) + 1) // 2
+        if width > labels.shape[1]:  # deeper images than any before
+            labels = np.pad(labels, ((0, 0), (0, width - labels.shape[1])), constant_values=-1)
+        step = _block_lines(int(src_len.max() + img_len.max()) // 2 + 1)
+        for s in range(0, len(starts), step):
+            rows = slice(s, s + step)
+            src = _tokens(data, starts[rows], src_len[rows], degree)
+            img = _tokens(data, spaces[rows] + 1, img_len[rows], degree)
+            if src is None or img is None or src[1].max() > radius:
+                return None
+            at = ball.positions(*src)
+            seen[at] = True
+            labels[at, : img[0].shape[1]] = img[0]
+            depths[at] = img[1]
+        held = size - cut
+        buf[:held] = buf[cut:size]
+    if held or lines < n or not seen.all():  # the sources are the whole ball
+        return None
+    return FiniteTreeMap._from_arrays(shape, radius, labels, depths, checked=True)
 
 
 def _tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degree: int):
@@ -210,7 +228,7 @@ def _tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, degree: in
     bound[0] = degree
     if (live & (digits >= bound)).any() or (live[:, 1:] & (cells[:, 1::2] != _DOT)).any():
         return None
-    labels = digits.astype(np.int16)
+    labels = digits.astype(np.int8)  # below 10 where live; the rest is cut to -1
     labels[~live] = -1
     return labels, depths
 
@@ -262,22 +280,25 @@ def _read_text(path) -> str:
 
 
 def parse_map_file(path, budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteTreeMap:
-    """The map in the file at path, read once into one padded buffer of
-    bytes.  The bytes are not translated: the line loop splits lines at
-    '\\r\\n', '\\r' and '\\n' alike, so every newline spelling reads the same."""
+    """The map in the file at path, read in pieces by the block reader.
+    Any other text is read again, whole and untranslated, by the line loop,
+    which splits lines at '\\r\\n', '\\r' and '\\n' alike, so every newline
+    spelling reads the same.  A pipe, which cannot be read twice, is held
+    in memory first."""
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            data = bytearray(size + _PAD)
-            size = fh.readinto(memoryview(data)[:size])
-            rest = fh.read()  # what a pipe, which has no size, or a grown file holds
-            data[size:size] = rest
-            size += len(rest)
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise MapFormatError(f"no such file: {path}") from None
+    with fh:
+        stream = fh if fh.seekable() else io.BytesIO(fh.read())
+        m = _read_blocks(stream, budget)
+        if m is not None:
+            return m
+        stream.seek(0)
+        data = stream.read()
     if not data.isascii():
         raise MapFormatError(f"{path} is not a text map file")
-    return _parse_bytes(data, size, budget)
+    return _read_lines(_lines(data.decode("ascii")), budget)
 
 
 def write_trace_file(trace, path) -> None:

@@ -688,12 +688,13 @@ def recover_class_subtree(
     return members, None
 
 
-def _subtree_counts(shape: TreeShape, images: tuple, rows, depths, owner: np.ndarray):
+def _subtree_counts(shape: TreeShape, images: tuple, rows, depths, owner: np.ndarray, by=None):
     """Whether the count below rejects the targets of each class as the
     boundary of a subtree at its image, and whether each target repeats the
     one before it in its class: class c has the image row images[0][c]
-    (depths images[1]) and the target rows `rows` (depths `depths`) whose
-    owner is c, repeats allowed, sorted by owner and then in address order.
+    (depths images[1]) and the target rows rows[by] (all of `rows` by
+    default; depths `depths`) whose owner is c, repeats allowed, sorted by
+    owner and then in address order.  The rows are read in place.
 
     All classes are judged at once by counting.  Let w be the image and T
     the distinct targets in address order.  If every target lies strictly
@@ -704,18 +705,20 @@ def _subtree_counts(shape: TreeShape, images: tuple, rows, depths, owner: np.nda
     the root and d - 1 elsewhere; T is that boundary exactly when the two
     counts agree.  Only a class that fails is walked by
     `recover_class_subtree` (`_Level.reason`), which words the reason."""
+    by = np.arange(len(owner)) if by is None else by
     first = np.ones(len(owner), bool)  # the least target of its class
     first[1:] = owner[1:] != owner[:-1]
     lcp = np.zeros(len(owner), np.int32)
-    lcp[1:] = _prefix_len(rows[:-1], rows[1:])
-    prefix = ~first & (lcp == np.roll(depths, 1))  # the target before is a prefix of this one
-    repeat = prefix & (depths == np.roll(depths, 1))
+    lcp[1:] = _prefix_len(rows, rows, by[:-1], by[1:])
+    before = np.roll(depths, 1)
+    prefix = ~first & (lcp == before)  # the target before is a prefix of this one
+    repeat = prefix & (depths == before)
     top, n, d = images[1][owner], len(images[1]), shape.degree
     bad = (depths <= top) | (prefix & ~repeat)
     # the addresses below the image are an interval of address order, so the
     # least and the greatest target of a class decide whether all lie below it
     ends = np.flatnonzero(first | np.append(first[1:], True))
-    bad[ends] |= _prefix_len(rows[ends], images[0][owner[ends]]) < top[ends]
+    bad[ends] |= _prefix_len(rows, images[0], by[ends], owner[ends]) < top[ends]
     kept = owner[~repeat]
     size = np.bincount(kept, (depths - np.where(first, top, lcp + 1))[~repeat], n)  # |M|
     boundary = np.where(images[1] == 0, d, d - 1) + (size - 1) * (d - 2)
@@ -746,20 +749,18 @@ class _Level:
         self.top = ball.levels[(i - 1) * step]
         self.runs = ball.levels[(i - 1) * step + 1 : i * step + 1]
         at = self.runs[-1]
-        labels = m.labels[at]
-        self.order = np.lexsort(labels.T[::-1])
-        self.rows, self.deps = rows, deps = labels[self.order], m.depths[at][self.order]
-        del labels
-        self.nested = _prefix_len(rows[:-1], rows[1:]) == deps[:-1]
+        self.order = np.lexsort(m.labels[at].T[::-1]).astype(np.int32)
+        self.rows, self.deps = rows, deps = m.labels[at[self.order]], m.depths[at[self.order]]
+        self.nested = _prefix_len(rows, rows, slice(None, -1), slice(1, None)) == deps[:-1]
         self.same = self.nested & (deps[:-1] == deps[1:])
-        self.starts = np.flatnonzero(np.concatenate([[True], ~self.same]))
-        self.ends = np.append(self.starts[1:], len(at))
+        self.starts = np.flatnonzero(np.concatenate([[True], ~self.same])).astype(np.int32)
+        self.ends = np.append(self.starts[1:], np.int32(len(at)))
         self.parent = self.order // (len(at) // len(self.top))
         own = owner[self.parent]
-        self.by = np.argsort(own, kind="stable")
+        self.by = np.argsort(own, kind="stable").astype(np.int32)
         self.owned = own[self.by]
         self.rejects, self.repeat = _subtree_counts(
-            m.shape, images, rows[self.by], deps[self.by], self.owned
+            m.shape, images, rows, deps[self.by], self.owned, self.by
         )
 
     def image(self, c: int) -> Vertex:
@@ -773,12 +774,10 @@ class _Level:
 
     def moved(self, m: FiniteTreeMap, run: np.ndarray) -> np.ndarray:
         """The distance from the image of each vertex of `run`, one of
-        `runs`, to the image of its ancestor on `top`; the rows of one depth
-        are gathered at a time."""
-        top, k = self.top, len(run) // len(self.top)
-        below = m.labels[run].reshape(len(top), k, -1)
-        common = _prefix_len(below, m.labels[top][:, None]).ravel()
-        return m.depths[run] + np.repeat(m.depths[top], k) - 2 * common
+        `runs`, to the image of its ancestor on `top`; the rows are gathered
+        a block at a time (`_prefix_len`)."""
+        up = np.repeat(self.top, len(run) // len(self.top))
+        return m.depths[run] + m.depths[up] - 2 * _prefix_len(m.labels, m.labels, run, up)
 
 
 def _levels(m: FiniteTreeMap, step: int) -> Iterator[_Level]:
@@ -787,12 +786,12 @@ def _levels(m: FiniteTreeMap, step: int) -> Iterator[_Level]:
     level 0's one class being the root's image.  A level's classes are the
     runs of equal images of the level before."""
     ball = _ball(m.shape.degree, m.domain_radius)
-    owner, images = np.zeros(1, np.int64), (m.labels[:1], m.depths[:1])
+    owner, images = np.zeros(1, np.int32), (m.labels[:1], m.depths[:1])
     for i in range(1, m.domain_radius // step + 1):
         level = _Level(m, ball, step, i, owner, images)
         yield level
-        owner = np.empty(len(level.order), np.int64)
-        owner[level.order] = np.cumsum(np.concatenate([[0], ~level.same]))
+        owner = np.empty(len(level.order), np.int32)
+        owner[level.order] = np.cumsum(np.concatenate([[False], ~level.same]), dtype=np.int32)
         images = (level.rows[level.starts], level.deps[level.starts])
         del level  # the next level is built without this one
 
@@ -844,11 +843,11 @@ def verify_mixed_structure(m: FiniteTreeMap, step: int) -> MixedStructureReport:
         multiplicity[i] = int((lv.ends - lv.starts).max())
         if multiplicity[i] > K:
             add("multiplicity", i, f"{multiplicity[i]} same-image vertices exceed {K}")
-        for s, e in zip(lv.starts.tolist(), lv.ends.tolist()):
-            if parent[s] != parent[e - 1]:
-                second = parent[s + int(np.argmax(parent[s:e] != parent[s]))]
-                detail = f"image {text(rows, deps, s)} shared across {{}} and {{}}"
-                add("shared-image-parent", i, detail, lv.top[parent[s]], lv.top[second])
+        split = parent[lv.starts] != parent[lv.ends - 1]  # a run is in D-parent order
+        for s, e in zip(lv.starts[split].tolist(), lv.ends[split].tolist()):
+            second = parent[s + int(np.argmax(parent[s:e] != parent[s]))]
+            detail = f"image {text(rows, deps, s)} shared across {{}} and {{}}"
+            add("shared-image-parent", i, detail, lv.top[parent[s]], lv.top[second])
         for j in np.flatnonzero(lv.nested & ~lv.same).tolist():
             a, b = text(rows, deps, j), text(rows, deps, j + 1)
             add("image-ancestry", i, f"{a} is an ancestor of {b}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .prefix import _prefix_len
 
-_SAMPLE_WORDS = 1 << 20  # words of the generator's stream read at once by `_set_sample`
+_SAMPLE_WORDS = 1 << 14  # words of the generator's stream read at once by `_set_sample`
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,10 @@ def _ranked(
     at a time: every rank in turn, or the sorted ranks `sample`, as blocks
     (row, offset in row).  A rank's row is the last row start at or below
     it, so rows with no pairs are skipped; a block may cut a row."""
-    starts = np.cumsum(counts) - counts
+    starts = np.cumsum(counts)
+    starts -= counts
     total = int(counts.sum()) if sample is None else len(sample)
+    del counts  # not read again: a caller's temporary is freed here
     for at in range(0, total, size):
         ranks = np.arange(at, min(at + size, total)) if sample is None else sample[at : at + size]
         row = np.searchsorted(starts, ranks, side="right") - 1
@@ -111,12 +113,16 @@ def _set_sample(rng: random.Random, total: int, k: int) -> np.ndarray:
             have += len(chunks[-1])
         # each candidate above its place in the stream, sorted: the first
         # key of each value holds the place where it was first drawn
-        keys = np.concatenate(chunks).astype(np.uint64) << 32
+        chunks = [np.concatenate(chunks)]
+        keys = chunks[0].astype(np.uint64)
+        keys <<= 32
         keys |= np.arange(have, dtype=np.uint64)
         keys.sort()
-        keys = keys[np.r_[True, np.diff(keys >> 32) != 0]]
+        first = np.ones(have, bool)  # keys differ in their values iff they differ above bit 32
+        np.greater_equal(keys[1:] ^ keys[:-1], 1 << 32, out=first[1:])
+        keys = keys[first]
         if len(keys) >= k:  # the values first drawn no later than the k-th distinct one
-            place = keys & 0xFFFFFFFF
+            place = (keys & 0xFFFFFFFF).astype(np.uint32)
             picked = keys[place <= np.partition(place, k - 1)[k - 1]]
             picked >>= 32
             return picked.view(np.int64)
@@ -171,4 +177,4 @@ def _pairs(dom: np.ndarray, img: np.ndarray, ps: PairSource, size: int) -> Itera
             sample = np.sort(np.fromiter(rng.sample(range(total), count), np.int64, count))
     for row, k in _ranked(np.arange(n - 1, 0, -1), size, sample):
         iu, ju = row.astype(np.int32), (row + 1 + k).astype(np.int32)
-        yield iu, ju, _prefix_len(dom[iu], dom[ju]), _prefix_len(img[iu], img[ju])
+        yield iu, ju, _prefix_len(dom, dom, iu, ju), _prefix_len(img, img, iu, ju)

@@ -15,13 +15,27 @@ from __future__ import annotations
 import numpy as np
 
 
-def _prefix_len(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Common-prefix length of the address rows a[..., :] and b[..., :], as
-    int32: the first column where they differ or a row has ended."""
-    w = min(a.shape[-1], b.shape[-1])
-    a, b = a[..., :w], b[..., :w]
-    differ = (a != b) | (a < 0)
-    return np.where(differ.any(-1), differ.argmax(-1), w).astype(np.int32)
+_ROWS = 1 << 12  # row pairs `_prefix_len` gathers and compares at once
+
+
+def _prefix_len(a: np.ndarray, b: np.ndarray, at_a=slice(None), at_b=slice(None)) -> np.ndarray:
+    """Common-prefix length of the address rows a[at_a] and b[at_b], as
+    int32: the first column where they differ or a row has ended.  `at_a`
+    and `at_b` are slices or index arrays.  The rows are gathered and
+    compared `_ROWS` pairs at a time, so only one block's rows and masks
+    are held at once."""
+    w = min(a.shape[1], b.shape[1])
+    if isinstance(at_a, slice):
+        a, at_a = a[at_a], None
+    if isinstance(at_b, slice):
+        b, at_b = b[at_b], None
+    out = np.empty(len(a) if at_a is None else len(at_a), np.int32)
+    for s in range(0, len(out), _ROWS):
+        x = a[s : s + _ROWS, :w] if at_a is None else a[at_a[s : s + _ROWS], :w]
+        y = b[s : s + _ROWS, :w] if at_b is None else b[at_b[s : s + _ROWS], :w]
+        differ = (x != y) | (x < 0)
+        out[s : s + _ROWS] = np.where(differ.any(1), differ.argmax(1), w)
+    return out
 
 
 class _PrefixIndex:

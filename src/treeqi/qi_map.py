@@ -229,7 +229,7 @@ def measure_qi(
     if cand is not None:
         kinds = _candidate_kinds(cand, 2 * m.domain_radius, 2 * int(m.depths.max()))
     # a pair's key is the packed depths of both ends less twice its packed prefixes
-    packed = ball.depths.astype(np.int64) * _KEY_BASE + m.depths
+    packed = ball.depths.astype(np.int32) * _KEY_BASE + m.depths
 
     if pair_source.mode == "exhaustive":
         found = _measure_exhaustive(m, packed, kinds, max_lca_depth)
@@ -320,14 +320,11 @@ def finish_report(
 def _ancestor_prefix(m: FiniteTreeMap, ball: _Ball) -> np.ndarray:
     """A[x, k] = lcp(f(ancestor of x at depth k), f(x)) for k <= depth(x),
     as n x (radius + 1) int8 (the entries past depth(x) are not read), read
-    from label rows a block of rows at a time."""
+    from label rows one depth of ancestors at a time (`_prefix_len`)."""
     anc = ball.ancestors
     out = np.zeros(anc.shape, np.int8)
-    step = max(1, _LABEL_BLOCK // m.labels.shape[1])
-    for s in range(0, len(out), step):
-        rows = slice(s, s + step)
-        for k in range(anc.shape[1]):
-            out[rows, k] = _prefix_len(m.labels[anc[rows, k]], m.labels[rows])
+    for k in range(anc.shape[1]):
+        out[:, k] = _prefix_len(m.labels, m.labels, anc[:, k])
     return out
 
 
@@ -364,7 +361,6 @@ def check_geodesic_image(
     side = np.array([[0], [1]])  # u's side from depth lca(u, v), v's side below it
     # per pair: both sides' positions, then the cover of the image geodesic
     size = max(1, _GEODESIC_BLOCK // (2 * (R + 1) + 2 * int(m.depths.max()) + 1))
-    step = max(1, _LABEL_BLOCK // m.labels.shape[1])
     violations = ViolationList()
     for iu, ju, lca, iplen in _pairs(ball.labels, m.labels, pair_source, size):
         ends = np.stack([iu, ju], axis=1)
@@ -375,11 +371,7 @@ def check_geodesic_image(
         other = np.minimum(P, Q)  # lcp(f(b), f(the other end))
         tie = np.nonzero(on & (P == Q))
         bt, et = b[tie], ends[tie[0], 1 - tie[1]]
-        tied = np.empty(len(bt), np.int32)  # read _LABEL_BLOCK labels at a time
-        for s in range(0, len(bt), step):
-            rows = slice(s, s + step)
-            tied[rows] = _prefix_len(m.labels[bt[rows]], m.labels[et[rows]])
-        other[tie] = tied
+        other[tie] = _prefix_len(m.labels, m.labels, bt, et)
         # projection of f(b) onto the image geodesic f(u) .. f(v): its
         # position from f(u) and its height
         rise = m.depths[iu] - iplen
@@ -468,7 +460,7 @@ def check_same_depth(m: FiniteTreeMap, C) -> list[Violation]:
             found = np.partition(found, cap)[:cap]
     for key in np.sort(found).tolist():
         a, b = divmod(key % (n * n), n)
-        dd = 2 * (int(ball.depths[a]) - int(_prefix_len(ball.labels[a], ball.labels[b])))
+        dd = 2 * (int(ball.depths[a]) - int(_prefix_len(ball.labels, ball.labels, [a], [b])[0]))
         di = int(m.depths[a]) - int(m.depths[b])
         value = di if di > thr else dd
         violations.append(Violation(ball.vertex(a), ball.vertex(b), "samedepth", value))

@@ -36,11 +36,10 @@ import numpy as np
 from . import report
 from .errors import PreconditionError, ValidationFailure
 from .layout import _ball, _pack
-from .mixed_builder import BuildTrace, ClassTrace, _levels
 from .pair_source import EXHAUSTIVE, PairSource
 from .prefix import _prefix_len
 from .qi_map import measure_qi
-from .tree_core import format_address
+from .tree_core import MAX_DEPTH, format_address
 from .tree_map import FiniteTreeMap, is_order_preserving, sup_distance
 
 # Promise checks fall back to a fixed-seed sample above this many pairs so
@@ -176,16 +175,20 @@ def _normalize_fold(f: FiniteTreeMap) -> FiniteTreeMap:
 
     That prefix has length acc(v) = min(depth f(v), min over children c of
     min(cpl(f(v), f(c)), acc(c))), cpl being the common-prefix length.
+    Each child is compared with its parent a block of rows at a time, and
+    the labels are cut in place, one column at a time.
     """
     radius = f.domain_radius
     b = _ball(f.shape.degree, radius)
     acc = f.depths.copy()
     for t in range(radius - 1, -1, -1):
-        at = b.levels[t]
-        kids = b.children(at, t)
-        cpl = _prefix_len(f.labels[at][:, None, :], f.labels[kids])
-        acc[at] = np.minimum(acc[at], np.minimum(cpl, acc[kids]).min(axis=1))
-    labels = np.where(np.arange(f.labels.shape[1]) < acc[:, None], f.labels, -1)
+        at, kids = b.levels[t], b.levels[t + 1]  # kids: the children of `at`, row by row
+        cpl = _prefix_len(f.labels, f.labels, kids, b.parents[kids])
+        below = np.minimum(cpl, acc[kids]).reshape(len(at), -1).min(axis=1)
+        acc[at] = np.minimum(acc[at], below)
+    labels = f.labels[:, : max(1, int(acc.max()))].copy()
+    for k in range(labels.shape[1]):
+        labels[acc <= k, k] = -1
     return FiniteTreeMap._from_arrays(f.shape, radius, labels, acc)
 
 
@@ -209,6 +212,8 @@ def approximate_by_mixed(
     own step comes back unchanged.  The trace's classes are read from label
     rows one at a time (`_ClassTraces`).
     """
+    from .mixed_builder import BuildTrace, _levels  # normalization needs no builder
+
     bundle = constants(C, D_override)
     Cf = bundle.C
     ok, wit = is_order_preserving(g)
@@ -276,7 +281,8 @@ def _check_level(g: FiniteTreeMap, lv, fill_bound: Fraction) -> tuple:
     g-image is the class image, so its distance is a depth difference, and
     an integer exceeds the bound iff it exceeds the bound's floor.  Only the
     failing class is read as tuples, to word the failure."""
-    n, top, floor = len(lv.images[1]), lv.top, math.floor(fill_bound)
+    # no depth difference exceeds the depth cap, so a larger floor is the cap
+    n, top, floor = len(lv.images[1]), lv.top, min(math.floor(fill_bound), MAX_DEPTH)
     parent = lv.parent[lv.by]
     twice = lv.repeat & (parent != np.roll(parent, 1))  # an image again, from another member
     shared = np.bincount(lv.owned, twice, n) > 0
@@ -328,6 +334,8 @@ class _ClassTraces:
         return sum(len(images[1]) for _, images in self._levels)
 
     def __iter__(self) -> Iterator[ClassTrace]:
+        from .mixed_builder import ClassTrace
+
         g, step = self._g, self._step
         ball = _ball(g.shape.degree, g.domain_radius)
 
@@ -351,7 +359,7 @@ class _ClassTraces:
                 # the distinct images in address order, and each one's depths below
                 # the image and below the one before, which are its new prefixes
                 order = np.lexsort(targets.T[::-1])
-                lcp = _prefix_len(targets[order[:-1]], targets[order[1:]])
+                lcp = _prefix_len(targets, targets, order[:-1], order[1:])
                 new = np.flatnonzero(np.concatenate([[True], lcp < depths_at[order[:-1]]]))
                 lows = (np.concatenate([[len(image) - 1], lcp])[new] + 1).tolist()
                 boundary = [images[i] for i in order[new].tolist()]

@@ -90,7 +90,7 @@ class FiniteTreeMap:
         self.shape = shape
         self.domain_radius = domain_radius
         self.labels = np.ascontiguousarray(labels[:, : max(1, int(depths.max()))])
-        self.depths = depths.astype(np.int16)  # at most MAX_DEPTH
+        self.depths = depths.astype(np.int16, copy=False)  # at most MAX_DEPTH
         self.labels.flags.writeable = self.depths.flags.writeable = False
 
     @property
@@ -258,13 +258,15 @@ def is_order_preserving(m: FiniteTreeMap) -> tuple[bool, Vertex | None]:
     """True iff every vertex's image descends from its parent's image.
 
     Returns the shallowest (then address-least) violating vertex otherwise.
+    Each row is compared with its parent's row, gathered a block at a time
+    (`_prefix_len`).
     """
     b = _ball(m.shape.degree, m.domain_radius)
     parents = b.parents[1:]
-    ok = _prefix_len(m.labels[1:], m.labels[parents]) == m.depths[parents]
-    if ok.all():
+    plen = _prefix_len(m.labels, m.labels, slice(1, None), parents)
+    bad = np.flatnonzero(plen != m.depths[parents]) + 1
+    if not len(bad):
         return True, None
-    bad = np.flatnonzero(~ok) + 1
     return False, b.vertex(bad[np.argmin(b.depths[bad])])
 
 
@@ -277,8 +279,11 @@ def sup_distance(m1: FiniteTreeMap, m2: FiniteTreeMap) -> int:
     r = min(m1.domain_radius, m2.domain_radius)
     rows1 = _ball(m1.shape.degree, m1.domain_radius).rows(r)
     rows2 = _ball(m1.shape.degree, m2.domain_radius).rows(r)
-    plen = _prefix_len(m1.labels[rows1], m2.labels[rows2])
-    return int((m1.depths[rows1] + m2.depths[rows2] - 2 * plen).max())
+    dist = _prefix_len(m1.labels, m2.labels, rows1, rows2)  # gathered a block at a time
+    dist *= -2
+    dist += m1.depths[rows1]
+    dist += m2.depths[rows2]
+    return int(dist.max())
 
 
 def compose(outer: FiniteTreeMap, inner: FiniteTreeMap) -> FiniteTreeMap:

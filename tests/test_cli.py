@@ -466,6 +466,7 @@ _UNLOADED = {
     "distance": {"mixed_builder", "transforms", "oracle"},
     "compose": {"mixed_builder", "transforms", "oracle"},
     "verify-mixed": {"transforms", "oracle"},
+    "normalize": {"mixed_builder", "oracle"},
 }
 
 

@@ -17,10 +17,17 @@ from reference import (
 )
 from treeqi import MixedPolicy, TreeShape
 from treeqi import mapfile, tree_map
-from treeqi.errors import BudgetExceededError, DepthLimitError, MapFormatError, TreeQIError
+from treeqi.errors import (
+    BudgetExceededError,
+    DepthLimitError,
+    InvalidAddressError,
+    MapFormatError,
+    TreeQIError,
+)
 from treeqi.mapfile import dump_map_text, parse_map_text, write_map_file, parse_map_file
 from treeqi.mixed_builder import BuildTrace, ClassTrace
 from treeqi.layout import _ball
+from treeqi.oracle import oracle_measure
 from treeqi.tree_core import ball_size
 
 D3 = TreeShape(3)
@@ -524,9 +531,9 @@ def test_trace_writer_and_verifier_memory_is_bounded(tmp_path):
 
 def test_approximation_and_trace_write_memory_is_bounded(tmp_path):
     """At radius 12, approximating an automorphism in four levels and
-    writing the trace peak below five times the map's label rows: no table
-    of the whole ball is built, and the trace's classes are read from label
-    rows one at a time."""
+    writing the trace peak below 64 bytes a vertex, whatever the label
+    width: no table of the whole ball is built, and the trace's classes are
+    read from label rows one at a time."""
     g = tq.random_automorphism_map(D3, 12, 1)
     path = tmp_path / "t.trace"
     trace = tq.approximate_by_mixed(g, 1, D_override=3, check_promise=False)[2]
@@ -540,8 +547,69 @@ def test_approximation_and_trace_write_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * g.labels.nbytes
+    assert peak <= 64 * len(g.depths)
     assert path.read_text() == reference_trace_text(trace)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_map_read_memory_is_bounded_by_its_label_rows(tmp_path):
+    """Reading a radius-14 map file, with images at and below the radius,
+    peaks below three times its label rows plus one chunk of the file: the
+    block reader holds one piece of whole lines at a time and builds no
+    array as large as the file."""
+    auto = tq.random_automorphism_map(D3, 14, 7)
+    for m in (auto, tq.perturb_map_in_subtree(auto, 3)):
+        path = tmp_path / "m.qi"
+        write_map_file(m, path)
+        assert parse_map_file(path) == m  # the ball is cached before measuring
+        peak = _traced_peak(lambda: parse_map_file(path))
+        assert peak <= 3 * m.labels.nbytes + mapfile._CHUNK, (peak, m.labels.nbytes)
+
+
+def test_whole_map_checks_memory_is_bounded_at_radius_14():
+    """At radius 14 the parent check and the sup distance gather rows a
+    block at a time, each peaking below one map's label rows, and the
+    structural verifier holds one level's image rows at a time, peaking
+    below four times the map's label rows."""
+    auto = tq.random_automorphism_map(D3, 14, 7)
+    pert = tq.perturb_map_in_subtree(auto, 3)
+    approx, bundle, _ = tq.approximate_by_mixed(auto, 1, check_promise=False)
+    for m in (auto, pert):
+        assert _traced_peak(lambda: tq.is_order_preserving(m)) <= m.labels.nbytes
+    assert _traced_peak(lambda: tq.sup_distance(approx, pert)) <= pert.labels.nbytes
+    peak = _traced_peak(lambda: tq.verify_mixed_structure(approx, bundle.D_used))
+    assert peak <= 4 * approx.labels.nbytes
+
+
+@pytest.mark.parametrize("degree, dtype", [(128, np.int8), (129, np.int16)])
+def test_label_width_boundary(degree, dtype, tmp_path):
+    """Labels take one byte up to degree 128, whose greatest label is 127,
+    and two from degree 129 on: at both widths the greatest label and the
+    three-digit labels below it are written, read back and measured as
+    before, and a label equal to the degree is refused with its error."""
+    shape = TreeShape(degree)
+    m = tq.perturb_map_in_subtree(tq.random_automorphism_map(shape, 1, 2), 4)
+    assert m.labels.dtype == dtype and m.labels.max() == degree - 1
+    text = dump_map_text(m)
+    assert text == reference_dump_map_text(m)
+    write_map_file(m, tmp_path / "m.qi")
+    assert (tmp_path / "m.qi").read_text() == text
+    assert parse_map_file(tmp_path / "m.qi") == m
+    assert dump_map_text(parse_map_text(text)) == text
+    assert oracle_measure(m).measurement_fields() == tq.measure_qi(m).measurement_fields()
+    message = f"label {degree} at position 0 out of range [0, {degree}) for degree {degree}"
+    with pytest.raises(MapFormatError, match=re.escape(f"line 2: bad image address: {message}")):
+        parse_map_text(f"tree-qi v1 degree={degree} radius=0\n. {degree}\n")
+    with pytest.raises(InvalidAddressError, match=re.escape(message)):
+        tq.FiniteTreeMap(shape, 0, {(): (degree,)})
 
 
 def test_writer_matches_reference():

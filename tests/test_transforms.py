@@ -221,6 +221,15 @@ def test_fill_distance_bound_is_exact(C, vertex, value):
     assert str(err.value) == f"fill-distance: {vertex} collapsed {value} > {bound} from its g-image"
 
 
+def test_approximate_takes_a_fill_bound_past_the_depth_cap():
+    """C = 100 gives a fill bound above 4 * 10^6, past any depth
+    difference: every fill vertex passes it."""
+    g = tq.random_automorphism_map(D3, 3, 1)
+    f, bundle, _ = tq.approximate_by_mixed(g, 100, 1, check_promise=False)
+    assert bundle.final_bound > 4 * 10**6
+    assert tq.verify_mixed_structure(f, 1).passed
+
+
 def test_approximate_passing_output_passes_structure():
     g = tq.random_automorphism_map(D3, 6, 31)
     f, bundle, _ = tq.approximate_by_mixed(g, 1, 3)

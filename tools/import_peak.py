@@ -9,13 +9,15 @@ run:
 - the median peak resident set (`ru_maxrss`, read with `os.wait4`) of 8
   `python -m treeqi verify` jobs on a one-vertex map, in MB: each compiles
   every module that `verify` imports and does almost no other work;
-- the median peak of 5 `approximate --trace-out` jobs at C = 1 on a
-  degree-3 radius-14 random automorphism (49,150 vertices, seed 7), of 5
-  `verify-mixed` jobs on the approximation those jobs write, and of 5
-  `distance` jobs between the two maps (two map reads), in MB: the jobs
-  that can set the peak of the radius-14 conversions.  The map is
-  generated in a temporary directory by the first source directory's
-  treeqi;
+- the median peak of 5 runs of each job of the radius-14 conversions, in
+  MB, in the order they run: `normalize` at C = 3 of a perturbed copy of
+  a degree-3 radius-14 random automorphism (49,150 vertices, seed 7),
+  `approximate --trace-out` at C = 1 of the automorphism, `verify-mixed`
+  of the approximation, `distance` between the automorphism and the
+  approximation and `compose` of the normalized map after the
+  approximation (two map reads each).  The largest of these is the peak
+  of the radius-14 conversions.  The two maps are generated in a
+  temporary directory by the first source directory's treeqi;
 - for each module of the package, the median of 5 processes of how much
   compiling its source raises the peak of a process that has imported
   numpy, in MB.  The largest such step of the modules a job loads is what
@@ -39,12 +41,15 @@ _RUNS = 8
 _CONVERT_RUNS = 5
 _MODULE_RUNS = 5
 _ONE_VERTEX_MAP = "tree-qi v1 degree=3 radius=0\n. .\n"
-# run in a fresh process: write the radius-14 map to argv[1] and print the
-# step depth that the approximation at C = 1 uses
+# run in a fresh process: write the radius-14 automorphism to argv[1] and a
+# perturbed copy to argv[2], and print the step depth that the
+# approximation at C = 1 uses
 _GENERATE = (
     "import sys\n"
     "import treeqi as tq\n"
-    "tq.write_map_file(tq.random_automorphism_map(tq.TreeShape(3), 14, 7), sys.argv[1])\n"
+    "auto = tq.random_automorphism_map(tq.TreeShape(3), 14, 7)\n"
+    "tq.write_map_file(auto, sys.argv[1])\n"
+    "tq.write_map_file(tq.perturb_map_in_subtree(auto, 7), sys.argv[2])\n"
     "print(tq.constants(1).D_used)\n"
 )
 # run in a fresh process: the rise of ru_maxrss (KB) across compiling argv[1]
@@ -87,24 +92,28 @@ def _compile_rise_mb(src: Path, module: Path) -> float:
 def main(argv: list[str]) -> None:
     dirs = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent / "src"]
     with tempfile.TemporaryDirectory() as tmp:
-        map_path, auto, approx = (os.path.join(tmp, f) for f in ("one.qi", "auto.qi", "approx"))
+        map_path, auto, pert, norm, approx = (
+            os.path.join(tmp, f) for f in ("one.qi", "auto.qi", "pert.qi", "norm.qi", "approx.qi")
+        )
         Path(map_path).write_text(_ONE_VERTEX_MAP, encoding="ascii")
-        cmd = [sys.executable, "-c", _GENERATE, auto]
+        cmd = [sys.executable, "-c", _GENERATE, auto, pert]
         out = subprocess.run(cmd, env=_env(dirs[0]), capture_output=True, text=True, check=True)
         step = out.stdout.strip()
-        approximate = ["approximate", "--in", auto, "--C", "1", "--out", approx + ".qi"]
-        approximate += ["--trace-out", approx + ".trace"]
-        verify_mixed = ["verify-mixed", "--in", approx + ".qi", "--D", step]
-        distance = ["distance", "--a", auto, "--b", approx + ".qi"]
+        jobs = {
+            "normalize": ["--in", pert, "--C", "3", "--out", norm],
+            "approximate --trace-out": [
+                "--in", auto, "--C", "1", "--out", approx, "--trace-out", approx + ".trace"
+            ],
+            "verify-mixed": ["--in", approx, "--D", step],
+            "distance": ["--a", auto, "--b", approx],
+            "compose": ["--a", norm, "--b", approx, "--out", os.path.join(tmp, "comp.qi")],
+        }
         for src in dirs:
             peak = _median_peak_mb(src, _RUNS, "verify", "--in", map_path)
             print(f"{peak:.2f} MB  {src}  (verify job)")
-            peak = _median_peak_mb(src, _CONVERT_RUNS, *approximate)
-            print(f"{peak:.2f} MB  {src}  (radius-14 approximate --trace-out job)")
-            peak = _median_peak_mb(src, _CONVERT_RUNS, *verify_mixed)
-            print(f"{peak:.2f} MB  {src}  (radius-14 verify-mixed job)")
-            peak = _median_peak_mb(src, _CONVERT_RUNS, *distance)
-            print(f"{peak:.2f} MB  {src}  (radius-14 distance job)")
+            for name, argv in jobs.items():
+                peak = _median_peak_mb(src, _CONVERT_RUNS, name.split()[0], *argv)
+                print(f"{peak:.2f} MB  {src}  (radius-14 {name} job)")
             for module in sorted((src / "treeqi").glob("*.py")):
                 rises = [_compile_rise_mb(src, module) for _ in range(_MODULE_RUNS)]
                 print(f"  {statistics.median(rises):.2f} MB  {module.name}")
