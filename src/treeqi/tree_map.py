@@ -6,9 +6,11 @@ A map holds the images of its ball's vertices as label arrays in ball
 arrays from the label rows (`mapfile`).  Whole-map operations (comparison,
 composition, sup distance, the ancestry check, coarse surjectivity) run on
 the arrays, and so do the mixed construction and its checks in
-`mixed_builder`; the dict view `FiniteTreeMap.table` serves
-`FiniteTreeMap.evaluate`, the independent oracle and callers that want
-tuples.
+`mixed_builder`.  The seeded generators write label rows too:
+`random_automorphism_map` level by level, and `perturb_map_in_subtree`
+by writing its moved tails into a widened copy of its input's rows.  The
+dict view `FiniteTreeMap.table` serves only `FiniteTreeMap.evaluate`, the
+independent oracle and callers that want tuples.
 """
 
 from __future__ import annotations
@@ -227,27 +229,37 @@ def perturb_map_in_subtree(m: FiniteTreeMap, seed: int, *, max_step: int = 2) ->
     its own subtree.
 
     The root's image is left untouched so the result still fixes the root
-    whenever the input does.  Deterministic for a fixed seed.
+    whenever the input does.  The draws on `random.Random(seed)` are the
+    contract.  Each vertex other than the root, in address order, draws one
+    `random()` and moves when that draw is 0.5 or more.  A moving vertex
+    then draws `randrange(max_step)` and takes 1 + that many steps, each
+    one `randrange` over the child labels of its image so far (d at the
+    root, d - 1 below it); steps stop early at the depth cap.  The moved
+    tails are written into a widened copy of the label rows.
     """
+    if max_step < 1:
+        raise ValueError(f"max_step must be >= 1, got {max_step}")
+    _budgeted_ball(m.shape, m.domain_radius)  # refuses a ball past the default budget
     rng = random.Random(seed)
-    shape = m.shape
-    table = {}
-    for v in m.domain:
-        fv = m.table[v]
-        if v == ROOT:
-            table[v] = fv
+    rnd, randrange = rng.random, rng.randrange
+    d = m.shape.degree
+    rows, cols, vals = [], [], []  # one entry per label added
+    for i, k in enumerate(m.depths.tolist()[1:], 1):
+        if rnd() < 0.5:
             continue
-        if rng.random() < 0.5:
-            table[v] = fv
-            continue
-        steps = 1 + rng.randrange(max_step)
-        w = fv
-        for _ in range(steps):
-            if len(w) >= MAX_DEPTH:
+        for _ in range(1 + randrange(max_step)):
+            if k >= MAX_DEPTH:
                 break
-            w = w + (rng.randrange(shape.child_label_count(w)),)
-        table[v] = w
-    return FiniteTreeMap(shape, m.domain_radius, table)
+            rows.append(i)
+            cols.append(k)
+            vals.append(randrange(d if k == 0 else d - 1))
+            k += 1
+    rows = np.array(rows, np.intp)
+    depths = m.depths + np.bincount(rows, minlength=len(m.depths))
+    labels = np.full((len(depths), max(1, int(depths.max()))), -1, m.labels.dtype)
+    labels[:, : m.labels.shape[1]] = m.labels
+    labels[rows, cols] = vals
+    return FiniteTreeMap._from_arrays(m.shape, m.domain_radius, labels, depths)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Two kinds of code live here, and none of it in the package:
 from __future__ import annotations
 
 import bisect
+import random
 import re
 from itertools import groupby
 from typing import Iterable, Iterator
@@ -54,7 +55,7 @@ from treeqi.mixed_builder import (
 from treeqi.transforms import _warn_promise, constants, measure_promise
 from treeqi.tree_map import is_order_preserving, sup_distance
 from treeqi.layout import _ball
-from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, ball
+from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, ball
 
 # ---------------------------------------------------------------------------
 # the tuple model of the tree
@@ -276,6 +277,30 @@ def reference_normalize_fold(f):
                 acc = lca_pair(acc, table[c])
         table[v] = acc
     return FiniteTreeMap(f.shape, f.domain_radius, table)
+
+
+def reference_perturb_map_in_subtree(m, seed, *, max_step=2):
+    """The tuple generator: each image read from the dict view, the moved
+    ones extended label by label, the result packed from a new dict."""
+    rng = random.Random(seed)
+    shape = m.shape
+    table = {}
+    for v in m.domain:
+        fv = m.table[v]
+        if v == ROOT:
+            table[v] = fv
+            continue
+        if rng.random() < 0.5:
+            table[v] = fv
+            continue
+        steps = 1 + rng.randrange(max_step)
+        w = fv
+        for _ in range(steps):
+            if len(w) >= MAX_DEPTH:
+                break
+            w = w + (rng.randrange(shape.child_label_count(w)),)
+        table[v] = w
+    return FiniteTreeMap(shape, m.domain_radius, table)
 
 
 def reference_coarse_surjectivity(m, target_radius, budget=DEFAULT_VERTEX_BUDGET):
