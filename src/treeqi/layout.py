@@ -80,12 +80,13 @@ class _Ball:
     (a_0 .. a_{m-1}) of the ball sits at m + sum a_k * sizes[k]
     (`positions`).  The vertex tuples and the ancestor table are built on
     first use, the tuples one level at a time.  They are whole-ball tables,
-    so only work that visits most of the ball asks for them: the class walk
-    and the dict view share the tuples, and the exhaustive count and the
-    checks read the ancestors.  Work that names a few vertices (a witness,
-    violations, a missing source) builds each one's tuple from its label
-    row (`vertex`); the structural verifier, the approximation, the trace
-    writer and both text readers build none.
+    so only work that visits most of the ball asks for them: the dict view
+    reads the tuples, and the exhaustive count and the checks read the
+    ancestors.  Work that names a few vertices (a witness, violations, a
+    missing source) builds each one's tuple from its label row (`vertex`).
+    The construction's class walk reads its members and blocks from label
+    rows, so the builder, the structural verifier, the approximation, the
+    trace writer and both text readers build none.
     """
 
     def __init__(self, degree: int, radius: int):

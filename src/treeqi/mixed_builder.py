@@ -9,17 +9,21 @@ collapses to the class image.  Policies own the free choices (which boundary
 size, how the subtree grows, who absorbs the assignment surplus) and a
 replayable trace records every choice made.
 
-The class walk runs on the positions of the cached ball layout
+The builder and the approximation in `transforms` share one class walk
+(`_level_classes`) on the positions of the cached ball layout
 (`layout._ball`): each level is one array of positions in preorder, and the
 descendants at depth t of row r of a shallower level are the r-th of the
-equal runs of level t.  Blocks, fill, and the member that owns each block
-vertex all come from these runs.  The builder drives the walk, reading and
-writing images by position.  The structural verifier checks the
-construction invariants exhaustively on the stored ball from label rows,
-on one level driver (`_levels`) that it shares with the approximation in
-`transforms`: the driver sorts each level's image rows once to group them,
-and the grouping, carried to the next level, judges the class subtrees of
-all its classes at once by counting.
+equal runs of level t.  Members and blocks are read from label rows, each
+block vertex being its member's address followed by a run of labels that
+every member shares.  Each side keeps its own images, the builder tuples on
+the level depths and the approximation label rows, and both collapse every
+vertex between two levels onto the image of its ancestor on the level
+above in one step over the ball (`_anchors`).  The structural verifier
+checks the construction invariants exhaustively on the stored ball from
+label rows, on one level driver (`_levels`) that it shares with the
+approximation: the driver sorts each level's image rows once to group
+them, and the grouping, carried to the next level, judges the class
+subtrees of all its classes at once by counting.
 
 Each class choice costs time linear in the class and works relative to the
 class image v: below v, a subtree's shape and boundary depend on v only
@@ -169,6 +173,8 @@ class BuildTrace:
                 _number(fields["levels"], "levels"),
                 fields["policy"],
             )
+            if trace.step < 1:  # levels=0 stays: an empty construction is one
+                raise ValueError("a D= value of 0 is not a step depth")
         except (KeyError, ValueError) as e:
             raise MapFormatError(f"bad trace header: {e}", 1) from None
         addr = _Addresses(TreeShape(trace.degree)).__getitem__
@@ -452,33 +458,31 @@ def assign_images(
     return assignment
 
 
-def _level_classes(ball: _Ball, step: int, levels: int, image):
-    """The construction's class walk on the positions of `ball`, whose
-    radius is at least step*levels: yields (i, LevelClass, block, fill) per
-    class.
+def _level_classes(ball: _Ball, step: int, i: int, classes: dict) -> Iterator[tuple]:
+    """The class walk of level i on the positions of `ball`, whose radius is
+    at least (i + 1) * step: yields (LevelClass, block) per class, `block`
+    listing the positions of LevelClass.block.  The builder (`_build_levels`)
+    and the approximation's trace (`transforms._ClassTraces`) share it.
 
-    Level i groups the positions of depth i*step by `image(positions)`, one
-    image per position; positions are in preorder, which is address order,
-    so the classes come in order of least member.  The depth-t descendants
-    of the member in row r are the run r*k .. r*k+k-1 of `ball.levels[t]`,
-    for the k such descendants of every member.  `block` holds the
-    positions of LevelClass.block, and `fill` the positions strictly between
-    the members and the block, member by member, depth by depth, in address
-    order.  The blocks make up the next level, whose images are read only
-    after the consumer has taken every class of this one.  The walk serves
-    the builder alone (`_build_levels`); the structural verifier and the
-    approximation read the same runs on label rows (`_levels`).
+    `classes` maps each class image to its members' rows of the positions
+    of depth i*step, in order of least member; positions are in preorder,
+    which is address order.  The D-children of the member in row r are the
+    r-th of the equal runs of `ball.levels[(i + 1) * step]`.  The ball lays
+    out alike below every vertex of one depth, so each D-child is its
+    member's address followed by the same run of labels for every member
+    (`below`), at its member's position plus the same offset: the block is
+    v + w for each member v and each w in below.  Members and blocks are
+    read from label rows, and no vertex tuple of the ball is built.
     """
-    for i in range(levels):
-        at = ball.levels[i * step]
-        # heads[r]: member at[r], then its fill; blocks[r]: its D-children
-        walk = [ball.levels[t].reshape(len(at), -1) for t in range(i * step, (i + 1) * step + 1)]
-        heads, blocks = np.hstack(walk[:-1]).tolist(), walk[-1].tolist()
-        for w, rows in _grouped(image(at)).items():
-            block = [p for r in rows for p in blocks[r]]
-            members = tuple(ball.verts[heads[r][0]] for r in rows)
-            cls = LevelClass(w, members, tuple(map(ball.verts.__getitem__, block)))
-            yield i, cls, block, [p for r in rows for p in heads[r][1:]]
+    top, at = ball.levels[i * step], ball.levels[(i + 1) * step]
+    first = at[: len(at) // len(top)]  # the first member's D-children
+    heads = [tuple(r) for r in ball.labels[top, : i * step].tolist()]
+    below = [tuple(r) for r in ball.labels[first, i * step : (i + 1) * step].tolist()]
+    tops, offsets = top.tolist(), (first - top[0]).tolist()
+    for image, rows in classes.items():
+        members = tuple([heads[r] for r in rows])
+        block = tuple([v + w for v in members for w in below])
+        yield LevelClass(image, members, block), [tops[r] + o for r in rows for o in offsets]
 
 
 def _grouped(images: list) -> dict:
@@ -489,22 +493,36 @@ def _grouped(images: list) -> dict:
     return groups
 
 
+def _anchors(ball: _Ball, step: int, r: int) -> np.ndarray:
+    """For each position of the ball of radius r <= ball.radius, in its own
+    order, the position of that vertex's ancestor of depth floor(t / step)
+    * step, t being its depth: the vertex between two levels collapses onto
+    the image of its ancestor on the level above."""
+    anchor = np.empty(len(ball.depths), np.int64)
+    for t in range(r + 1):  # row k of the level above owns the k-th of the equal runs of depth t
+        up = ball.levels[t - t % step]
+        anchor[ball.levels[t]] = np.repeat(up, len(ball.levels[t]) // len(up))
+    return anchor[ball.rows(r)]
+
+
 def _build_levels(ball: _Ball, trace: BuildTrace, choose) -> FiniteTreeMap:
-    """The construction along the class walk on `ball`: `choose(i, cls,
-    block, fill)` returns each class's ClassTrace, whose assignment (in
-    block order) the block takes while the fill collapses onto the class
-    image.  Appends to trace.classes; the map covers the trace's radius."""
-    images = np.empty(len(ball.depths), object)  # by ball position
-    images[0] = ROOT
-    for i, cls, block, fill in _level_classes(ball, trace.step, trace.levels, images.__getitem__):
-        entry = choose(i, cls, block, fill)
-        for p, a in zip(block, entry.assignment.values()):
-            images[p] = a
-        for p in fill:
-            images[p] = cls.image
-        trace.classes.append(entry)
-    radius = trace.step * trace.levels
-    labels, depths = _pack(images[ball.rows(radius)], _label_dtype(trace.degree))
+    """The construction along the class walk on `ball`: `choose(i, cls)`
+    returns each class's ClassTrace, whose assignment (in block order) the
+    block takes.  Images are tuples, by position, read on the level depths
+    only; every other vertex collapses onto the image of its ancestor on the
+    level above (`_anchors`) as the map is packed.  Appends to
+    trace.classes; the map covers the trace's radius."""
+    step, radius = trace.step, trace.step * trace.levels
+    images = [ROOT] * len(ball.depths)  # by ball position, read on the level depths only
+    for i in range(trace.levels):
+        classes = _grouped([images[p] for p in ball.levels[i * step].tolist()])
+        for cls, block in _level_classes(ball, step, i, classes):
+            entry = choose(i, cls)
+            for p, a in zip(block, entry.assignment.values()):
+                images[p] = a
+            trace.classes.append(entry)
+    images = [images[p] for p in _anchors(ball, step, radius).tolist()]
+    labels, depths = _pack(images, _label_dtype(trace.degree))
     return FiniteTreeMap._from_arrays(ball.shape, radius, labels, depths)
 
 
@@ -560,7 +578,7 @@ def build_mixed(
             raise PolicyError("trace header does not match the requested construction parameters")
         recorded = head.by_class()
 
-    def choose(i: int, cls: LevelClass, block, fill) -> ClassTrace:
+    def choose(i: int, cls: LevelClass) -> ClassTrace:
         rng = class_rng(policy, i, cls.image)
         if policy.variant == "explicit":
             entry = recorded.get((i, cls.image))
@@ -573,7 +591,7 @@ def build_mixed(
             assignment = {b: entry.assignment[b] for b in cls.block}
             draws = entry.rng_draws
         else:
-            feas = feasible_boundary_sizes(len(cls.members), len(block), cls.image == ROOT, shape)
+            feas = feasible_boundary_sizes(len(cls.members), len(cls.block), not cls.image, shape)
             if not feas:
                 raise PolicyError("no feasible boundary size", level=i, image=cls.image)
             pick = rng.randrange(len(feas)) if rng else 0 if policy.variant == "minimal" else -1

@@ -10,12 +10,14 @@ Two transforms, both for root-fixing maps:
   level with step depth D, keeping the map's own images on each class block
   and collapsing everything between two levels onto the class image, so
   that each vertex takes the image of its ancestor on the level above.  The
-  map is built as arrays.  The two construction conditions and the collapse
-  distance are checked for all classes of a level at once, on the level
-  driver of the structural verifier (`mixed_builder._levels`), and only a
-  failing class is read as tuples; the trace's classes are read from label
-  rows one at a time.  Success is guaranteed once D reaches the derived
-  threshold; a map that is already mixed at step D comes back unchanged.
+  map is built as arrays, by the builder's collapse (`mixed_builder._anchors`).
+  The two construction conditions and the collapse distance are checked for
+  all classes of a level at once, on the level driver of the structural
+  verifier (`mixed_builder._levels`), and only a failing class is read as
+  tuples; the trace's classes are read one at a time along the builder's
+  class walk (`mixed_builder._level_classes`), with g's label rows as their
+  images.  Success is guaranteed once D reaches the derived threshold; a
+  map that is already mixed at step D comes back unchanged.
 
 Both transforms take the promised constant C as input because every derived
 constant is a function of it; they re-measure the actual ball constant and
@@ -209,10 +211,10 @@ def approximate_by_mixed(
     (final-bound); any failure raises ValidationFailure with the class
     location and the failed check.  With D_used >= D_guaranteed and an
     honest C the validation never fires, and a mixed map approximated at its
-    own step comes back unchanged.  The trace's classes are read from label
-    rows one at a time (`_ClassTraces`).
+    own step comes back unchanged.  The trace's classes are read along the
+    construction's class walk one at a time (`_ClassTraces`).
     """
-    from .mixed_builder import BuildTrace, _levels  # normalization needs no builder
+    from .mixed_builder import BuildTrace, _anchors, _levels  # normalization needs no builder
 
     bundle = constants(C, D_override)
     Cf = bundle.C
@@ -237,7 +239,9 @@ def approximate_by_mixed(
     # g's images on the class blocks are the approximation's; per level, the
     # class of each member and each class's image row
     classes = [_check_level(g, lv, fill_bound) for lv in _levels(g, step)]
-    approx = _anchored(g, step, levels)
+    anchor = _anchors(_ball(g.shape.degree, g.domain_radius), step, step * levels)
+    labels, depths = g.labels[anchor], g.depths[anchor]
+    approx = FiniteTreeMap._from_arrays(g.shape, step * levels, labels, depths, checked=True)
     trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
     trace.classes = _ClassTraces(g, step, classes)
     sup = sup_distance(approx, g)
@@ -249,22 +253,6 @@ def approximate_by_mixed(
             bound=fill_bound,
         )
     return approx, bundle, trace
-
-
-def _anchored(g: FiniteTreeMap, step: int, levels: int) -> FiniteTreeMap:
-    """The map on the ball of radius step*levels that sends each vertex of
-    depth t to g's image of its ancestor of depth floor(t / step) * step."""
-    ball = _ball(g.shape.degree, g.domain_radius)
-    radius = step * levels
-    anchor = np.arange(len(ball.depths))  # by position
-    for t in range(radius + 1):
-        if t % step:  # row r of the level above owns the r-th of the equal runs of depth t
-            up = ball.levels[t - t % step]
-            anchor[ball.levels[t]] = np.repeat(up, len(ball.levels[t]) // len(up))
-    anchor = anchor[ball.rows(radius)]
-    return FiniteTreeMap._from_arrays(
-        g.shape, radius, g.labels[anchor], g.depths[anchor], checked=True
-    )
 
 
 def _check_level(g: FiniteTreeMap, lv, fill_bound: Fraction) -> tuple:
@@ -314,17 +302,18 @@ def _check_level(g: FiniteTreeMap, lv, fill_bound: Fraction) -> tuple:
 
 class _ClassTraces:
     """The approximation's class traces, in the order of the construction's
-    class walk: level by level, each level's classes in order of least
-    member.  A ClassTrace is built from label rows when it is read and is
-    not kept, so a reader of the whole trace (`BuildTrace.lines`) holds one
-    class's tuples at a time.
+    class walk (`mixed_builder._level_classes`, which the builder drives
+    too): level by level, each level's classes in order of least member.  A
+    ClassTrace is built from label rows when it is read and is not kept, so
+    a reader of the whole trace (`BuildTrace.lines`) holds one class's
+    tuples at a time.
 
     Per level it keeps the class of each member (numbered in image order)
-    and each class's image row.  The block is g's domain below the members,
-    whose images g keeps; the subtree is the images' proper prefixes below
-    the class image, which a passing class has as its subtree.  Subtree
-    vertices inside the ball are the ball's own tuples once they are built
-    (`verts`), so that a caller who holds both holds no copies.
+    and each class's image row.  The walk gives each class's members and
+    block, whose images g keeps; the subtree is the images' proper prefixes
+    below the class image, which a passing class has as its subtree.
+    Subtree vertices inside the ball are the ball's own tuples once they are
+    built (`verts`), so that a caller who holds both holds no copies.
     """
 
     def __init__(self, g: FiniteTreeMap, step: int, levels: list):
@@ -334,34 +323,22 @@ class _ClassTraces:
         return sum(len(images[1]) for _, images in self._levels)
 
     def __iter__(self) -> Iterator[ClassTrace]:
-        from .mixed_builder import ClassTrace
+        from .mixed_builder import ClassTrace, _grouped, _level_classes
 
         g, step = self._g, self._step
         ball = _ball(g.shape.degree, g.domain_radius)
-
-        def addresses(labels, depths) -> list:
-            return [tuple(r[:k]) for r, k in zip(labels.tolist(), depths.tolist())]
-
         for j, (owner, (labels, depths)) in enumerate(self._levels):
-            top = ball.levels[j * step]
-            blocks = ball.levels[(j + 1) * step].reshape(len(top), -1)
-            by = np.argsort(owner, kind="stable")  # each class's members in address order
-            ends = np.cumsum(np.bincount(owner))
-            # the labels below a member of each vertex of its block, alike for every member
-            below = [tuple(r) for r in ball.labels[blocks[0], j * step : (j + 1) * step].tolist()]
-            for c in dict.fromkeys(owner.tolist()):
-                rows = by[ends[c - 1] if c else 0 : ends[c]]
-                image = tuple(labels[c, : depths[c]].tolist())
-                members = addresses(ball.labels[top[rows]], ball.depths[top[rows]])
-                block = blocks[rows].ravel()
+            image = [tuple(r[:k]) for r, k in zip(labels.tolist(), depths.tolist())]
+            classes = {image[c]: rows for c, rows in _grouped(owner.tolist()).items()}
+            for cls, block in _level_classes(ball, step, j, classes):
                 targets, depths_at = g.labels[block], g.depths[block]
-                images = addresses(targets, depths_at)
+                images = [tuple(r[:k]) for r, k in zip(targets.tolist(), depths_at.tolist())]
                 # the distinct images in address order, and each one's depths below
                 # the image and below the one before, which are its new prefixes
                 order = np.lexsort(targets.T[::-1])
                 lcp = _prefix_len(targets, targets, order[:-1], order[1:])
                 new = np.flatnonzero(np.concatenate([[True], lcp < depths_at[order[:-1]]]))
-                lows = (np.concatenate([[len(image) - 1], lcp])[new] + 1).tolist()
+                lows = (np.concatenate([[len(cls.image) - 1], lcp])[new] + 1).tolist()
                 boundary = [images[i] for i in order[new].tolist()]
                 subtree = [t[:k] for t, low in zip(boundary, lows) for k in range(low, len(t))]
                 if "verts" in vars(ball):
@@ -369,9 +346,9 @@ class _ClassTraces:
                     subtree = [v if p < 0 else ball.verts[p] for v, p in zip(subtree, at)]
                 yield ClassTrace(
                     level=j,
-                    image=image,
-                    members=tuple(members),
+                    image=cls.image,
+                    members=cls.members,
                     subtree=tuple(subtree),
                     boundary=tuple(boundary),
-                    assignment=dict(zip([v + w for v in members for w in below], images)),
+                    assignment=dict(zip(cls.block, images)),
                 )

@@ -44,7 +44,6 @@ from treeqi.errors import (
 )
 from treeqi.errors import PreconditionError, ValidationFailure
 from treeqi.mixed_builder import (
-    _build_levels,
     _CountingRandom,
     _shared_images,
     _stream,
@@ -54,7 +53,6 @@ from treeqi.mixed_builder import (
 )
 from treeqi.transforms import _warn_promise, constants, measure_promise
 from treeqi.tree_map import is_order_preserving, sup_distance
-from treeqi.layout import _ball
 from treeqi.tree_core import DEFAULT_VERTEX_BUDGET, MAX_DEPTH, ball
 
 # ---------------------------------------------------------------------------
@@ -443,7 +441,7 @@ def reference_replayed_subtree(i, cls, entry, shape):
 def reference_choose(shape, step, policy):
     recorded = policy.replay.by_class() if policy.variant == "explicit" else None
 
-    def choose(i, cls, block, fill):
+    def choose(i, cls, fill):
         rng = class_rng(policy, i, cls.image)
         if policy.variant == "explicit":
             entry = recorded.get((i, cls.image))
@@ -474,10 +472,24 @@ def reference_choose(shape, step, policy):
     return choose
 
 
+def reference_build_levels(shape, trace, choose):
+    """The construction's driver on tuples: the tuple walk over a
+    {vertex: image} dict, where `choose(i, cls, fill)` returns each class's
+    ClassTrace, whose assignment the block takes while the fill takes the
+    class image.  Appends to trace.classes; the map covers the trace's
+    radius."""
+    table = {ROOT: ROOT}
+    for i, cls, fill in reference_level_classes(shape, trace.step, trace.levels, table.__getitem__):
+        entry = choose(i, cls, fill)
+        table.update(entry.assignment)
+        table.update(dict.fromkeys(fill, cls.image))
+        trace.classes.append(entry)
+    return FiniteTreeMap(shape, trace.step * trace.levels, table)
+
+
 def reference_build(shape, step, levels, policy):
     trace = BuildTrace(shape.degree, step, levels, policy.describe())
-    choose = reference_choose(shape, step, policy)
-    m = _build_levels(_ball(shape.degree, step * levels), trace, choose)
+    m = reference_build_levels(shape, trace, reference_choose(shape, step, policy))
     return m, trace
 
 
@@ -506,30 +518,30 @@ def reference_approximate_by_mixed(g, C, D_override=None, *, check_promise=True)
         if not honest:
             _warn_promise("approximate_by_mixed", measured, Cf, mode)
     fill_bound = bundle.final_bound
-    ball = _ball(g.shape.degree, g.domain_radius)
+    table = g.table
 
-    def choose(i, cls, block, fill):
+    def choose(i, cls, fill):
         def failure(kind, message, value=None):
             bound = None if value is None else fill_bound
             return ValidationFailure(
                 kind, message, level=i, image=cls.image, value=value, bound=bound
             )
 
-        images = g._images(block)
+        images = [table[b] for b in cls.block]
         subtree, reason = recover_class_subtree(cls.image, images, g.shape)
         if reason is not None:
             raise failure("subtree-boundary", reason)
-        if shared := _shared_images(images, len(block) // len(cls.members)):
+        if shared := _shared_images(images, len(cls.block) // len(cls.members)):
             raise failure(
                 "shared-parent",
                 f"image {format_address(min(shared))} drawn from children of two class members",
             )
         for w in fill:
-            dist = int(g.depths[w]) - len(cls.image)
+            dist = len(table[w]) - len(cls.image)
             if dist > fill_bound:
                 raise failure(
                     "fill-distance",
-                    f"{format_address(ball.verts[w])} collapsed {dist} > {fill_bound} from its g-image",
+                    f"{format_address(w)} collapsed {dist} > {fill_bound} from its g-image",
                     value=dist,
                 )
         return ClassTrace(
@@ -542,7 +554,7 @@ def reference_approximate_by_mixed(g, C, D_override=None, *, check_promise=True)
         )
 
     trace = BuildTrace(g.shape.degree, step, levels, f"approximate:C={Cf}")
-    approx = _build_levels(ball, trace, choose)
+    approx = reference_build_levels(g.shape, trace, choose)
     sup = sup_distance(approx, g)
     if sup > fill_bound:
         raise ValidationFailure(
@@ -770,6 +782,8 @@ def reference_parse_trace_text(text):
             int(fields["levels"]),
             fields["policy"],
         )
+        if trace.step < 1:
+            raise ValueError("a D= value of 0 is not a step depth")
     except (KeyError, ValueError) as e:
         raise MapFormatError(f"bad trace header: {e}", 1) from None
     shape = TreeShape(trace.degree)

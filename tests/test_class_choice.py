@@ -5,9 +5,9 @@ relative class code replaced: subtree growth over `TreeShape.children` with a so
 boundary as a second pass over the finished subtree, the assignment that
 scans the whole block once per member, the check that slices every block
 vertex, and the replay check through `FiniteSubtree`.  A bounded property
-runs the builder and the references along the same class walk and compares
-every class choice; corrupted traces must fail with the reference's exact
-`PolicyError`.
+runs the builder on its position walk and the references on their tuple
+walk (`reference_build_levels`) and compares every class choice; corrupted
+traces must fail with the reference's exact `PolicyError`.
 """
 
 import dataclasses
@@ -71,6 +71,22 @@ def test_class_choices_match_the_reference(build):
             got = tq.assign_images(cls, bd, random, rng)
             want = reference_assign_images(cls, bd, step, random, ref_rng)
             assert (got, rng.calls) == (want, ref_rng.calls)  # now in block order
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize(
+    "policy", [MixedPolicy.minimal(), MixedPolicy.deepest_feasible(), MixedPolicy.random(5)]
+)
+def test_degree_130_builds_match_the_reference(levels, policy):
+    """Past degree 128 labels are two bytes wide: the class walk reads them
+    from int16 label rows.  `builds()` cannot reach this degree within its
+    vertex budget, so the two levels here are fixed."""
+    shape = TreeShape(130)
+    m, trace = tq.build_mixed(shape, 1, levels, policy)
+    ref_m, ref_trace = reference_build(shape, 1, levels, policy)
+    assert m.labels.dtype == tq.layout._ball(130, levels).labels.dtype == "int16"
+    assert m == ref_m
+    assert [_fields(c) for c in trace.classes] == [_fields(c) for c in ref_trace.classes]
 
 
 def _corrupt(rnd, trace):

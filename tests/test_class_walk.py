@@ -27,7 +27,7 @@ from reference import (
 from test_properties import builds
 from treeqi import FiniteTreeMap, TreeShape, mixed_builder, transforms
 from treeqi.errors import TreeQIError
-from treeqi.mixed_builder import _level_classes
+from treeqi.mixed_builder import _anchors, _grouped, _level_classes
 from treeqi.layout import _ball
 
 NET = settings(max_examples=60, deadline=None)
@@ -48,18 +48,35 @@ def test_position_walk_matches_the_tuple_walk(build, rnd):
     m = FiniteTreeMap(shape, m.domain_radius, table)
 
     ball = _ball(shape.degree, m.domain_radius)
-    walk = _level_classes(ball, step, levels, m._images)
     got = [
-        (i, cls, tuple(ball.verts[p] for p in block), tuple(ball.verts[p] for p in fill))
-        for i, cls, block, fill in walk
+        (i, cls, tuple(ball.verts[p] for p in block))
+        for i in range(levels)
+        for cls, block in _level_classes(ball, step, i, _grouped(m._images(ball.levels[i * step])))
     ]
     reference = reference_level_classes(shape, step, levels, m.table.__getitem__)
-    assert got == [(i, cls, cls.block, tuple(fill)) for i, cls, fill in reference]
+    # the walk has no fill: test_anchors_match_their_tuple_definition holds the collapse
+    assert got == [(i, cls, cls.block) for i, cls, _ in reference]
 
     rep = tq.verify_mixed_structure(m, step)
     ref = reference_verify_mixed_structure(m, step)
     assert rep.to_lines() == ref.to_lines()
     assert rep.to_json_dict() == ref.to_json_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_anchors_match_their_tuple_definition(data):
+    """Each vertex of the ball of radius r, the ball's own radius or less
+    (the approximation covers only whole levels), collapses onto its
+    ancestor of depth floor(t / step) * step."""
+    degree = data.draw(st.sampled_from([3, 4, 130]), "degree")
+    radius = data.draw(st.integers(0, {3: 7, 4: 4, 130: 2}[degree]), "radius")
+    step = data.draw(st.integers(1, 4), "step")
+    r = data.draw(st.sampled_from([radius, data.draw(st.integers(0, radius))]), "r")
+    ball = _ball(degree, radius)
+    position = {v: p for p, v in enumerate(ball.verts)}
+    want = [position[v[: len(v) // step * step]] for v in ball.verts if len(v) <= r]
+    assert _anchors(ball, step, r).tolist() == want
 
 
 def _leaf_moves(m, step, rnd):

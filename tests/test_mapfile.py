@@ -232,6 +232,24 @@ def test_trace_number_fields_are_read_as_labels():
         assert edited(field, line, zeros).to_text() == text
 
 
+def test_trace_header_refuses_a_zero_step_depth():
+    """D=0 names no construction, so the header is refused where it is read,
+    as the reference refuses it; levels=0 is an empty construction, which
+    `gen-mixed --levels 0` writes."""
+    text = "tree-qi-trace v1 degree=3 D=0 levels=1 policy=minimal\n"
+    for parse in (BuildTrace.from_text, reference_parse_trace_text):
+        with pytest.raises(MapFormatError) as err:
+            parse(text)
+        assert err.value.line == 1
+        assert str(err.value).endswith("bad trace header: a D= value of 0 is not a step depth")
+        with pytest.raises(MapFormatError, match="bad trace header"):
+            parse(text.replace("D=0", "D=000"))
+    empty = tq.build_mixed(D3, 2, 0, MixedPolicy.minimal())[1]
+    assert empty.to_text() == "tree-qi-trace v1 degree=3 D=2 levels=0 policy=minimal\n"
+    assert BuildTrace.from_text(empty.to_text()) == empty
+    assert reference_parse_trace_text(empty.to_text()) == empty
+
+
 def test_budget_checked_before_any_line():
     misses = _ball.cache_info().misses
     with pytest.raises(BudgetExceededError) as err:

@@ -283,6 +283,21 @@ def test_failing_structure_check_names_vertices_from_label_rows():
     assert report.to_lines() == reference_verify_mixed_structure(m, 2).to_lines()
 
 
+def test_construction_builds_no_ball_tables(tmp_path):
+    """A build, its trace written and read back, the replay, the structural
+    check and the map's text build none of the ball's vertex tuples: the
+    class walk reads members and blocks from label rows."""
+    tq.layout._ball.cache_clear()  # a ball that no earlier test has filled
+    m, trace = tq.build_mixed(D3, 2, 3, MixedPolicy.random(4))
+    tq.write_trace_file(trace, tmp_path / "m.trace")
+    replayed, _ = tq.build_mixed(
+        D3, 2, 3, MixedPolicy.explicit(tq.parse_trace_file(tmp_path / "m.trace"))
+    )
+    assert tq.verify_mixed_structure(replayed, 2).passed
+    assert tq.dump_map_text(replayed) == tq.dump_map_text(m)
+    assert "verts" not in vars(tq.layout._ball(3, 6))
+
+
 def test_structure_reports_multiplicity():
     # every depth-2 vertex maps to the root: 6 same-image vertices, bound 3**1
     m = tq.constant_map(D3, 2)

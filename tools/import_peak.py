@@ -18,6 +18,18 @@ run:
   approximation (two map reads each).  The largest of these is the peak
   of the radius-14 conversions.  The two maps are generated in a
   temporary directory by the first source directory's treeqi;
+- the median peak of 5 library processes that each run the seed-7
+  construct builds in 3 passes, as the benchmark's construct process runs
+  a warm-up and at least two timed passes: shapes (degree, D, levels)
+  (3, 2, 4), (4, 2, 3), (5, 2, 2) and (3, 3, 3), each with the minimal, the
+  deepest and six random policies, whose seeds are drawn from
+  `random.Random(7)` as the benchmark's construct generator draws them (32
+  builds).  Each build's map and trace are written, the trace is read back
+  and replayed to the same map text, and the map's structure is verified.
+  A process's peak still rises with each further pass (by 0.05-0.15 MB a
+  pass past the third on a 2-core host), so the figure compares two
+  checkouts, and reads below the benchmark's `peak_rss_mb`, which repeats
+  passes for its run time;
 - for each module of the package, the median of 5 processes of how much
   compiling its source raises the peak of a process that has imported
   numpy, in MB.  The largest such step of the modules a job loads is what
@@ -39,8 +51,31 @@ from pathlib import Path
 
 _RUNS = 8
 _CONVERT_RUNS = 5
+_CONSTRUCT_RUNS = 5
 _MODULE_RUNS = 5
 _ONE_VERTEX_MAP = "tree-qi v1 degree=3 radius=0\n. .\n"
+# run in a fresh process inside the directory argv[1]: 3 passes of the seed-7
+# construct builds
+_CONSTRUCT = (
+    "import os, random, sys\n"
+    "import treeqi as tq\n"
+    "os.chdir(sys.argv[1])\n"
+    "builds = []\n"
+    "rng = random.Random(7)\n"
+    "for d, step, levels in ((3, 2, 4), (4, 2, 3), (5, 2, 2), (3, 3, 3)):\n"
+    "    policies = [tq.MixedPolicy.minimal(), tq.MixedPolicy.deepest_feasible()]\n"
+    "    policies += [tq.MixedPolicy.random(rng.randrange(2**31)) for _ in range(6)]\n"
+    "    builds += [(tq.TreeShape(d), step, levels, policy) for policy in policies]\n"
+    "for _ in range(3):\n"
+    "    for shape, step, levels, policy in builds:\n"
+    "        m, trace = tq.build_mixed(shape, step, levels, policy)\n"
+    "        tq.write_map_file(m, 'build.qi')\n"
+    "        tq.write_trace_file(trace, 'build.trace')\n"
+    "        replay = tq.MixedPolicy.explicit(tq.parse_trace_file('build.trace'))\n"
+    "        replayed, _ = tq.build_mixed(shape, step, levels, replay)\n"
+    "        assert tq.dump_map_text(replayed) == open('build.qi').read()\n"
+    "        assert tq.verify_mixed_structure(m, step).passed\n"
+)
 # run in a fresh process: write the radius-14 automorphism to argv[1] and a
 # perturbed copy to argv[2], and print the step depth that the
 # approximation at C = 1 uses
@@ -67,19 +102,18 @@ def _env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def _job_peak_mb(src: Path, *argv: str) -> float:
-    """ru_maxrss of one fresh `python -m treeqi <argv>` job, in MB."""
-    args = [sys.executable, "-m", "treeqi", *argv]
-    proc = subprocess.Popen(args, env=_env(src), stdout=subprocess.DEVNULL)
+def _peak_mb(src: Path, name: str, *args: str) -> float:
+    """ru_maxrss of one fresh `python <args>` process, named `name` if it fails, in MB."""
+    proc = subprocess.Popen([sys.executable, *args], env=_env(src), stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
-        raise SystemExit(f"treeqi {argv[0]} from {src} exited {proc.returncode}")
+        raise SystemExit(f"{name} from {src} exited {proc.returncode}")
     return usage.ru_maxrss / 1024
 
 
-def _median_peak_mb(src: Path, runs: int, *argv: str) -> float:
-    return statistics.median(_job_peak_mb(src, *argv) for _ in range(runs))
+def _median_peak_mb(src: Path, runs: int, name: str, *args: str) -> float:
+    return statistics.median(_peak_mb(src, name, *args) for _ in range(runs))
 
 
 def _compile_rise_mb(src: Path, module: Path) -> float:
@@ -109,11 +143,14 @@ def main(argv: list[str]) -> None:
             "compose": ["--a", norm, "--b", approx, "--out", os.path.join(tmp, "comp.qi")],
         }
         for src in dirs:
-            peak = _median_peak_mb(src, _RUNS, "verify", "--in", map_path)
+            peak = _median_peak_mb(src, _RUNS, "verify", "-m", "treeqi", "verify", "--in", map_path)
             print(f"{peak:.2f} MB  {src}  (verify job)")
             for name, argv in jobs.items():
-                peak = _median_peak_mb(src, _CONVERT_RUNS, name.split()[0], *argv)
+                job = ["-m", "treeqi", name.split()[0], *argv]
+                peak = _median_peak_mb(src, _CONVERT_RUNS, name, *job)
                 print(f"{peak:.2f} MB  {src}  (radius-14 {name} job)")
+            peak = _median_peak_mb(src, _CONSTRUCT_RUNS, "construct", "-c", _CONSTRUCT, tmp)
+            print(f"{peak:.2f} MB  {src}  (seed-7 construct process, 3 passes)")
             for module in sorted((src / "treeqi").glob("*.py")):
                 rises = [_compile_rise_mb(src, module) for _ in range(_MODULE_RUNS)]
                 print(f"  {statistics.median(rises):.2f} MB  {module.name}")
